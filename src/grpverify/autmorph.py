@@ -9,7 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .smallgroup import CapExceeded, MaterializedGroup, bits, coprime, materialize_gens
+from .smallgroup import (
+    CapExceeded,
+    MaterializedGroup,
+    bits,
+    coprime,
+    materialize_gens,
+    table_query,
+)
 
 MAX_AUT_ORDER = 1000
 
@@ -77,6 +84,11 @@ def _extend_map(M1, M2, gen_pairs, subgroup_size):
 def _search_isomorphisms(M1, M2, find_all):
     if M1.n != M2.n:
         return []
+    with M1.table_scope(), M2.table_scope():
+        return _search(M1, M2, find_all)
+
+
+def _search(M1, M2, find_all):
     inv1 = _invariant_table(M1)
     inv2 = _invariant_table(M2)
     if sorted(inv1) != sorted(inv2):
@@ -93,6 +105,7 @@ def _search_isomorphisms(M1, M2, find_all):
         mask = M1.close(gens[: i + 1])
         spans.append(mask.bit_count())
     results = []
+    shared = list(range(M2.n))  # stored images reuse these int objects
 
     def dfs(level, pairs):
         for cand in by_key.get(inv1[gens[level]], ()):
@@ -101,7 +114,7 @@ def _search_isomorphisms(M1, M2, find_all):
             if img is None:
                 continue
             if level + 1 == len(gens):
-                results.append(img)
+                results.append(list(map(shared.__getitem__, img)))
                 if not find_all:
                     return True
             elif dfs(level + 1, attempt):
@@ -171,6 +184,7 @@ class AutGroup:
         return out
 
 
+@table_query
 def automorphism_group(M: MaterializedGroup, cap: int = MAX_AUT_ORDER) -> AutGroup:
     if M.n > cap:
         raise CapExceeded(f"order {M.n} exceeds automorphism cap {cap}")
@@ -198,6 +212,7 @@ def is_characteristic(M: MaterializedGroup, mask: int, cap: int = MAX_AUT_ORDER)
     return True
 
 
+@table_query
 def chermak_delgado(M: MaterializedGroup, sub_cap: int = 2000) -> int:
     """Minimal member of the maximal Chermak-Delgado-measure family.
 

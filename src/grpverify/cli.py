@@ -8,8 +8,6 @@ Exit codes: 0 all claims pass, 1 any claim fails, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 
@@ -26,8 +24,6 @@ from .ledger import (
     write_json_report,
 )
 from .smallgroup import p_part
-
-CACHE_ENV = "GRPVERIFY_CACHE_DIR"
 
 
 class ParseError(ValueError):
@@ -274,52 +270,18 @@ def cmd_subgroups(args) -> int:
     expr = parse_expr(args.expr)
     caps = _caps_from_args(args)
     m = cx.build(expr, caps.max_order).materialized(caps.max_order)
-    cached = _cache_get(args, expr, caps)
-    if cached is not None:
-        subs = cached
+    if args.up_to_conjugacy:
+        subs = subgroup_classes(m, cap=caps.max_subgroup_order)
     else:
-        if args.up_to_conjugacy:
-            subs = [(s.order, s.mask) for s in
-                    subgroup_classes(m, cap=caps.max_subgroup_order)]
-        else:
-            subs = [(s.order, s.mask) for s in
-                    all_subgroups(m, cap=caps.max_subgroup_order)]
-        _cache_put(args, expr, caps, subs)
+        subs = all_subgroups(m, cap=caps.max_subgroup_order)
     kind = "classes" if args.up_to_conjugacy else "subgroups"
     print(f"group {cx.to_src(expr)}: |G| = {m.n}, {len(subs)} {kind}")
     by_order = {}
-    for order, _ in subs:
-        by_order[order] = by_order.get(order, 0) + 1
+    for sub in subs:
+        by_order[sub.order] = by_order.get(sub.order, 0) + 1
     for order in sorted(by_order):
         print(f"  order {order:6d}: {by_order[order]}")
     return 0
-
-
-def _cache_key(args, expr, caps) -> str:
-    blob = json.dumps([cx.to_src(expr), bool(args.up_to_conjugacy),
-                       caps.max_order, caps.max_subgroup_order])
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def _cache_get(args, expr, caps):
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    path = os.path.join(root, _cache_key(args, expr, caps) + ".json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        return [(int(o), int(m, 16)) for o, m in json.load(fh)]
-
-
-def _cache_put(args, expr, caps, subs):
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return
-    os.makedirs(root, exist_ok=True)
-    path = os.path.join(root, _cache_key(args, expr, caps) + ".json")
-    with open(path, "w") as fh:
-        json.dump([[o, format(m, "x")] for o, m in subs], fh)
 
 
 def cmd_aut(args) -> int:
@@ -375,8 +337,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="finite-group engine and claim ledger for p-Jordan "
         "index bounds",
         epilog='permutations use 1-based cycle notation "(1 2 3)(4 5)" '
-        "and products apply the right factor first; set "
-        f"{CACHE_ENV} to cache subgroup sweeps")
+        "and products apply the right factor first")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run ledger claims")

@@ -206,6 +206,9 @@ class GroupHandle:
     def materialized(self, cap: int = MAX_ORDER) -> MaterializedGroup:
         if self._mat is None:
             self._mat = materialize(self.group, cap=cap, name=self.name)
+        elif self._mat.n > cap:
+            raise CapExceeded(
+                f"order {self._mat.n} exceeds materialization cap {cap}")
         return self._mat
 
     def mask_of(self, perms) -> int:

@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .smallgroup import CapExceeded, MaterializedGroup, bits, coprime, p_part
+from .smallgroup import (
+    CapExceeded,
+    MaterializedGroup,
+    bits,
+    coprime,
+    flags_of,
+    p_part,
+    table_query,
+)
 
 MAX_SUBGROUP_ORDER = 2000
 MAX_NORMAL_ORDER = 50000
@@ -48,6 +56,7 @@ def is_normal(M: MaterializedGroup, sub: Sub) -> bool:
     return M.is_normal_mask(sub.mask, sub.gens or None)
 
 
+@table_query
 def normal_subgroups(M: MaterializedGroup, cap: int = MAX_NORMAL_ORDER) -> list[Sub]:
     """All normal subgroups, as joins of normal closures of single classes."""
     if M.n > cap:
@@ -80,6 +89,7 @@ def normal_subgroups(M: MaterializedGroup, cap: int = MAX_NORMAL_ORDER) -> list[
     return out
 
 
+@table_query
 def all_subgroups(M: MaterializedGroup, cap: int = MAX_SUBGROUP_ORDER) -> list[Sub]:
     """Every subgroup, built bottom-up by single-generator extension."""
     if M.n > cap:
@@ -148,6 +158,7 @@ class _Canonizer:
         return c
 
 
+@table_query
 def subgroup_classes(M: MaterializedGroup, cap: int = MAX_SUBGROUP_ORDER) -> list[Sub]:
     """One representative per conjugacy class of subgroups.
 
@@ -188,35 +199,27 @@ def subgroup_classes(M: MaterializedGroup, cap: int = MAX_SUBGROUP_ORDER) -> lis
             continue
         hgens = list(H.gens)
         nmask = M.normalizer(H.mask, hgens or bits(H.mask))
-        ngens = M.gens_for_mask(nmask)
-        covered = H.mask
+        # x -> hx, xh and x^u move within the H-double-coset of x and its
+        # orbit under the normalizer
+        steps = [m for h in hgens for m in (M.left_map(h), M.right_map(h))]
+        steps += [M.conj_map(u) for u in M.gens_for_mask(nmask)]
+        covered = bytearray(flags_of(H.mask, M.n))
         for g in range(1, M.n):
-            if covered >> g & 1:
+            if covered[g]:
                 continue
             register(M.close(hgens + [g]))
             # skip the rest of the H-double-coset and its normalizer orbit
+            covered[g] = 1
             orb = [g]
-            covered |= 1 << g
-            oi = 0
-            while oi < len(orb):
-                x = orb[oi]
-                oi += 1
-                for h in hgens:
-                    for y in (M.mul(h, x), M.mul(x, h)):
-                        if not covered >> y & 1:
-                            covered |= 1 << y
-                            orb.append(y)
-                for u in ngens:
-                    y = M.conj(x, u)
-                    if not covered >> y & 1:
-                        covered |= 1 << y
+            for x in orb:  # orb grows while it is walked
+                for t in steps:
+                    y = t[x]
+                    if not covered[y]:
+                        covered[y] = 1
                         orb.append(y)
     out = sorted(reps.values(), key=lambda s: (s.order, s.mask))
     M._sub_classes = out
     return out
-
-
-subgroups_up_to_conjugacy = subgroup_classes
 
 
 def _smallest_prime_factor(n):

@@ -103,9 +103,18 @@ def compare(expected: dict, actual: dict):
 
 def run_claim(record: ClaimRecord, timeout: float | None = None,
               caps: Caps | None = None) -> ClaimResult:
+    """Run one claim; caps apply to this call only."""
     global _active_caps
+    saved = _active_caps
     if caps is not None:
         _active_caps = caps
+    try:
+        return _run_claim(record, timeout)
+    finally:
+        _active_caps = saved
+
+
+def _run_claim(record: ClaimRecord, timeout: float | None) -> ClaimResult:
     t0 = time.monotonic()
 
     def done(status, actual, witness):
@@ -172,7 +181,9 @@ def run(records, jobs: int = 1, timeout: float | None = None,
         return [run_claim(r, timeout=timeout, caps=caps) for r in records]
     ctx = get_context("fork")
     with ctx.Pool(min(jobs, len(records))) as pool:
-        raw = pool.map(_worker, [(r.id, timeout, caps) for r in records])
+        # one claim per task: the long claims must not queue on one worker
+        raw = pool.map(_worker, [(r.id, timeout, caps) for r in records],
+                       chunksize=1)
     results = [result_from_json(d) for d in raw]
     return sorted(results, key=lambda r: r.id)
 

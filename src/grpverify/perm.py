@@ -228,7 +228,3 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
-
-
-def group_from_generators(gens, degree: int, check_degree: bool = True) -> PermGroup:
-    return PermGroup(gens, degree, check_degree=check_degree)

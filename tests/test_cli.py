@@ -186,18 +186,6 @@ def test_subgroups_command(capsys):
     assert "11 classes" in out
 
 
-def test_subgroups_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GRPVERIFY_CACHE_DIR", str(tmp_path))
-    rc = main(["subgroups", "S(4)", "--up-to-conjugacy"])
-    assert rc == 0
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 1
-    first = capsys.readouterr().out
-    rc = main(["subgroups", "S(4)", "--up-to-conjugacy"])
-    assert rc == 0
-    assert capsys.readouterr().out == first
-
-
 def test_aut_command(capsys):
     rc = main(["aut", "S(4)"])
     out = capsys.readouterr().out

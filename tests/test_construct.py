@@ -63,6 +63,14 @@ def test_catalog_orders(expr, order):
     assert build(expr).order == order
 
 
+def test_materialized_cap_applies_to_cached_group():
+    h = build(Sym(4))
+    assert h.materialized().n == 24
+    with pytest.raises(CapExceeded):
+        h.materialized(10)
+    assert h.materialized(24).n == 24
+
+
 def test_d4_is_klein_four():
     m = build(Dih(2)).materialized()
     assert m.n == 4 and m.is_abelian()

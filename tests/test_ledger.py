@@ -2,6 +2,7 @@ import json
 
 from grpverify.claims import builtin_claims, get_claim
 from grpverify.ledger import (
+    Caps,
     ClaimResult,
     compare,
     report_json,
@@ -147,6 +148,12 @@ def test_timeout_records_skip():
     res = run_claim(get_claim("LEM-3.8-II"), timeout=0.05)
     assert res.status == "skip"
     assert "timeout" in res.witness
+
+
+def test_caps_do_not_outlive_their_run():
+    capped = run_claim(get_claim("EX-2.8"), caps=Caps(max_order=10))
+    assert capped.status == "skip"
+    assert run_claim(get_claim("EX-2.8")).status == "pass"
 
 
 def test_skip_has_reason():

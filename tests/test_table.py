@@ -1,0 +1,164 @@
+"""Table lookup against the compose path.
+
+Inside a table scope, groups of order <= TABLE_MAX_ORDER multiply by
+right-multiplication columns.  Every product and every reader that uses
+the columns is compared here with the compose path of the same group,
+on seeded samples of elements and generating sets.
+"""
+
+import random
+
+import pytest
+
+from grpverify.claims import CD_CORPUS
+from grpverify.construct import (
+    Alt,
+    Hess,
+    Hsl23,
+    ProjGL,
+    SwapSq,
+    Sym,
+    build,
+)
+from grpverify.autmorph import automorphism_group, chermak_delgado
+from grpverify.lattice import all_subgroups, normal_subgroups, subgroup_classes
+from grpverify.smallgroup import (
+    TABLE_MAX_ORDER,
+    MaterializedGroup,
+    materialize_gens,
+)
+from test_construct import CATALOG
+
+GROUPS = [e for e, order in CATALOG if order <= TABLE_MAX_ORDER]
+GROUPS += [e for e in CD_CORPUS if e not in GROUPS]
+GROUPS += [Hess(), Hsl23()]
+
+
+def compose_mul(M, i, j):
+    return MaterializedGroup.mul(M, i, j)
+
+
+def compose_conj(M, i, g):
+    return compose_mul(M, compose_mul(M, M.inv(g), i), g)
+
+
+def compose_commutator(M, i, j):
+    return compose_mul(M, compose_mul(M, M.inv(i), M.inv(j)),
+                       compose_mul(M, i, j))
+
+
+def sample_sets(M, rng, count, size):
+    return [[rng.randrange(M.n) for _ in range(rng.randint(1, size))]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("expr", GROUPS, ids=str)
+def test_table_matches_compose_path(expr):
+    M = build(expr).materialized()
+    rng = random.Random(M.n)
+    pairs = [(rng.randrange(M.n), rng.randrange(M.n)) for _ in range(200)]
+    gen_sets = sample_sets(M, rng, 6, 3)
+    # the compose path: outside any scope
+    closes = [M.close(s) for s in gen_sets]
+    cents = [M.centralizer(s) for s in gen_sets]
+    norms = [M.normalizer(m, s) for m, s in zip(closes, gen_sets)]
+    with M.table_scope():
+        for i, j in pairs:
+            assert M.mul(i, j) == compose_mul(M, i, j)
+            assert M.conj(i, j) == compose_conj(M, i, j)
+            assert M.commutator(i, j) == compose_commutator(M, i, j)
+        for _, j in pairs[:5]:
+            every = range(M.n)
+            assert list(M.column(j)) == [compose_mul(M, i, j) for i in every]
+            assert M.right_map(j) == [compose_mul(M, i, j) for i in every]
+            assert M.left_map(j) == [compose_mul(M, j, i) for i in every]
+            assert M.conj_map(j) == [compose_conj(M, i, j) for i in every]
+        assert [M.close(s) for s in gen_sets] == closes
+        assert [M.centralizer(s) for s in gen_sets] == cents
+        assert [M.normalizer(m, s) for m, s in zip(closes, gen_sets)] == norms
+    assert M._cols is None and M._mm is None
+
+
+def fresh(expr):
+    h = build(expr)
+    return materialize_gens(h.group.generators, h.degree)
+
+
+def test_columns_dropped_when_outermost_scope_exits():
+    M = fresh(Alt(5))
+    with M.table_scope():
+        with M.table_scope():
+            M.mul(5, 7)
+        assert M._mm is not None and M._cols[7] is not None
+    assert M._cols is None and M._mm is None
+    assert "mul" not in vars(M)
+    assert M.mul(5, 7) == compose_mul(M, 5, 7)
+
+
+def test_columns_dropped_when_scope_raises():
+    M = fresh(Alt(5))
+    with pytest.raises(KeyError):
+        with M.table_scope():
+            M.close([1, 2])
+            raise KeyError("interrupted query")
+    assert M._cols is None and M._mm is None
+
+
+def test_interrupted_scope_keeps_its_exception():
+    M = fresh(Alt(5))
+    with pytest.raises(KeyError):
+        with M.table_scope():
+            M.close([1, 2])
+            stray = M._mv[0:M.n]  # a view taken but not yet stored
+            raise KeyError(stray[0])
+    assert M._cols is None and M._mm is None
+
+
+def test_cached_query_builds_no_column(monkeypatch):
+    M = fresh(Sym(4))
+    opened = []
+    real_open = MaterializedGroup._open_table
+
+    def counting_open(self):
+        opened.append(self)
+        real_open(self)
+
+    monkeypatch.setattr(MaterializedGroup, "_open_table", counting_open)
+    first = subgroup_classes(M)
+    assert opened == [M]
+    assert subgroup_classes(M) is first
+    assert opened == [M]
+
+
+def test_groups_above_threshold_never_open_a_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"table opened for order {self.n}")
+
+    monkeypatch.setattr(MaterializedGroup, "_open_table", refuse)
+    M = fresh(ProjGL(13))
+    assert M.n > TABLE_MAX_ORDER
+    with M.table_scope():
+        assert "mul" not in vars(M)
+        assert M._cols is None
+    subs = normal_subgroups(M)
+    assert sorted(s.order for s in subs) == [1, M.n // 2, M.n]
+
+
+QUERIES = {
+    "subgroup_classes": lambda M: [(s.mask, s.gens) for s in subgroup_classes(M)],
+    "all_subgroups": lambda M: [(s.mask, s.gens) for s in all_subgroups(M)],
+    "normal_subgroups": lambda M: [(s.mask, s.gens)
+                                   for s in normal_subgroups(M)],
+    "automorphism_group": lambda M: automorphism_group(M).maps,
+    "chermak_delgado": chermak_delgado,
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("expr", [SwapSq(Sym(3)), Sym(4), ProjGL(5)], ids=str)
+def test_heavy_queries_match_compose_path(expr, query):
+    M = fresh(expr)
+    N = fresh(expr)
+    N._parent = None  # the compose path, as for a group above the threshold
+    assert QUERIES[query](M) == QUERIES[query](N)
+    assert M._cols is None and M._mm is None
