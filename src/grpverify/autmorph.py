@@ -2,7 +2,10 @@
 
 Automorphisms are found by backtracking over images of a fixed generating
 sequence, pruning by element order and conjugacy-class size; every map
-returned has been verified multiplicative on the whole group.
+the search finds has been verified multiplicative on the whole group.  It
+runs modulo inner automorphisms: the first generator's image is one
+representative per conjugacy class, and composing each map found with
+conjugations supplies the rest.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from .smallgroup import (
     MaterializedGroup,
     bits,
     coprime,
+    image_mask,
     materialize_gens,
     table_query,
 )
@@ -104,24 +108,48 @@ def _search(M1, M2, find_all):
     for i in range(len(gens)):
         mask = M1.close(gens[: i + 1])
         spans.append(mask.bit_count())
-    results = []
-    shared = list(range(M2.n))  # stored images reuse these int objects
+    found = []
 
-    def dfs(level, pairs):
-        for cand in by_key.get(inv1[gens[level]], ()):
+    def dfs(level, pairs, cands):
+        for cand in cands:
             attempt = pairs + [(gens[level], cand)]
             img = _extend_map(M1, M2, attempt, spans[level])
             if img is None:
                 continue
             if level + 1 == len(gens):
-                results.append(list(map(shared.__getitem__, img)))
+                found.append(img)
                 if not find_all:
                     return True
-            elif dfs(level + 1, attempt):
+            elif dfs(level + 1, attempt, by_key[inv1[gens[level + 1]]]):
                 return True
         return False
 
-    dfs(0, [])
+    # c_x . a moves the image of the first generator anywhere in its class,
+    # so the search fixes it to a class representative r; each map found
+    # then yields c_x . a for one x per conjugate of r, and every
+    # isomorphism arises exactly once
+    results = []
+    shared = list(range(M2.n))  # stored images reuse these int objects
+    key = inv1[gens[0]]
+    for cls in M2.conjugacy_classes():
+        r = cls[0]
+        if inv2[r] != key:
+            continue
+        if dfs(0, [], [r]):
+            return found
+        if not found:
+            continue
+        reached = set()
+        for x in range(M2.n):
+            y = M2.conj(r, x)
+            if y in reached:
+                continue
+            reached.add(y)
+            inner = list(map(shared.__getitem__, M2.conj_map(x)))
+            results.extend(list(map(inner.__getitem__, a)) for a in found)
+            if len(reached) == len(cls):
+                break
+        found.clear()
     return results
 
 
@@ -147,14 +175,7 @@ class AutGroup:
 
     def preserving(self, mask: int) -> list:
         """The automorphisms mapping the given element set onto itself."""
-        out = []
-        for a in self.maps:
-            img = 0
-            for i in bits(mask):
-                img |= 1 << a[i]
-            if img == mask:
-                out.append(a)
-        return out
+        return [a for a in self.maps if image_mask(mask, a) == mask]
 
     def as_materialized(self) -> MaterializedGroup:
         """Aut(G) as a concrete group acting on the |G| element indices."""
@@ -203,13 +224,7 @@ def automorphism_group(M: MaterializedGroup, cap: int = MAX_AUT_ORDER) -> AutGro
 def is_characteristic(M: MaterializedGroup, mask: int, cap: int = MAX_AUT_ORDER) -> bool:
     """True iff every automorphism of M maps the subgroup onto itself."""
     aut = automorphism_group(M, cap=cap)
-    for a in aut.maps:
-        img = 0
-        for i in bits(mask):
-            img |= 1 << a[i]
-        if img != mask:
-            return False
-    return True
+    return all(image_mask(mask, a) == mask for a in aut.maps)
 
 
 @table_query

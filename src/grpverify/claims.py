@@ -56,7 +56,7 @@ from .lattice import (
     sweep_bound,
 )
 from .ledger import ClaimRecord, SkipClaim, current_caps
-from .smallgroup import bits, coprime, p_part
+from .smallgroup import bits, coprime, image_mask, p_part
 
 _REGISTRY: dict[str, ClaimRecord] = {}
 
@@ -140,18 +140,11 @@ def invariant_min_index(m, maps, p=None, cyclic=False):
             continue
         if cyclic and max(m.element_order(i) for i in bits(s.mask)) != s.order:
             continue
-        if all(_image_mask(s.mask, a) == s.mask for a in maps):
+        if all(image_mask(s.mask, a) == s.mask for a in maps):
             idx = m.n // s.order
             if best is None or idx < best:
                 best = idx
     return best
-
-
-def _image_mask(mask, amap):
-    out = 0
-    for i in bits(mask):
-        out |= 1 << amap[i]
-    return out
 
 
 def aut_preserving(m, fmask):
@@ -1205,7 +1198,7 @@ def _ext_6_3():
             if m.element_order(gamma) % p == 0:
                 all_cop = False
             cyc = m.close([gamma])
-            if any(_image_mask(cyc, a) != cyc for a in maps):
+            if any(image_mask(cyc, a) != cyc for a in maps):
                 all_pre = False
     return ({"checks": checks, "all_coprime_p3": yn(all_cop),
              "all_preserved": yn(all_pre)},

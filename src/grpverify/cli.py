@@ -1,14 +1,18 @@
 """Command-line front end: expression parser, analysis commands, ledger runs.
 
-Exit codes: 0 all claims pass, 1 any claim fails, 2 usage or parse error,
-3 internal error.  Cycle notation for permutations is 1-based, e.g.
-"(1 2 3)(4 5)"; composition applies the right factor first.
+Exit codes: 0 all claims pass, 1 any claim fails, 2 usage, parse or cap
+error (a bad command line or group expression), 3 internal or engine error.
+A reader that closes the output early (``grpverify ... | head``) ends the
+command quietly with 141, the status of a process killed by SIGPIPE.
+Cycle notation for permutations is 1-based, e.g. "(1 2 3)(4 5)";
+composition applies the right factor first.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 from . import construct as cx
@@ -26,7 +30,11 @@ from .ledger import (
 from .smallgroup import p_part
 
 
-class ParseError(ValueError):
+class UsageError(ValueError):
+    """A bad command line or group expression: exit code 2."""
+
+
+class ParseError(UsageError):
     def __init__(self, message, pos):
         super().__init__(f"syntax error at byte {pos}: {message}")
         self.pos = pos
@@ -234,13 +242,25 @@ def _add_cap_flags(sub):
                      help="automorphism-computation cap (default 1000)")
 
 
-def cmd_analyze(args) -> int:
-    if not is_prime(args.p):
-        raise ValueError(f"-p {args.p}: not a prime")
+def _group(args):
+    """(expression, caps, materialized group) of the command's expression.
+
+    An expression that parses but names no group (an action that does not
+    act, a malformed cycle string) is a usage error like a parse error.
+    """
     expr = parse_expr(args.expr)
     caps = _caps_from_args(args)
-    handle = cx.build(expr, caps.max_order)
-    m = handle.materialized(caps.max_order)
+    try:
+        handle = cx.build(expr, caps.max_order)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+    return expr, caps, handle.materialized(caps.max_order)
+
+
+def cmd_analyze(args) -> int:
+    if not is_prime(args.p):
+        raise UsageError(f"-p {args.p}: not a prime")
+    expr, _, m = _group(args)
     ja = j_analysis(m, args.p)
     witness = ja.witness
     hint = _iso_hint(m, witness)
@@ -267,9 +287,7 @@ def _iso_hint(m, witness) -> str:
 
 
 def cmd_subgroups(args) -> int:
-    expr = parse_expr(args.expr)
-    caps = _caps_from_args(args)
-    m = cx.build(expr, caps.max_order).materialized(caps.max_order)
+    expr, caps, m = _group(args)
     if args.up_to_conjugacy:
         subs = subgroup_classes(m, cap=caps.max_subgroup_order)
     else:
@@ -285,9 +303,7 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    expr = parse_expr(args.expr)
-    caps = _caps_from_args(args)
-    m = cx.build(expr, caps.max_order).materialized(caps.max_order)
+    expr, caps, m = _group(args)
     aut = automorphism_group(m, cap=caps.max_aut_order)
     print(f"group      {cx.to_src(expr)}")
     print(f"order      {m.n}")
@@ -385,11 +401,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        return args.fn(args)
-    except (ParseError, ValueError, CapExceeded) as e:
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return rc
+    except (UsageError, CapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # pragma: no cover - internal failures
+    except BrokenPipeError:
+        # the reader has gone: send the unflushed rest nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
+    except Exception as e:  # engine errors and internal failures
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

@@ -16,6 +16,7 @@ from .smallgroup import (
     bits,
     coprime,
     flags_of,
+    image_mask,
     p_part,
     table_query,
 )
@@ -43,13 +44,6 @@ class JAnalysis:
     min_index: int
     witness: Sub
     j_ratio: Fraction
-
-
-def conj_mask(mask: int, table) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= 1 << table[i]
-    return out
 
 
 def is_normal(M: MaterializedGroup, sub: Sub) -> bool:
@@ -133,7 +127,7 @@ def conjugates_of(M: MaterializedGroup, mask: int) -> list[int]:
     while queue:
         m0 = queue.pop()
         for t in maps:
-            m1 = conj_mask(m0, t)
+            m1 = image_mask(m0, t)
             if m1 not in orbit:
                 orbit.add(m1)
                 queue.append(m1)

@@ -9,6 +9,7 @@ otherwise independent of each other.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -151,11 +152,23 @@ def _run_claim(record: ClaimRecord, timeout: float | None) -> ClaimResult:
 
 
 def _worker(args):
+    """Run one claim in a pool worker and leave the worker cold.
+
+    Each claim in a pool starts from an empty group cache, so its
+    runtime_ms does not depend on the claims that ran before it in the same
+    worker.  The cached groups hold reference cycles, so dropping the cache
+    needs a collection to return their memory.
+    """
     claim_id, timeout, caps = args
+    from . import construct
     from .claims import builtin_claims
 
     record = next(c for c in builtin_claims() if c.id == claim_id)
-    return run_claim(record, timeout=timeout, caps=caps).to_json()
+    try:
+        return run_claim(record, timeout=timeout, caps=caps).to_json()
+    finally:
+        construct._CACHE.clear()
+        gc.collect()
 
 
 def select_claims(records, ids=None, pattern: str | None = None):

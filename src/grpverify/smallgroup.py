@@ -44,6 +44,14 @@ def bits(mask: int):
         mask ^= low
 
 
+def image_mask(mask: int, table) -> int:
+    """Mask of {table[i] : i in mask}: an element set under an index map."""
+    out = 0
+    for i in bits(mask):
+        out |= 1 << table[i]
+    return out
+
+
 def flags_of(mask: int, n: int) -> bytes:
     """flags[i] == 1 iff bit i of mask is set, for i < n."""
     return format(mask, "b").zfill(n)[::-1].encode().translate(_TO_FLAGS)

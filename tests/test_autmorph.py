@@ -1,6 +1,9 @@
+from itertools import combinations, product
+
 import pytest
 
 from grpverify.autmorph import (
+    _invariant_table,
     automorphism_group,
     chermak_delgado,
     coprime_part,
@@ -8,6 +11,7 @@ from grpverify.autmorph import (
     generating_sequence,
     is_characteristic,
 )
+from grpverify.cli import parse_expr
 from grpverify.construct import (
     Action, Alt, Cyc, Dih, ElemAb, H3, Prod, ProjSL, Semi, Sym, build,
 )
@@ -232,3 +236,85 @@ def test_coprime_part():
     assert cp.bit_count() == 3
     cp3 = coprime_part(m, m.full_mask, 3)
     assert cp3.bit_count() == 4
+
+
+# -- the search modulo inner automorphisms against brute force ----------------------
+
+
+def _small_generating_set(m):
+    """Lexicographically first generating set of the least size."""
+    for k in range(1, m.n):
+        for combo in combinations(range(1, m.n), k):
+            if m.close(combo) == m.full_mask:
+                return combo
+    return ()
+
+
+def brute_aut(m):
+    """Oracle: every tuple of generator images, of the generators' element
+    orders, whose map extends to a bijective homomorphism."""
+    gens = _small_generating_set(m)
+    orders = [m.element_order(i) for i in range(m.n)]
+    cands = [[y for y in range(m.n) if orders[y] == orders[g]] for g in gens]
+    out = set()
+    for images in product(*cands):
+        img = [-1] * m.n
+        img[0] = 0
+        queue = [0]
+        ok = True
+        for x in queue:
+            for g, ig in zip(gens, images):
+                y, iy = m.mul(x, g), m.mul(img[x], ig)
+                if img[y] < 0:
+                    img[y] = iy
+                    queue.append(y)
+                elif img[y] != iy:
+                    ok = False
+            if not ok:
+                break
+        if ok and len(set(img)) == m.n:
+            out.add(tuple(img))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("src", ["S(4)", "A(5)", "D(12)", "GL(2,3)", "H3",
+                                 "EA(2,3)", "C(24)", "semi(C(3),C(4),explicit)"])
+def test_aut_maps_match_brute_force(src):
+    m = mat(parse_expr(src))
+    maps = automorphism_group(m).maps
+    assert maps == brute_aut(m)
+
+
+@pytest.mark.parametrize("src,order", [("PSL(2,7)", 336), ("PSL(2,9)", 1440),
+                                       ("EA(2,4)", 20160),
+                                       ("semi(EA(3,3),S(4),quotperm)", 1296)])
+def test_aut_known_orders_without_duplicates(src, order):
+    aut = automorphism_group(mat(parse_expr(src)))
+    assert aut.order == order
+    assert len(set(aut.maps)) == order
+
+
+def _is_isomorphism(img, m1, m2):
+    if sorted(img) != list(range(m2.n)):
+        return False
+    return all(img[m1.mul(x, y)] == m2.mul(img[x], img[y])
+               for x in range(m1.n) for y in range(m1.n))
+
+
+def test_find_isomorphism_between_different_carriers():
+    for a, b in [("PSL(3,2)", "PSL(2,7)"), ("PSL(2,9)", "A(6)"),
+                 ("D(6)", "prod(S(3),C(2))")]:
+        m1, m2 = mat(parse_expr(a)), mat(parse_expr(b))
+        img = find_isomorphism(m1, m2)
+        assert img is not None and _is_isomorphism(img, m1, m2)
+
+
+def test_find_isomorphism_none_for_equal_invariants():
+    # Q8 x C2 and C4 : C4 agree on element orders and class sizes
+    q8 = 'pgroup(8,"(1 2 3 4)(5 6 7 8)","(1 5 3 7)(2 8 4 6)")'
+    m1 = mat(parse_expr(f"prod({q8},C(2))"))
+    m2 = mat(parse_expr("semi(C(4),C(4),inv)"))
+    assert m1.n == m2.n == 16
+    assert sorted(_invariant_table(m1)) == sorted(_invariant_table(m2))
+    assert find_isomorphism(m1, m2) is None
+    assert find_isomorphism(m2, m1) is None

@@ -175,6 +175,46 @@ def test_cap_error_exit_code(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_build_error_exit_code(capsys):
+    assert main(["aut", "semi(EA(3,3),S(4),natperm)"]) == 2
+    assert "act on 3 points" in capsys.readouterr().err
+    assert main(["aut", 'pgroup(3,"(1 4)")']) == 2
+    assert "exceeds degree" in capsys.readouterr().err
+
+
+def test_engine_error_exit_code(monkeypatch, capsys):
+    from grpverify import cli, lattice
+
+    def quotient_by_non_normal(m, p):
+        sub = next(s for s in lattice.all_subgroups(m)
+                   if not lattice.is_normal(m, s))
+        return lattice.quotient(m, sub)
+
+    monkeypatch.setattr(cli, "j_analysis", quotient_by_non_normal)
+    assert main(["analyze", "S(3)", "-p", "3"]) == 3
+    assert "subgroup is not normal" in capsys.readouterr().err
+
+
+def test_closed_output_pipe_ends_quietly():
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import grpverify
+
+    src = os.path.dirname(os.path.dirname(grpverify.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grpverify.cli", "subgroups", "S(5)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes before the first line is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 128 + signal.SIGPIPE
+    assert err == b""
+
+
 def test_subgroups_command(capsys):
     rc = main(["subgroups", "S(4)"])
     out = capsys.readouterr().out

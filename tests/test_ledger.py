@@ -7,6 +7,7 @@ from grpverify.ledger import (
     compare,
     report_json,
     report_text,
+    _worker,
     result_from_json,
     run,
     run_claim,
@@ -154,6 +155,17 @@ def test_caps_do_not_outlive_their_run():
     capped = run_claim(get_claim("EX-2.8"), caps=Caps(max_order=10))
     assert capped.status == "skip"
     assert run_claim(get_claim("EX-2.8")).status == "pass"
+
+
+def test_pool_worker_leaves_group_cache_empty(monkeypatch):
+    from grpverify import construct
+
+    cache = {}
+    monkeypatch.setattr(construct, "_CACHE", cache)  # spare the session's
+    run_claim(get_claim("EX-2.8"))
+    assert cache  # a serial run keeps its groups
+    assert _worker(("EX-2.8", None, None))["status"] == "pass"
+    assert not cache
 
 
 def test_skip_has_reason():
