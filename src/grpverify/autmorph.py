@@ -18,7 +18,6 @@ from .smallgroup import (
     bits,
     coprime,
     image_mask,
-    materialize_gens,
     table_query,
 )
 
@@ -179,27 +178,39 @@ class AutGroup:
 
     def as_materialized(self) -> MaterializedGroup:
         """Aut(G) as a concrete group acting on the |G| element indices."""
+        # an automorphism is fixed by its images of G's generators, so a
+        # product is looked up by that short key instead of composed
+        base = self.base.gens
+        full = {tuple(map(a.__getitem__, base)): a for a in self.maps}
+
+        def step(x, s):  # the key of full[x] o full[s]
+            return tuple(map(full[x].__getitem__,
+                             map(full[s].__getitem__, base)))
+
+        def inverse(x):
+            return tuple(map(full[x].index, base))
+
         # a greedy generating subset keeps the closure and all later
         # conjugacy machinery linear in the group order
+        one = tuple(base)
         gens = []
-        closed = {tuple(range(self.base.n))}
-        for a in self.maps:
-            if a in closed:
+        closed = {one}
+        for key in full:
+            if key in closed:
                 continue
-            gens.append(a)
+            gens.append(key)
             queue = list(closed)
-            qi = 0
-            while qi < len(queue):
-                x = queue[qi]
-                qi += 1
+            for x in queue:  # queue grows while it is walked
                 for g in gens:
-                    y = tuple(map(x.__getitem__, g))
+                    y = step(x, g)
                     if y not in closed:
                         closed.add(y)
                         queue.append(y)
-            if len(closed) == len(self.maps):
+            if len(closed) == len(full):
                 break
-        out = materialize_gens(gens, self.base.n, cap=len(self.maps) + 1)
+        out = MaterializedGroup.enumerated(
+            one, gens, step, full.__getitem__, inverse, self.base.n,
+            cap=len(self.maps) + 1)
         if out.n != len(self.maps):
             raise AssertionError("automorphism closure mismatch")
         return out

@@ -252,9 +252,15 @@ def j_analysis(M: MaterializedGroup, p: int) -> JAnalysis:
 
 
 def sub_materialized(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
-    """A subgroup as a group in its own right (same permutation carrier)."""
-    gens = [M.perms[i] for i in sub.gens]
-    out = MaterializedGroup(gens, M.degree, cap=M.n + 1)
+    """A subgroup as a group in its own right (same permutation carrier).
+
+    Enumerated over M's element indices with M's products, so it matches
+    MaterializedGroup([M.perms[g] for g in sub.gens], M.degree).
+    """
+    with M.table_scope():
+        out = MaterializedGroup.enumerated(
+            0, sub.gens, M.mul, M.perms.__getitem__, M.inv,
+            M.degree, cap=M.n + 1)
     if out.n != sub.order:
         raise AssertionError("subgroup closure mismatch")
     return out

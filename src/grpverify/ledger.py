@@ -9,13 +9,11 @@ otherwise independent of each other.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import signal
 import time
 from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
 
 from .smallgroup import CapExceeded
 
@@ -151,24 +149,17 @@ def _run_claim(record: ClaimRecord, timeout: float | None) -> ClaimResult:
     return done("fail", actual, full)
 
 
-def _worker(args):
-    """Run one claim in a pool worker and leave the worker cold.
+def _claim_process(record, timeout, caps, conn):
+    """Run one claim in its own forked process and send back its result.
 
-    Each claim in a pool starts from an empty group cache, so its
-    runtime_ms does not depend on the claims that ran before it in the same
-    worker.  The cached groups hold reference cycles, so dropping the cache
-    needs a collection to return their memory.
+    The claim starts from an empty group cache, so its runtime_ms does not
+    depend on what the parent process has built.
     """
-    claim_id, timeout, caps = args
     from . import construct
-    from .claims import builtin_claims
 
-    record = next(c for c in builtin_claims() if c.id == claim_id)
-    try:
-        return run_claim(record, timeout=timeout, caps=caps).to_json()
-    finally:
-        construct._CACHE.clear()
-        gc.collect()
+    construct._CACHE.clear()
+    conn.send(run_claim(record, timeout=timeout, caps=caps).to_json())
+    conn.close()
 
 
 def select_claims(records, ids=None, pattern: str | None = None):
@@ -188,17 +179,61 @@ def select_claims(records, ids=None, pattern: str | None = None):
 
 def run(records, jobs: int = 1, timeout: float | None = None,
         caps: Caps | None = None) -> list[ClaimResult]:
-    """Execute claims (in parallel if jobs > 1); results in claim-id order."""
+    """Execute claims (in parallel if jobs > 1); results in claim-id order.
+
+    In parallel each claim runs in its own process, at most jobs at a time.
+    A process that dies before it reports (killed by a signal, say) makes
+    its claim a fail; the other claims still run.
+    """
     records = sorted(records, key=lambda r: r.id)
     if jobs <= 1 or len(records) <= 1:
         return [run_claim(r, timeout=timeout, caps=caps) for r in records]
+    # imported here: a serial run and the CLI's start-up do without them
+    from multiprocessing import get_context
+    from multiprocessing.connection import wait
+
+    # fork: a child starts from the parent's imports and needs no pickling
+    # of the record, whose runner may be any function
     ctx = get_context("fork")
-    with ctx.Pool(min(jobs, len(records))) as pool:
-        # one claim per task: the long claims must not queue on one worker
-        raw = pool.map(_worker, [(r.id, timeout, caps) for r in records],
-                       chunksize=1)
-    results = [result_from_json(d) for d in raw]
+    pending = records[::-1]
+    running = {}  # result pipe -> (process, record, start time)
+    results = []
+    try:
+        while pending or running:
+            while pending and len(running) < jobs:
+                record = pending.pop()
+                reader, writer = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_claim_process,
+                                   args=(record, timeout, caps, writer))
+                proc.start()
+                writer.close()
+                running[reader] = (proc, record, time.monotonic())
+            for reader in wait(list(running)):
+                proc, record, t0 = running.pop(reader)
+                try:
+                    results.append(result_from_json(reader.recv()))
+                except EOFError:  # the process ended without a result
+                    proc.join()
+                    results.append(_died(record, proc.exitcode, t0))
+                reader.close()
+                proc.join()
+    finally:  # interrupted: leave no claim process behind
+        for reader, (proc, _, _) in running.items():
+            proc.kill()
+            proc.join()
+            reader.close()
     return sorted(results, key=lambda r: r.id)
+
+
+def _died(record, exitcode, t0) -> ClaimResult:
+    if exitcode < 0:
+        cause = f"signal {-exitcode}"
+    else:
+        cause = f"exit code {exitcode}"
+    return ClaimResult(record.id, record.paper_ref, "fail",
+                       _canon(record.expected), _canon({}),
+                       f"worker died: {cause}",
+                       int((time.monotonic() - t0) * 1000))
 
 
 def summary(results) -> dict:

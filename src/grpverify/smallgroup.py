@@ -5,13 +5,20 @@ by breadth-first discovery order from the generators (index 0 is the
 identity).  Subgroups and other element sets are integer bitmasks over
 element indices.
 
+Every group is enumerated by one breadth-first routine, `breadth_first`,
+over a step function x -> x*s.  A group given by permutations composes
+them; a subgroup steps with its parent's products and Aut(G) with the
+images of G's generators (`MaterializedGroup.enumerated`), so neither
+composes a permutation.  For a group of order at most TABLE_MAX_ORDER the
+products x*s by each generator s are kept as that generator's column.
+
 Products compose two permutation tuples and look the result up by hash.
 Inside a table scope (`table_scope`, `table_query`), a group of order at
 most TABLE_MAX_ORDER multiplies by table lookup instead: right-
 multiplication columns col[j][i] = i*j, 16-bit, built on first use of j
-from the column of j's parent in the breadth-first tree.  The columns of
-one group share one anonymous mmap, unmapped when the outermost scope on
-that group exits.
+from the column of j's parent in the breadth-first tree and a generator
+column.  The columns of one group share one anonymous mmap, unmapped when
+the outermost scope on that group exits.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import functools
 import mmap
 from array import array
 from contextlib import contextmanager
+from itertools import islice
 from math import gcd
 from operator import eq
 
@@ -75,35 +83,43 @@ def table_query(fn):
 
 class MaterializedGroup:
     def __init__(self, generators, degree, cap: int = MAX_ORDER, name: str = ""):
+        self._enumerate(pm.identity(degree), map(tuple, generators), pm.compose,
+                        None, pm.inverse, degree, cap, name)
+
+    @classmethod
+    def enumerated(cls, one, gens, step, perm_of, inverse, degree: int,
+                   cap: int = MAX_ORDER, name: str = "") -> "MaterializedGroup":
+        """The group generated by gens, with elements in any hashable form.
+
+        one is the identity, step(x, s) = x*s, perm_of(x) is the permutation
+        of degree that x stands for and inverse(x) = x^-1.  The elements and
+        their order are those of MaterializedGroup(map(perm_of, gens), ...).
+        """
+        self = cls.__new__(cls)
+        self._enumerate(one, gens, step, perm_of, inverse, degree, cap, name)
+        return self
+
+    def _enumerate(self, one, gens, step, perm_of, inverse, degree, cap, name):
         self.degree = degree
         self.name = name
-        ident = pm.identity(degree)
-        gens = []
-        for g in generators:
-            g = tuple(g)
-            if g != ident and g not in gens:
-                gens.append(g)
-        perms = self.perms = [ident]
-        index = self.index = {ident: 0}
-        # breadth-first tree: y = parent[y] * s for some generator s
-        parent = array("i", [0])
-        for qi, x in enumerate(perms):  # perms grows while it is walked
-            for g in gens:
-                y = pm.compose(x, g)
-                if y not in index:
-                    if len(perms) >= cap:
-                        raise CapExceeded(
-                            f"materialization cap {cap} exceeded"
-                            + (f" for {name}" if name else "")
-                        )
-                    index[y] = len(perms)
-                    perms.append(y)
-                    parent.append(qi)
-        self.n = len(perms)
-        self.gens = [index[g] for g in gens]
-        self._inv = [index[pm.inverse(p)] for p in perms]
+        gens = list(dict.fromkeys(g for g in gens if g != one))
+        elems, where, parent, prods = breadth_first(one, gens, step, cap, name)
+        n = self.n = len(elems)
+        if perm_of is None:
+            self.perms, self.index = elems, where
+        else:
+            self.perms = list(map(perm_of, elems))
+            self.index = dict(zip(self.perms, range(n)))
+        self.gens = [where[g] for g in gens]
+        self._inv = [where[inverse(x)] for x in elems]
         # decided once: only small groups ever open a table
-        self._parent = parent if self.n <= TABLE_MAX_ORDER else None
+        if n <= TABLE_MAX_ORDER:
+            k = len(gens)
+            self._parent = parent
+            # _gen_cols[t][i] = i * gens[t], read off the enumeration
+            self._gen_cols = [array("H", prods[t::k]) for t in range(k)]
+        else:
+            self._parent = self._gen_cols = None
         self._scopes = 0
         self._cols = None  # per-element column views while a scope is open
         self._mm = None
@@ -191,14 +207,9 @@ class MaterializedGroup:
         for y in reversed(path):
             c = mv[y * n:(y + 1) * n]
             x = parent[y]
-            if x == 0:  # a generator: its column is its right action
-                py = self.perms[y]
-                index = self.index
-                c[:] = array("H", [index[pm.compose(p, py)] for p in self.perms])
-            else:  # i*y = (i*x)*s for the tree edge y = x*s
-                step = next(s for s in map(self.column, self.gens)
-                            if s[x] == y)
-                c[:] = array("H", map(step.__getitem__, cols[x]))
+            # i*y = (i*x)*s for the tree edge y = x*s (column 0 is the identity)
+            step = next(s for s in self._gen_cols if s[x] == y)
+            c[:] = array("H", map(step.__getitem__, cols[x]))
             cols[y] = c
         return cols[j]
 
@@ -271,7 +282,14 @@ class MaterializedGroup:
 
     def element_order(self, i: int) -> int:
         if self._orders is None:
-            self._orders = [pm.perm_order(p) for p in self.perms]
+            if self._classes is None:
+                self._orders = [pm.perm_order(p) for p in self.perms]
+            else:  # a class function: one cycle decomposition per class
+                orders = self._orders = [0] * self.n
+                for cls in self._classes:
+                    o = pm.perm_order(self.perms[cls[0]])
+                    for x in cls:
+                        orders[x] = o
         return self._orders[i]
 
     @property
@@ -516,6 +534,49 @@ def p_part(n: int, p: int) -> int:
 
 def coprime(n: int, p: int) -> bool:
     return gcd(n, p) == 1
+
+
+def breadth_first(one, gens, step, cap: int, name: str = ""):
+    """Enumerate the closure of one under x -> step(x, s) for s in gens.
+
+    Returns the elements in discovery order, a dict from element to
+    position, the breadth-first parent of each element (y = parent[y]*s for
+    some s) and the positions of the products, len(gens) per element in
+    discovery order; for a group above TABLE_MAX_ORDER, None.
+    """
+    elems = [one]
+    where = {one: 0}
+    parent = array("i", [0])
+
+    def add(y, qi):
+        if len(elems) >= cap:
+            raise CapExceeded(
+                f"materialization cap {cap} exceeded"
+                + (f" for {name}" if name else "")
+            )
+        j = where[y] = len(elems)
+        elems.append(y)
+        parent.append(qi)
+        return j
+
+    # products are kept only while the group may still fit a table
+    prods = array("i")
+    get = where.get
+    for qi, x in enumerate(elems):  # elems grows while it is walked
+        if len(elems) > TABLE_MAX_ORDER:
+            break
+        for s in gens:
+            y = step(x, s)
+            j = get(y)
+            prods.append(add(y, qi) if j is None else j)
+    else:
+        return elems, where, parent, prods
+    for qi, x in enumerate(islice(elems, qi, None), qi):
+        for s in gens:
+            y = step(x, s)
+            if y not in where:
+                add(y, qi)
+    return elems, where, parent, None
 
 
 def materialize(group: pm.PermGroup, cap: int = MAX_ORDER, name: str = "") -> MaterializedGroup:

@@ -1,0 +1,148 @@
+"""Enumerations that read known products, against the compose-built one.
+
+A group is enumerated breadth-first from its generators.  The generator
+columns of every table-sized group, subgroups (`sub_materialized`) and
+Aut(G) (`AutGroup.as_materialized`) are read from products the engine
+already has; element orders come from one permutation per conjugacy class.
+Each is compared here with `reference`, the enumeration that composes
+permutations, and a guard counts `perm.compose` calls on those paths.
+"""
+
+import random
+
+import pytest
+
+from grpverify import perm as pm
+from grpverify.autmorph import automorphism_group
+from grpverify.construct import Alt, MatGL, ProjGL, ProjSL, Sym, build
+from grpverify.lattice import Sub, sub_materialized
+from grpverify.smallgroup import (
+    TABLE_MAX_ORDER,
+    MaterializedGroup,
+    materialize_gens,
+)
+from test_table import GROUPS, fresh
+
+
+def reference(generators, degree):
+    """(perms, index, inverses, generators, breadth-first parents) of the
+    group, multiplied by composing permutations."""
+    ident = pm.identity(degree)
+    gens = []
+    for g in map(tuple, generators):
+        if g != ident and g not in gens:
+            gens.append(g)
+    perms = [ident]
+    index = {ident: 0}
+    parent = [0]
+    for qi, x in enumerate(perms):
+        for g in gens:
+            y = pm.compose(x, g)
+            if y not in index:
+                index[y] = len(perms)
+                perms.append(y)
+                parent.append(qi)
+    inv = [index[pm.inverse(p)] for p in perms]
+    return perms, index, inv, [index[g] for g in gens], parent
+
+
+def assert_enumerated_as(M, generators, degree):
+    perms, index, inv, gens, parent = reference(generators, degree)
+    assert M.perms == perms
+    assert M.index == index
+    assert M._inv == inv
+    assert M.gens == gens
+    assert list(M._parent) == parent
+    for g, col in zip(gens, M._gen_cols, strict=True):
+        assert list(col) == [index[pm.compose(p, perms[g])] for p in perms]
+
+
+def sample_subgroups(M, rng, count=6):
+    """Subgroups generated by seeded random elements (repeats and the
+    identity included, as callers may pass them)."""
+    out = []
+    for _ in range(count):
+        gens = tuple(rng.randrange(M.n) for _ in range(rng.randint(1, 3)))
+        out.append(Sub(M.close(gens), gens))
+    return out
+
+
+@pytest.mark.parametrize("expr", GROUPS, ids=str)
+def test_enumerations_match_compose_path(expr):
+    h = build(expr)
+    M = materialize_gens(h.group.generators, h.degree)
+    assert_enumerated_as(M, h.group.generators, h.degree)
+    for sub in sample_subgroups(M, random.Random(M.n)):
+        S = sub_materialized(M, sub)
+        assert S.n == sub.order
+        assert_enumerated_as(S, [M.perms[g] for g in sub.gens], M.degree)
+    M.conjugacy_classes()
+    assert [M.element_order(i) for i in range(M.n)] == \
+        [pm.perm_order(p) for p in M.perms]
+
+
+@pytest.mark.parametrize("expr", [ProjGL(13), Sym(7)], ids=str)
+def test_enumeration_above_threshold_matches_compose_path(expr):
+    h = build(expr)
+    M = materialize_gens(h.group.generators, h.degree)
+    assert M.n > TABLE_MAX_ORDER
+    perms, index, inv, gens, _ = reference(h.group.generators, h.degree)
+    assert (M.perms, M.index, M._inv, M.gens) == (perms, index, inv, gens)
+    assert M._parent is None and M._gen_cols is None
+
+
+def greedy_generators(aut):
+    """The generating subset of Aut(G) chosen by closing full maps."""
+    gens = []
+    closed = {tuple(range(aut.base.n))}
+    for a in aut.maps:
+        if a in closed:
+            continue
+        gens.append(a)
+        queue = list(closed)
+        for x in queue:
+            for g in gens:
+                y = pm.compose(x, g)
+                if y not in closed:
+                    closed.add(y)
+                    queue.append(y)
+        if len(closed) == len(aut.maps):
+            break
+    return gens
+
+
+@pytest.mark.parametrize("expr", [Sym(4), Alt(5), ProjSL(7), ProjSL(9),
+                                  MatGL(3)], ids=str)
+def test_aut_as_materialized_matches_compose_path(expr):
+    aut = automorphism_group(fresh(expr))
+    A = aut.as_materialized()
+    assert A.n == aut.order
+    assert_enumerated_as(A, greedy_generators(aut), aut.base.n)
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    calls = []
+    real = pm.compose
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(pm, "compose", counting)
+    return calls
+
+
+def test_known_products_compose_nothing(compose_calls):
+    M = fresh(ProjSL(9))
+    aut = automorphism_group(M)
+    sub = Sub(M.close([5, 9]), (5, 9))
+    compose_calls.clear()
+    with M.table_scope():
+        for g in M.gens:
+            M.column(g)
+    sub_materialized(M, sub)
+    aut.as_materialized()
+    assert compose_calls == []
+    assert MaterializedGroup(M.perms[1:3], M.degree).n > 1
+    assert compose_calls  # the guard does count the compose path

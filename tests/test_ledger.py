@@ -1,13 +1,16 @@
 import json
+import os
+import signal
+from dataclasses import replace
 
 from grpverify.claims import builtin_claims, get_claim
 from grpverify.ledger import (
     Caps,
+    ClaimRecord,
     ClaimResult,
     compare,
     report_json,
     report_text,
-    _worker,
     result_from_json,
     run,
     run_claim,
@@ -157,15 +160,41 @@ def test_caps_do_not_outlive_their_run():
     assert run_claim(get_claim("EX-2.8")).status == "pass"
 
 
-def test_pool_worker_leaves_group_cache_empty(monkeypatch):
+def test_claim_process_starts_cold(monkeypatch):
     from grpverify import construct
 
     cache = {}
     monkeypatch.setattr(construct, "_CACHE", cache)  # spare the session's
     run_claim(get_claim("EX-2.8"))
     assert cache  # a serial run keeps its groups
-    assert _worker(("EX-2.8", None, None))["status"] == "pass"
-    assert not cache
+    probe = ClaimRecord("PROBE-1", "", "test", {"cached_groups": "0"},
+                        lambda: ({"cached_groups": len(construct._CACHE)}, ""))
+    results = run([probe, replace(probe, id="PROBE-2")], jobs=2)
+    assert [r.status for r in results] == ["pass", "pass"]
+    assert cache  # the parent's groups stay
+
+
+def test_dead_worker_fails_its_claim_and_the_run_finishes():
+    def die():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    killed = ClaimRecord("KILLED", "", "test", {"x": "1"}, die)
+    records = [get_claim("EX-2.8"), killed, get_claim("SHARP-CHAR2")]
+
+    def hung(signum, frame):
+        raise TimeoutError("run() did not return after a worker died")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        results = run(records, jobs=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    by_id = {r.id: r for r in results}
+    assert by_id["KILLED"].status == "fail"
+    assert by_id["KILLED"].witness == f"worker died: signal {int(signal.SIGKILL)}"
+    assert by_id["EX-2.8"].status == by_id["SHARP-CHAR2"].status == "pass"
 
 
 def test_skip_has_reason():
