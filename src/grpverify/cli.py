@@ -327,6 +327,10 @@ def cmd_claims(args) -> int:
 def cmd_verify(args) -> int:
     from .claims import builtin_claims
 
+    if args.jobs < 1:
+        raise UsageError(f"--jobs {args.jobs}: must be at least 1")
+    if args.timeout < 0:
+        raise UsageError(f"--timeout {args.timeout:g}: must not be negative")
     records = builtin_claims()
     if not args.all and not args.claim and args.filter is None:
         print("verify: pass --all, --claim ID, or --filter GLOB", file=sys.stderr)

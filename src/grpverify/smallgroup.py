@@ -17,8 +17,10 @@ Inside a table scope (`table_scope`, `table_query`), a group of order at
 most TABLE_MAX_ORDER multiplies by table lookup instead: right-
 multiplication columns col[j][i] = i*j, 16-bit, built on first use of j
 from the column of j's parent in the breadth-first tree and a generator
-column.  The columns of one group share one anonymous mmap, unmapped when
-the outermost scope on that group exits.
+column.  The columns of one group share one anonymous mmap of 2n^2 bytes
+(128 MiB at order 8192), unmapped when the outermost scope on that group
+exits.  Columns take consecutive slots of the map in the order they are
+built, so a query that builds k columns touches about 2kn bytes.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from array import array
 from contextlib import contextmanager
 from itertools import islice
 from math import gcd
-from operator import eq
+from operator import eq, itemgetter
 
 from . import perm as pm
 
 MAX_ORDER = 50000
-TABLE_MAX_ORDER = 2048  # largest order multiplied by table lookup
+TABLE_MAX_ORDER = 8192  # largest order multiplied by table lookup
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -124,6 +126,7 @@ class MaterializedGroup:
         self._cols = None  # per-element column views while a scope is open
         self._mm = None
         self._mv = None
+        self._slots = 0  # columns placed in the map so far
         self._orders = None
         self._classes = None
         self._class_of = None
@@ -168,6 +171,7 @@ class MaterializedGroup:
         ident = mv[0:n]
         ident[:] = array("H", range(n))
         self._mm, self._mv = mm, mv
+        self._slots = 1
         self._cols[0] = ident
 
     def _close_table(self):
@@ -205,11 +209,14 @@ class MaterializedGroup:
         n = self.n
         mv = self._mv
         for y in reversed(path):
-            c = mv[y * n:(y + 1) * n]
+            k = self._slots
+            self._slots = k + 1
+            c = mv[k * n:(k + 1) * n]
             x = parent[y]
-            # i*y = (i*x)*s for the tree edge y = x*s (column 0 is the identity)
+            # i*y = (i*x)*s for the tree edge y = x*s (column 0 is the identity);
+            # one itemgetter gathers the whole column in C (n >= 2 here)
             step = next(s for s in self._gen_cols if s[x] == y)
-            c[:] = array("H", map(step.__getitem__, cols[x]))
+            c[:] = array("H", itemgetter(*cols[x])(step))
             cols[y] = c
         return cols[j]
 

@@ -277,6 +277,20 @@ def test_verify_unknown_claim(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--timeout", "-1"], "--timeout -1"),
+    (["--timeout", "-1", "--jobs", "2"], "--timeout -1"),
+    (["--jobs", "0"], "--jobs 0"),
+    (["--jobs", "-2"], "--jobs -2"),
+])
+def test_verify_rejects_bad_timeout_and_jobs(capsys, flags, message):
+    rc = main(["verify", "--claim", "SHARP-D10", *flags])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert message in err
+    assert out == ""  # no claim ran
+
+
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
     from grpverify import claims as claims_mod
 

@@ -67,7 +67,7 @@ def sample_subgroups(M, rng, count=6):
     return out
 
 
-@pytest.mark.parametrize("expr", GROUPS, ids=str)
+@pytest.mark.parametrize("expr", GROUPS + [Sym(7)], ids=str)
 def test_enumerations_match_compose_path(expr):
     h = build(expr)
     M = materialize_gens(h.group.generators, h.degree)
@@ -81,7 +81,7 @@ def test_enumerations_match_compose_path(expr):
         [pm.perm_order(p) for p in M.perms]
 
 
-@pytest.mark.parametrize("expr", [ProjGL(13), Sym(7)], ids=str)
+@pytest.mark.parametrize("expr", [ProjGL(23), Alt(8)], ids=str)
 def test_enumeration_above_threshold_matches_compose_path(expr):
     h = build(expr)
     M = materialize_gens(h.group.generators, h.degree)

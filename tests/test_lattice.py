@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, log2
 
 import pytest
@@ -29,10 +30,16 @@ def mat(expr):
 # -- oracles -----------------------------------------------------------------
 
 
+def cayley_table(m):
+    """table[i][j] = i*j, multiplied once outside any table scope."""
+    full = range(m.n)
+    return [[m.mul(i, j) for j in full] for i in full]
+
+
 def powerset_subgroups(m):
     """Literal power-set oracle: every subset closed under the operation."""
     full = list(range(m.n))
-    table = [[m.mul(i, j) for j in full] for i in full]
+    table = cayley_table(m)
     out = []
     for mask in range(1, 1 << m.n, 2):  # identity (bit 0) required
         members = [i for i in full if mask >> i & 1]
@@ -51,15 +58,24 @@ def powerset_subgroups(m):
 
 
 def generated_subgroups(m):
-    """Bounded-generator oracle: closures of every subset of size <= log2 n."""
-    from itertools import combinations
-
+    """Bounded-generator oracle: closures of every subset of size <= log2 n,
+    each closed over the rows of the group's own Cayley table (not the
+    engine's close)."""
+    table = cayley_table(m)
     k = max(1, ceil(log2(m.n)))
     out = {1}
-    elems = list(range(1, m.n))
     for size in range(1, k + 1):
-        for combo in combinations(elems, size):
-            out.add(m.close(list(combo)))
+        for combo in combinations(range(1, m.n), size):
+            mask = 1
+            elems = [0]
+            for x in elems:  # elems grows while it is walked
+                row = table[x]
+                for g in combo:
+                    y = row[g]
+                    if not mask >> y & 1:
+                        mask |= 1 << y
+                        elems.append(y)
+            out.add(mask)
     return sorted(out)
 
 

@@ -21,7 +21,13 @@ from grpverify.construct import (
     build,
 )
 from grpverify.autmorph import automorphism_group, chermak_delgado
-from grpverify.lattice import all_subgroups, normal_subgroups, subgroup_classes
+from grpverify.lattice import (
+    Sub,
+    all_subgroups,
+    j_analysis,
+    normal_subgroups,
+    subgroup_classes,
+)
 from grpverify.smallgroup import (
     TABLE_MAX_ORDER,
     MaterializedGroup,
@@ -31,7 +37,7 @@ from test_construct import CATALOG
 
 GROUPS = [e for e, order in CATALOG if order <= TABLE_MAX_ORDER]
 GROUPS += [e for e in CD_CORPUS if e not in GROUPS]
-GROUPS += [Hess(), Hsl23()]
+GROUPS += [Hess(), Hsl23(), ProjGL(13), SwapSq(Alt(5))]
 
 
 def compose_mul(M, i, j):
@@ -135,7 +141,7 @@ def test_groups_above_threshold_never_open_a_table(monkeypatch):
         raise AssertionError(f"table opened for order {self.n}")
 
     monkeypatch.setattr(MaterializedGroup, "_open_table", refuse)
-    M = fresh(ProjGL(13))
+    M = fresh(ProjGL(23))
     assert M.n > TABLE_MAX_ORDER
     with M.table_scope():
         assert "mul" not in vars(M)
@@ -152,6 +158,39 @@ QUERIES = {
     "automorphism_group": lambda M: automorphism_group(M).maps,
     "chermak_delgado": chermak_delgado,
 }
+
+
+def test_columns_take_consecutive_slots():
+    M = fresh(SwapSq(Alt(5)))
+    n = M.n
+    rng = random.Random(n)
+    with M.table_scope():
+        for _ in range(40):
+            M.mul(rng.randrange(n), rng.randrange(n))
+        built = [j for j in range(n) if M._cols[j] is not None]
+        assert len(M._mm) == 2 * n * n
+        assert M._slots == len(built)
+        # each built column has a region of its own among the first slots,
+        # and none was overwritten by a later one
+        slots = [M._mv[k * n:(k + 1) * n].tobytes() for k in range(M._slots)]
+        assert sorted(M._cols[j].tobytes() for j in built) == sorted(slots)
+        for j in built[-3:]:
+            assert list(M._cols[j]) == [compose_mul(M, i, j) for i in range(n)]
+    assert M._cols is None and M._mm is None
+
+
+def test_sharpness_witness_queries_match_compose_path():
+    # SHARP-A5A5: (A5 x A5):2, order 7200, with and without its table
+    M = fresh(SwapSq(Alt(5)))
+    N = fresh(SwapSq(Alt(5)))
+    N._parent = None
+    assert M.n == 7200
+    assert QUERIES["normal_subgroups"](M) == QUERIES["normal_subgroups"](N)
+    for p in (7, 11):
+        a, b = j_analysis(M, p), j_analysis(N, p)
+        assert (a.min_index, a.witness, a.j_ratio) == \
+            (b.min_index, b.witness, b.j_ratio) == (7200, Sub(1, ()), 7200)
+    assert M._cols is None and M._mm is None
 
 
 @pytest.mark.parametrize("query", sorted(QUERIES))
