@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .lattice import MAX_SUBGROUP_ORDER, all_subgroups
 from .smallgroup import (
-    CapExceeded,
     MaterializedGroup,
     bits,
+    cached_query,
     coprime,
     image_mask,
     table_query,
@@ -216,19 +217,14 @@ class AutGroup:
         return out
 
 
-@table_query
-def automorphism_group(M: MaterializedGroup, cap: int = MAX_AUT_ORDER) -> AutGroup:
-    if M.n > cap:
-        raise CapExceeded(f"order {M.n} exceeds automorphism cap {cap}")
-    if M._aut is not None:
-        return M._aut
+@cached_query("automorphism", MAX_AUT_ORDER)
+def automorphism_group(M: MaterializedGroup) -> AutGroup:
     maps = [tuple(a) for a in _search_isomorphisms(M, M, find_all=True)]
     maps.sort()
     center = M.center()
     aut = AutGroup(M, maps, M.n // center.bit_count())
     if aut.order % aut.inner_count:
         raise AssertionError("inner automorphisms do not divide Aut order")
-    M._aut = aut
     return aut
 
 
@@ -239,15 +235,13 @@ def is_characteristic(M: MaterializedGroup, mask: int, cap: int = MAX_AUT_ORDER)
 
 
 @table_query
-def chermak_delgado(M: MaterializedGroup, sub_cap: int = 2000) -> int:
+def chermak_delgado(M: MaterializedGroup, sub_cap: int = MAX_SUBGROUP_ORDER) -> int:
     """Minimal member of the maximal Chermak-Delgado-measure family.
 
     Measure of H is |H| * |C_G(H)|; the subgroups of maximal measure are
     closed under intersection and their intersection is abelian,
     characteristic, and contains the center.
     """
-    from .lattice import all_subgroups
-
     best_measure = 0
     family = []
     for sub in all_subgroups(M, cap=sub_cap):

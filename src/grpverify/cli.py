@@ -30,6 +30,11 @@ from .ledger import (
 from .smallgroup import p_part
 
 
+# above about 9.2e9 s the claim timer cannot be set at all (Python keeps
+# times as 64-bit nanoseconds); a billion seconds is over 31 years
+MAX_TIMEOUT_S = 1e9
+
+
 class UsageError(ValueError):
     """A bad command line or group expression: exit code 2."""
 
@@ -234,12 +239,14 @@ def _caps_from_args(args) -> Caps:
 
 
 def _add_cap_flags(sub):
-    sub.add_argument("--max-order", type=int, default=50000,
-                     help="materialization cap (default 50000)")
-    sub.add_argument("--max-subgroup-order", type=int, default=2000,
-                     help="subgroup-sweep cap (default 2000)")
-    sub.add_argument("--max-aut-order", type=int, default=1000,
-                     help="automorphism-computation cap (default 1000)")
+    caps = Caps()
+    sub.add_argument("--max-order", type=int, default=caps.max_order,
+                     help="materialization cap (default %(default)s)")
+    sub.add_argument("--max-subgroup-order", type=int,
+                     default=caps.max_subgroup_order,
+                     help="subgroup-sweep cap (default %(default)s)")
+    sub.add_argument("--max-aut-order", type=int, default=caps.max_aut_order,
+                     help="automorphism-computation cap (default %(default)s)")
 
 
 def _group(args):
@@ -331,6 +338,9 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--jobs {args.jobs}: must be at least 1")
     if args.timeout < 0:
         raise UsageError(f"--timeout {args.timeout:g}: must not be negative")
+    if not args.timeout <= MAX_TIMEOUT_S:  # nan and inf included
+        raise UsageError(f"--timeout {args.timeout:g}: must be a finite "
+                         f"number of seconds up to {MAX_TIMEOUT_S:g}")
     records = builtin_claims()
     if not args.all and not args.claim and args.filter is None:
         print("verify: pass --all, --claim ID, or --filter GLOB", file=sys.stderr)

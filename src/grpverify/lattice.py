@@ -11,18 +11,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .smallgroup import (
+    MAX_ORDER,
     CapExceeded,
     MaterializedGroup,
     bits,
+    cached_query,
     coprime,
     flags_of,
     image_mask,
     p_part,
-    table_query,
 )
 
 MAX_SUBGROUP_ORDER = 2000
-MAX_NORMAL_ORDER = 50000
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,9 @@ def is_normal(M: MaterializedGroup, sub: Sub) -> bool:
     return M.is_normal_mask(sub.mask, sub.gens or None)
 
 
-@table_query
-def normal_subgroups(M: MaterializedGroup, cap: int = MAX_NORMAL_ORDER) -> list[Sub]:
+@cached_query("normal-lattice", MAX_ORDER)
+def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
     """All normal subgroups, as joins of normal closures of single classes."""
-    if M.n > cap:
-        raise CapExceeded(f"order {M.n} exceeds normal-lattice cap {cap}")
-    if M._normals is not None:
-        return M._normals
     found = {1: ()}
     seeds = []
     for cls in M.conjugacy_classes():
@@ -79,17 +75,12 @@ def normal_subgroups(M: MaterializedGroup, cap: int = MAX_NORMAL_ORDER) -> list[
                 queue.append(j)
     out = [Sub(m, g) for m, g in found.items()]
     out.sort(key=lambda s: (s.order, s.mask))
-    M._normals = out
     return out
 
 
-@table_query
-def all_subgroups(M: MaterializedGroup, cap: int = MAX_SUBGROUP_ORDER) -> list[Sub]:
+@cached_query("subgroup-sweep", MAX_SUBGROUP_ORDER)
+def all_subgroups(M: MaterializedGroup) -> list[Sub]:
     """Every subgroup, built bottom-up by single-generator extension."""
-    if M.n > cap:
-        raise CapExceeded(f"order {M.n} exceeds subgroup-sweep cap {cap}")
-    if M._all_subs is not None:
-        return M._all_subs
     subs = {1: ()}
     queue = []
     for x in range(1, M.n):
@@ -115,7 +106,6 @@ def all_subgroups(M: MaterializedGroup, cap: int = MAX_SUBGROUP_ORDER) -> list[S
                 covered |= 1 << M.mul(x, g)
     out = [Sub(m, g) for m, g in subs.items()]
     out.sort(key=lambda s: (s.order, s.mask))
-    M._all_subs = out
     return out
 
 
@@ -152,8 +142,8 @@ class _Canonizer:
         return c
 
 
-@table_query
-def subgroup_classes(M: MaterializedGroup, cap: int = MAX_SUBGROUP_ORDER) -> list[Sub]:
+@cached_query("subgroup-sweep", MAX_SUBGROUP_ORDER)
+def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
     """One representative per conjugacy class of subgroups.
 
     Cyclic-extension search over class representatives: extend each
@@ -161,10 +151,6 @@ def subgroup_classes(M: MaterializedGroup, cap: int = MAX_SUBGROUP_ORDER) -> lis
     H-double-cosets and normalizer conjugation, and deduplicate by the
     minimal conjugate bitmask.
     """
-    if M.n > cap:
-        raise CapExceeded(f"order {M.n} exceeds subgroup-sweep cap {cap}")
-    if M._sub_classes is not None:
-        return M._sub_classes
     canon = _Canonizer(M)
     reps = {}
     queue = []
@@ -211,9 +197,7 @@ def subgroup_classes(M: MaterializedGroup, cap: int = MAX_SUBGROUP_ORDER) -> lis
                     if not covered[y]:
                         covered[y] = 1
                         orb.append(y)
-    out = sorted(reps.values(), key=lambda s: (s.order, s.mask))
-    M._sub_classes = out
-    return out
+    return sorted(reps.values(), key=lambda s: (s.order, s.mask))
 
 
 def _smallest_prime_factor(n):

@@ -15,16 +15,18 @@ import signal
 import time
 from dataclasses import dataclass, field, replace
 
-from .smallgroup import CapExceeded
+from .autmorph import MAX_AUT_ORDER
+from .lattice import MAX_SUBGROUP_ORDER
+from .smallgroup import MAX_ORDER, CapExceeded
 
 REPORT_VERSION = 1
 
 
 @dataclass(frozen=True)
 class Caps:
-    max_order: int = 50000
-    max_subgroup_order: int = 2000
-    max_aut_order: int = 1000
+    max_order: int = MAX_ORDER
+    max_subgroup_order: int = MAX_SUBGROUP_ORDER
+    max_aut_order: int = MAX_AUT_ORDER
 
 
 _active_caps = Caps()

@@ -13,20 +13,21 @@ composes a permutation.  For a group of order at most TABLE_MAX_ORDER the
 products x*s by each generator s are kept as that generator's column.
 
 Products compose two permutation tuples and look the result up by hash.
-Inside a table scope (`table_scope`, `table_query`), a group of order at
-most TABLE_MAX_ORDER multiplies by table lookup instead: right-
-multiplication columns col[j][i] = i*j, 16-bit, built on first use of j
-from the column of j's parent in the breadth-first tree and a generator
-column.  The columns of one group share one anonymous mmap of 2n^2 bytes
-(128 MiB at order 8192), unmapped when the outermost scope on that group
-exits.  Columns take consecutive slots of the map in the order they are
-built, so a query that builds k columns touches about 2kn bytes.
+Inside a table scope (`table_scope`, `table_query`, `cached_query`), a
+group of order at most TABLE_MAX_ORDER multiplies by table lookup instead:
+right-multiplication columns col[j][i] = i*j, each its own 16-bit array,
+built on first use of j from the column of j's parent in the
+breadth-first tree and a generator column.  The columns are dropped when
+the outermost scope on that group exits, so a query that builds k
+columns holds about 2kn bytes, and only while it runs.
+
+The heavy queries of the lattice and autmorph modules are `cached_query`
+functions: their results are kept per group in one memo, owned here.
 """
 
 from __future__ import annotations
 
 import functools
-import mmap
 from array import array
 from contextlib import contextmanager
 from itertools import islice
@@ -83,6 +84,30 @@ def table_query(fn):
     return wrapper
 
 
+def cached_query(label: str, default_cap: int):
+    """Make fn(M) the query fn(M, cap=default_cap), computed once per group.
+
+    The cap is checked on every call, memo hits included, so a call is
+    refused the same way whatever ran before it; a result that is not yet
+    known is computed inside a table scope.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def query(M, cap: int = default_cap):
+            if M.n > cap:
+                raise CapExceeded(f"order {M.n} exceeds {label} cap {cap}")
+            memo = M._memo
+            if fn not in memo:
+                with M.table_scope():
+                    memo[fn] = fn(M)
+            return memo[fn]
+
+        return query
+
+    return decorate
+
+
 class MaterializedGroup:
     def __init__(self, generators, degree, cap: int = MAX_ORDER, name: str = ""):
         self._enumerate(pm.identity(degree), map(tuple, generators), pm.compose,
@@ -123,19 +148,12 @@ class MaterializedGroup:
         else:
             self._parent = self._gen_cols = None
         self._scopes = 0
-        self._cols = None  # per-element column views while a scope is open
-        self._mm = None
-        self._mv = None
-        self._slots = 0  # columns placed in the map so far
+        self._cols = None  # per-element columns while a scope is open
         self._orders = None
         self._classes = None
         self._class_of = None
         self._conj_maps = None
-        # cache slots filled lazily by the lattice and autmorph modules
-        self._aut = None
-        self._normals = None
-        self._all_subs = None
-        self._sub_classes = None
+        self._memo = {}  # query results, kept by cached_query
 
     # -- table scope -----------------------------------------------------------
 
@@ -152,6 +170,7 @@ class MaterializedGroup:
         self._scopes += 1
         if self._scopes == 1:
             self._cols = [None] * self.n
+            self._cols[0] = range(self.n)  # the identity column, never built
             # instance attributes shadow the compose-path methods
             self.mul = self._table_mul
             self.conj = self._table_conj
@@ -161,36 +180,8 @@ class MaterializedGroup:
         finally:
             self._scopes -= 1
             if not self._scopes:
-                self._close_table()
-
-    def _open_table(self):
-        n = self.n
-        mm = mmap.mmap(-1, 2 * n * n)
-        with memoryview(mm) as raw:
-            mv = raw.cast("H")
-        ident = mv[0:n]
-        ident[:] = array("H", range(n))
-        self._mm, self._mv = mm, mv
-        self._slots = 1
-        self._cols[0] = ident
-
-    def _close_table(self):
-        del self.mul, self.conj, self.commutator
-        cols, self._cols = self._cols, None
-        mm, self._mm = self._mm, None
-        if mm is None:
-            return
-        for c in cols:
-            if c is not None:
-                c.release()
-        self._mv.release()
-        self._mv = None
-        try:
-            mm.close()
-        except BufferError:
-            # a query interrupted (by a claim timeout, say) between taking a
-            # view and storing it: the map goes when that frame goes
-            pass
+                del self.mul, self.conj, self.commutator
+                self._cols = None
 
     def column(self, j: int):
         """col[i] = i*j for every element i; only inside a table scope."""
@@ -198,26 +189,18 @@ class MaterializedGroup:
         c = cols[j]
         if c is not None:
             return c
-        if self._mm is None:
-            self._open_table()
         parent = self._parent
         path = []
         y = j
         while cols[y] is None:
             path.append(y)
             y = parent[y]
-        n = self.n
-        mv = self._mv
         for y in reversed(path):
-            k = self._slots
-            self._slots = k + 1
-            c = mv[k * n:(k + 1) * n]
             x = parent[y]
-            # i*y = (i*x)*s for the tree edge y = x*s (column 0 is the identity);
-            # one itemgetter gathers the whole column in C (n >= 2 here)
+            # i*y = (i*x)*s for the tree edge y = x*s; one itemgetter
+            # gathers the whole column in C (n >= 2 here)
             step = next(s for s in self._gen_cols if s[x] == y)
-            c[:] = array("H", itemgetter(*cols[x])(step))
-            cols[y] = c
+            cols[y] = array("H", itemgetter(*cols[x])(step))
         return cols[j]
 
     def _table_mul(self, i: int, j: int) -> int:
@@ -596,7 +579,3 @@ def materialize(group: pm.PermGroup, cap: int = MAX_ORDER, name: str = "") -> Ma
         raise AssertionError("closure disagrees with stabilizer chain order")
     return m
 
-
-def materialize_gens(gens, degree, cap: int = MAX_ORDER, name: str = "") -> MaterializedGroup:
-    """Materialize directly from generator permutations (no degree cap)."""
-    return MaterializedGroup(gens, degree, cap=cap, name=name)

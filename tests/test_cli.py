@@ -3,7 +3,11 @@ import json
 import pytest
 
 from grpverify import construct as cx
-from grpverify.cli import ParseError, main, parse_expr
+from grpverify.cli import ParseError, build_arg_parser, main, parse_expr
+from grpverify.autmorph import MAX_AUT_ORDER
+from grpverify.lattice import MAX_SUBGROUP_ORDER
+from grpverify.ledger import Caps
+from grpverify.smallgroup import MAX_ORDER
 
 
 # -- parser -------------------------------------------------------------------
@@ -280,6 +284,11 @@ def test_verify_unknown_claim(capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--timeout", "-1"], "--timeout -1"),
     (["--timeout", "-1", "--jobs", "2"], "--timeout -1"),
+    (["--timeout", "nan"], "--timeout nan"),
+    (["--timeout", "inf"], "--timeout inf"),
+    (["--timeout", "1e300"], "--timeout 1e+300"),
+    (["--timeout", "nan", "--jobs", "2"], "--timeout nan"),
+    (["--timeout", "inf", "--jobs", "2"], "--timeout inf"),
     (["--jobs", "0"], "--jobs 0"),
     (["--jobs", "-2"], "--jobs -2"),
 ])
@@ -289,6 +298,20 @@ def test_verify_rejects_bad_timeout_and_jobs(capsys, flags, message):
     assert rc == 2
     assert message in err
     assert out == ""  # no claim ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["analyze", "A(5)", "-p", "2"],
+    ["subgroups", "A(5)"],
+    ["aut", "A(5)"],
+], ids=lambda argv: argv[0])
+def test_cap_flag_defaults_are_the_engine_caps(argv):
+    args = build_arg_parser().parse_args(argv)
+    parsed = Caps(max_order=args.max_order,
+                  max_subgroup_order=args.max_subgroup_order,
+                  max_aut_order=args.max_aut_order)
+    assert parsed == Caps() == Caps(MAX_ORDER, MAX_SUBGROUP_ORDER, MAX_AUT_ORDER)
 
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):

@@ -16,11 +16,7 @@ from grpverify import perm as pm
 from grpverify.autmorph import automorphism_group
 from grpverify.construct import Alt, MatGL, ProjGL, ProjSL, Sym, build
 from grpverify.lattice import Sub, sub_materialized
-from grpverify.smallgroup import (
-    TABLE_MAX_ORDER,
-    MaterializedGroup,
-    materialize_gens,
-)
+from grpverify.smallgroup import TABLE_MAX_ORDER, MaterializedGroup
 from test_table import GROUPS, fresh
 
 
@@ -70,7 +66,7 @@ def sample_subgroups(M, rng, count=6):
 @pytest.mark.parametrize("expr", GROUPS + [Sym(7)], ids=str)
 def test_enumerations_match_compose_path(expr):
     h = build(expr)
-    M = materialize_gens(h.group.generators, h.degree)
+    M = MaterializedGroup(h.group.generators, h.degree)
     assert_enumerated_as(M, h.group.generators, h.degree)
     for sub in sample_subgroups(M, random.Random(M.n)):
         S = sub_materialized(M, sub)
@@ -84,7 +80,7 @@ def test_enumerations_match_compose_path(expr):
 @pytest.mark.parametrize("expr", [ProjGL(23), Alt(8)], ids=str)
 def test_enumeration_above_threshold_matches_compose_path(expr):
     h = build(expr)
-    M = materialize_gens(h.group.generators, h.degree)
+    M = MaterializedGroup(h.group.generators, h.degree)
     assert M.n > TABLE_MAX_ORDER
     perms, index, inv, gens, _ = reference(h.group.generators, h.degree)
     assert (M.perms, M.index, M._inv, M.gens) == (perms, index, inv, gens)

@@ -7,6 +7,7 @@ on seeded samples of elements and generating sets.
 """
 
 import random
+import re
 
 import pytest
 
@@ -28,11 +29,7 @@ from grpverify.lattice import (
     normal_subgroups,
     subgroup_classes,
 )
-from grpverify.smallgroup import (
-    TABLE_MAX_ORDER,
-    MaterializedGroup,
-    materialize_gens,
-)
+from grpverify.smallgroup import TABLE_MAX_ORDER, CapExceeded, MaterializedGroup
 from test_construct import CATALOG
 
 GROUPS = [e for e, order in CATALOG if order <= TABLE_MAX_ORDER]
@@ -82,12 +79,12 @@ def test_table_matches_compose_path(expr):
         assert [M.close(s) for s in gen_sets] == closes
         assert [M.centralizer(s) for s in gen_sets] == cents
         assert [M.normalizer(m, s) for m, s in zip(closes, gen_sets)] == norms
-    assert M._cols is None and M._mm is None
+    assert M._cols is None
 
 
 def fresh(expr):
     h = build(expr)
-    return materialize_gens(h.group.generators, h.degree)
+    return MaterializedGroup(h.group.generators, h.degree)
 
 
 def test_columns_dropped_when_outermost_scope_exits():
@@ -95,8 +92,8 @@ def test_columns_dropped_when_outermost_scope_exits():
     with M.table_scope():
         with M.table_scope():
             M.mul(5, 7)
-        assert M._mm is not None and M._cols[7] is not None
-    assert M._cols is None and M._mm is None
+        assert M._cols[7] is not None
+    assert M._cols is None
     assert "mul" not in vars(M)
     assert M.mul(5, 7) == compose_mul(M, 5, 7)
 
@@ -107,40 +104,81 @@ def test_columns_dropped_when_scope_raises():
         with M.table_scope():
             M.close([1, 2])
             raise KeyError("interrupted query")
-    assert M._cols is None and M._mm is None
+    assert M._cols is None
 
 
 def test_interrupted_scope_keeps_its_exception():
     M = fresh(Alt(5))
-    with pytest.raises(KeyError):
+    # j = x*s with x a generator: building j's column builds x's first
+    j = next(y for y in range(M.n) if M._parent[y] in M.gens)
+    gen_cols = M._gen_cols
+
+    class Interrupting(list):
+        """The generator columns; the second column built is interrupted."""
+        reads = 0
+
+        def __iter__(self):
+            self.reads += 1
+            if self.reads == 2:
+                raise KeyError("interrupted while building a column")
+            return super().__iter__()
+
+    M._gen_cols = Interrupting(gen_cols)
+    with pytest.raises(KeyError, match="interrupted while building"):
         with M.table_scope():
-            M.close([1, 2])
-            stray = M._mv[0:M.n]  # a view taken but not yet stored
-            raise KeyError(stray[0])
-    assert M._cols is None and M._mm is None
+            M.column(j)  # builds the column of j's parent, then j's
+    assert M._cols is None
+    assert "mul" not in vars(M)
+    M._gen_cols = gen_cols
+    with M.table_scope():
+        assert list(M.column(j)) == [compose_mul(M, i, j) for i in range(M.n)]
+
+
+def counting(monkeypatch, name):
+    """Calls to MaterializedGroup.<name>, recorded by group."""
+    calls = []
+    real = getattr(MaterializedGroup, name)
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(MaterializedGroup, name, counted)
+    return calls
 
 
 def test_cached_query_builds_no_column(monkeypatch):
     M = fresh(Sym(4))
-    opened = []
-    real_open = MaterializedGroup._open_table
-
-    def counting_open(self):
-        opened.append(self)
-        real_open(self)
-
-    monkeypatch.setattr(MaterializedGroup, "_open_table", counting_open)
+    scopes = counting(monkeypatch, "table_scope")
+    columns = counting(monkeypatch, "column")
     first = subgroup_classes(M)
-    assert opened == [M]
+    assert scopes and columns
+    scopes.clear()
+    columns.clear()
     assert subgroup_classes(M) is first
-    assert opened == [M]
+    assert scopes == [] and columns == []
+
+
+@pytest.mark.parametrize("query, message", [
+    (normal_subgroups, "order 24 exceeds normal-lattice cap 23"),
+    (all_subgroups, "order 24 exceeds subgroup-sweep cap 23"),
+    (subgroup_classes, "order 24 exceeds subgroup-sweep cap 23"),
+    (automorphism_group, "order 24 exceeds automorphism cap 23"),
+], ids=["normal_subgroups", "all_subgroups", "subgroup_classes",
+         "automorphism_group"])
+def test_cached_query_checks_its_cap_on_every_call(query, message):
+    M = fresh(Sym(4))
+    first = query(M)
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        query(M, cap=23)
+    assert query(M, cap=24) is first
 
 
 def test_groups_above_threshold_never_open_a_table(monkeypatch):
-    def refuse(self):
-        raise AssertionError(f"table opened for order {self.n}")
+    def refuse(self, j):
+        raise AssertionError(f"column built for order {self.n}")
 
-    monkeypatch.setattr(MaterializedGroup, "_open_table", refuse)
+    monkeypatch.setattr(MaterializedGroup, "column", refuse)
     M = fresh(ProjGL(23))
     assert M.n > TABLE_MAX_ORDER
     with M.table_scope():
@@ -160,23 +198,27 @@ QUERIES = {
 }
 
 
-def test_columns_take_consecutive_slots():
+def test_only_the_columns_used_are_built():
     M = fresh(SwapSq(Alt(5)))
     n = M.n
     rng = random.Random(n)
     with M.table_scope():
+        used = set()
         for _ in range(40):
-            M.mul(rng.randrange(n), rng.randrange(n))
-        built = [j for j in range(n) if M._cols[j] is not None]
-        assert len(M._mm) == 2 * n * n
-        assert M._slots == len(built)
-        # each built column has a region of its own among the first slots,
-        # and none was overwritten by a later one
-        slots = [M._mv[k * n:(k + 1) * n].tobytes() for k in range(M._slots)]
-        assert sorted(M._cols[j].tobytes() for j in built) == sorted(slots)
-        for j in built[-3:]:
+            j = rng.randrange(n)
+            M.mul(rng.randrange(n), j)
+            used.add(j)
+        # a column is built from its parent's in the breadth-first tree
+        want = set()
+        for j in used:
+            while j and j not in want:
+                want.add(j)
+                j = M._parent[j]
+        built = {j for j in range(1, n) if M._cols[j] is not None}
+        assert built == want
+        for j in sorted(built):
             assert list(M._cols[j]) == [compose_mul(M, i, j) for i in range(n)]
-    assert M._cols is None and M._mm is None
+    assert M._cols is None
 
 
 def test_sharpness_witness_queries_match_compose_path():
@@ -190,7 +232,7 @@ def test_sharpness_witness_queries_match_compose_path():
         a, b = j_analysis(M, p), j_analysis(N, p)
         assert (a.min_index, a.witness, a.j_ratio) == \
             (b.min_index, b.witness, b.j_ratio) == (7200, Sub(1, ()), 7200)
-    assert M._cols is None and M._mm is None
+    assert M._cols is None
 
 
 @pytest.mark.parametrize("query", sorted(QUERIES))
@@ -200,4 +242,4 @@ def test_heavy_queries_match_compose_path(expr, query):
     N = fresh(expr)
     N._parent = None  # the compose path, as for a group above the threshold
     assert QUERIES[query](M) == QUERIES[query](N)
-    assert M._cols is None and M._mm is None
+    assert M._cols is None
