@@ -284,13 +284,13 @@ def test_verify_unknown_claim(capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--timeout", "-1"], "--timeout -1"),
     (["--timeout", "-1", "--jobs", "2"], "--timeout -1"),
+    (["--jobs", "0"], "--jobs 0"),
+    (["--jobs", "-2"], "--jobs -2"),
     (["--timeout", "nan"], "--timeout nan"),
     (["--timeout", "inf"], "--timeout inf"),
     (["--timeout", "1e300"], "--timeout 1e+300"),
     (["--timeout", "nan", "--jobs", "2"], "--timeout nan"),
     (["--timeout", "inf", "--jobs", "2"], "--timeout inf"),
-    (["--jobs", "0"], "--jobs 0"),
-    (["--jobs", "-2"], "--jobs -2"),
 ])
 def test_verify_rejects_bad_timeout_and_jobs(capsys, flags, message):
     rc = main(["verify", "--claim", "SHARP-D10", *flags])
