@@ -19,7 +19,6 @@ from .smallgroup import (
     cached_query,
     coprime,
     image_mask,
-    table_query,
 )
 
 MAX_AUT_ORDER = 1000
@@ -234,8 +233,8 @@ def is_characteristic(M: MaterializedGroup, mask: int, cap: int = MAX_AUT_ORDER)
     return all(image_mask(mask, a) == mask for a in aut.maps)
 
 
-@table_query
-def chermak_delgado(M: MaterializedGroup, sub_cap: int = MAX_SUBGROUP_ORDER) -> int:
+@cached_query("subgroup-sweep", MAX_SUBGROUP_ORDER)
+def chermak_delgado(M: MaterializedGroup) -> int:
     """Minimal member of the maximal Chermak-Delgado-measure family.
 
     Measure of H is |H| * |C_G(H)|; the subgroups of maximal measure are
@@ -244,7 +243,7 @@ def chermak_delgado(M: MaterializedGroup, sub_cap: int = MAX_SUBGROUP_ORDER) -> 
     """
     best_measure = 0
     family = []
-    for sub in all_subgroups(M, cap=sub_cap):
+    for sub in all_subgroups(M, cap=M.n):  # the query checked its cap
         cent = M.centralizer(sub.gens or [0])
         measure = sub.order * cent.bit_count()
         if measure > best_measure:

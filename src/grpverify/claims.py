@@ -357,7 +357,7 @@ def _thm_3_2():
     bad = []
     for expr in CD_CORPUS:
         m = M(expr)
-        cd = chermak_delgado(m, sub_cap=current_caps().max_subgroup_order)
+        cd = chermak_delgado(m, cap=current_caps().max_subgroup_order)
         gens = m.gens_for_mask(cd)
         best_ab = max(s.order for s in all_subgroups(m) if m.is_abelian_set(s.gens))
         i = m.n // best_ab
@@ -382,7 +382,7 @@ def _cor_3_3():
     bad = []
     for expr in CD_CORPUS:
         m = M(expr)
-        cd = chermak_delgado(m, sub_cap=current_caps().max_subgroup_order)
+        cd = chermak_delgado(m, cap=current_caps().max_subgroup_order)
         best_ab = max(s.order for s in all_subgroups(m) if m.is_abelian_set(s.gens))
         i = m.n // best_ab
         for p in (2, 3, 5):
@@ -831,8 +831,8 @@ def _thm_4_2():
         actual[f"out_q{q}"] = aut.out_order
         if q == 9:
             autm = aut.as_materialized()
-            inner = autm.close([autm.index[tuple(
-                m.conj(x, g) for x in range(m.n))] for g in m.gens])
+            inner = autm.close([autm.index[tuple(m.conj_map(g))]
+                                for g in m.gens])
             qt = quotient(autm, Sub(inner, tuple(autm.gens_for_mask(inner))))
             actual["out_q9_shape"] = "2x2" if is_isomorphic(
                 qt, M(ElemAb(2, 2))) else "4"
@@ -1073,11 +1073,7 @@ def _cor_5_4():
 def _first_aut_of_order(m, r):
     aut = automorphism_group(m, cap=current_caps().max_aut_order)
     for a in aut.maps:
-        x, o = a, 1
-        while tuple(x) != tuple(range(m.n)):
-            x = tuple(a[i] for i in x)
-            o += 1
-        if o == r:
+        if pm.perm_order(a) == r:
             return a
     raise AssertionError(f"no automorphism of order {r}")
 
@@ -1171,7 +1167,7 @@ def _ext_6_2():
     dm = d12.materialized()
     refl = next(i for i in range(dm.n) if dm.element_order(i) == 2
                 and not dm.center() >> i & 1)
-    alpha = tuple(dm.conj(x, refl) for x in range(dm.n))
+    alpha = tuple(dm.conj_map(refl))
     h2 = semidirect_by_automorphisms(d12, build(Cyc(4)), [alpha], name="D12:mu4")
     run_instance("d12mu4", h2, (5, 7))
     return actual, "rotation subgroup F' is characteristic in F = D_12"

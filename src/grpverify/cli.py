@@ -21,6 +21,7 @@ from .gf import is_prime, is_prime_power
 from .lattice import all_subgroups, j_analysis, sub_materialized, subgroup_classes
 from .ledger import (
     Caps,
+    check_timeout,
     report_text,
     run,
     select_claims,
@@ -28,11 +29,6 @@ from .ledger import (
     write_json_report,
 )
 from .smallgroup import p_part
-
-
-# above about 9.2e9 s the claim timer cannot be set at all (Python keeps
-# times as 64-bit nanoseconds); a billion seconds is over 31 years
-MAX_TIMEOUT_S = 1e9
 
 
 class UsageError(ValueError):
@@ -336,11 +332,10 @@ def cmd_verify(args) -> int:
 
     if args.jobs < 1:
         raise UsageError(f"--jobs {args.jobs}: must be at least 1")
-    if args.timeout < 0:
-        raise UsageError(f"--timeout {args.timeout:g}: must not be negative")
-    if not args.timeout <= MAX_TIMEOUT_S:  # nan and inf included
-        raise UsageError(f"--timeout {args.timeout:g}: must be a finite "
-                         f"number of seconds up to {MAX_TIMEOUT_S:g}")
+    try:
+        check_timeout(args.timeout)
+    except ValueError as e:
+        raise UsageError(f"--{e}") from None
     records = builtin_claims()
     if not args.all and not args.claim and args.filter is None:
         print("verify: pass --all, --claim ID, or --filter GLOB", file=sys.stderr)

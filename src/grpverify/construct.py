@@ -318,26 +318,11 @@ def _build_h3():
 # -- matrix groups over GF(q) ----------------------------------------------
 
 
-def _mat_mul(F: Field, A, B):
-    n = len(A)
-    return tuple(
-        tuple(
-            _dot(F, [A[i][k] for k in range(n)], [B[k][j] for k in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
 def _dot(F: Field, u, v):
     s = 0
     for a, b in zip(u, v):
         s = F.add(s, F.mul(a, b))
     return s
-
-
-def _mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _det2(F, M):
@@ -464,25 +449,30 @@ def _build_psl32():
     return pg, {}
 
 
+def _even_sign_changes(m, perms):
+    """EA(2, m-1) as the even sign changes on {+-1..+-m}, extended by the
+    given permutations of the m coordinates: both act on 2m points."""
+    d = 2 * m
+    flips = []
+    for i in range(m - 1):
+        images = list(range(d))
+        images[i], images[m + i] = m + i, i
+        images[i + 1], images[m + i + 1] = m + i + 1, i + 1
+        flips.append(tuple(images))
+    lifted = [tuple(list(s) + [m + s[i] for i in range(m)]) for s in perms]
+    return _pg(flips + lifted, d), {"normal_gens": tuple(flips),
+                                    "complement_gens": tuple(lifted)}
+
+
 def _build_weyl_d(n):
     if n < 2:
         raise BuildError("WD(n) needs n >= 2")
-    d = 2 * n
-    flips = []
-    for i in range(n - 1):
-        images = list(range(d))
-        images[i], images[n + i] = n + i, i
-        images[i + 1], images[n + i + 1] = n + i + 1, i + 1
-        flips.append(tuple(images))
-    perms = []
-    for s in _sym_gens(n):
-        perms.append(tuple(list(s) + [n + s[i] for i in range(n)]))
-    pg = _pg(flips + perms, d)
+    pg, parts = _even_sign_changes(n, _sym_gens(n))
     import math
 
     if pg.order() != 2 ** (n - 1) * math.factorial(n):
         raise AssertionError("WD(n) order wrong")
-    return pg, {"normal_gens": tuple(flips), "complement_gens": tuple(perms)}
+    return pg, parts
 
 
 def _shift(g, offset, degree):
@@ -595,10 +585,7 @@ def semidirect_by_automorphisms(n_handle: GroupHandle, h_handle: GroupHandle,
     dn, dh = Nmat.n, h_handle.degree
     d = dn + dh
     idpart = list(range(dn, d))
-    ngens = []
-    for gidx in Nmat.gens:
-        row = [Nmat.mul(x, gidx) for x in range(dn)]
-        ngens.append(tuple(row + idpart))
+    ngens = [tuple(Nmat.right_map(g) + idpart) for g in Nmat.gens]
     hgens = []
     for alpha, hperm in zip(action_perms, h_handle.group.generators):
         hgens.append(tuple(list(alpha) + [dn + hperm[i] for i in range(dh)]))
@@ -710,26 +697,14 @@ def _build_semi(expr: Semi, max_order):
         return pg, {"normal_gens": tuple(ngens), "complement_gens": tuple(hgens)}
 
     if act.kind == "evenperm":
-        # N = EA(2, m-1) realized as the even-weight subspace of F_2^m,
-        # carried by even sign changes on {+-1..+-m}
         h = build(expr.h, max_order)
         m = h.degree
         if expr.n != ElemAb(2, m - 1):
             raise BuildError(f"evenperm over {m} points requires N = EA(2,{m-1})")
-        d = 2 * m
-        ngens = []
-        for i in range(m - 1):
-            images = list(range(d))
-            images[i], images[m + i] = m + i, i
-            images[i + 1], images[m + i + 1] = m + i + 1, i + 1
-            ngens.append(tuple(images))
-        hgens = []
-        for s in h.group.generators:
-            hgens.append(tuple(list(s) + [m + s[i] for i in range(m)]))
-        pg = _pg(ngens + hgens, d)
+        pg, parts = _even_sign_changes(m, h.group.generators)
         if pg.order() != 2 ** (m - 1) * h.order:
             raise ActionError("evenperm product is not faithful")
-        return pg, {"normal_gens": tuple(ngens), "complement_gens": tuple(hgens)}
+        return pg, parts
 
     # remaining actions run through the generic union-carrier construction
     n = build(expr.n, max_order)
@@ -800,15 +775,11 @@ def _build_hsl23(max_order):
     # holomorph-style carrier: right translations and automorphisms both
     # permute the 27 element indices of the materialized H3
     sub_gens = [autmat.perms[i] for i in chosen.gens]
-    trans = [tuple(m3.mul(x, g) for x in range(m3.n)) for g in m3.gens]
+    trans = [tuple(m3.right_map(g)) for g in m3.gens]
     pg = _pg(trans + sub_gens, 27)
     if pg.order() != 648:
         raise AssertionError("H3 x| SL2(F3) order wrong")
     return pg, {"normal_gens": tuple(trans), "complement_gens": tuple(sub_gens)}
-
-
-def heisenberg_sl23(max_order: int = MAX_ORDER) -> GroupHandle:
-    return build(Hsl23(), max_order)
 
 
 # --------------------------------------------------------------------------

@@ -176,9 +176,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)

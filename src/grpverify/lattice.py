@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .gf import factor_prime_power
 from .smallgroup import (
     MAX_ORDER,
     CapExceeded,
@@ -164,9 +165,7 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
 
     register(1)
     for x in range(1, M.n):
-        o = M.element_order(x)
-        f = _smallest_prime_factor(o)
-        if o != f ** _valuation(o, f):
+        if factor_prime_power(M.element_order(x)) is None:
             continue  # prime-power-order elements reach every subgroup
         register(M.close([x]))
 
@@ -178,7 +177,7 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
         if H.mask == full:
             continue
         hgens = list(H.gens)
-        nmask = M.normalizer(H.mask, hgens or bits(H.mask))
+        nmask = M.normalizer(hgens)
         # x -> hx, xh and x^u move within the H-double-coset of x and its
         # orbit under the normalizer
         steps = [m for h in hgens for m in (M.left_map(h), M.right_map(h))]
@@ -198,25 +197,6 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
                         covered[y] = 1
                         orb.append(y)
     return sorted(reps.values(), key=lambda s: (s.order, s.mask))
-
-
-def _smallest_prime_factor(n):
-    if n < 2:
-        return 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def _valuation(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def j_analysis(M: MaterializedGroup, p: int) -> JAnalysis:
@@ -308,15 +288,8 @@ def quotient(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
     """Quotient by a normal subgroup, as its regular action on cosets."""
     if not is_normal(M, sub):
         raise ValueError("subgroup is not normal")
-    nelems = list(bits(sub.mask))
-    coset_id = [-1] * M.n
-    n_cosets = 0
-    for x in range(M.n):
-        if coset_id[x] >= 0:
-            continue
-        for nn in nelems:
-            coset_id[M.mul(nn, x)] = n_cosets
-        n_cosets += 1
+    coset_id = M._left_cosets(sub.gens)  # xN = Nx: left and right agree
+    n_cosets = M.n // sub.order
     reps = [0] * n_cosets
     seen = [False] * n_cosets
     for x in range(M.n):

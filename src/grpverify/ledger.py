@@ -21,6 +21,10 @@ from .smallgroup import MAX_ORDER, CapExceeded
 
 REPORT_VERSION = 1
 
+# above about 9.2e9 s the claim timer cannot be set at all (Python keeps
+# times as 64-bit nanoseconds); a billion seconds is over 31 years
+MAX_TIMEOUT_S = 1e9
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -102,10 +106,22 @@ def compare(expected: dict, actual: dict):
     return "fail", "; ".join(parts)
 
 
+def check_timeout(timeout: float | None) -> None:
+    """Refuse a per-claim timeout the claim timer cannot be set to."""
+    if timeout is None:
+        return
+    if timeout < 0:
+        raise ValueError(f"timeout {timeout:g}: must not be negative")
+    if not timeout <= MAX_TIMEOUT_S:  # nan and inf included
+        raise ValueError(f"timeout {timeout:g}: must be a finite number of "
+                         f"seconds up to {MAX_TIMEOUT_S:g}")
+
+
 def run_claim(record: ClaimRecord, timeout: float | None = None,
               caps: Caps | None = None) -> ClaimResult:
     """Run one claim; caps apply to this call only."""
     global _active_caps
+    check_timeout(timeout)
     saved = _active_caps
     if caps is not None:
         _active_caps = caps
@@ -123,14 +139,14 @@ def _run_claim(record: ClaimRecord, timeout: float | None) -> ClaimResult:
         return ClaimResult(record.id, record.paper_ref, status,
                            _canon(record.expected), _canon(actual), witness, ms)
 
-    old_handler = None
-    if timeout:
-        def _on_alarm(signum, frame):
-            raise _ClaimTimeout
+    def _on_alarm(signum, frame):
+        raise _ClaimTimeout
 
-        old_handler = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
+    old_handler = None
     try:
+        if timeout:
+            old_handler = signal.signal(signal.SIGALRM, _on_alarm)
+            signal.setitimer(signal.ITIMER_REAL, timeout)
         actual, witness = record.fn()
     except SkipClaim as e:
         return done("skip", {}, f"skipped: {e}")
@@ -187,6 +203,7 @@ def run(records, jobs: int = 1, timeout: float | None = None,
     A process that dies before it reports (killed by a signal, say) makes
     its claim a fail; the other claims still run.
     """
+    check_timeout(timeout)
     records = sorted(records, key=lambda r: r.id)
     if jobs <= 1 or len(records) <= 1:
         return [run_claim(r, timeout=timeout, caps=caps) for r in records]

@@ -12,11 +12,13 @@ images of G's generators (`MaterializedGroup.enumerated`), so neither
 composes a permutation.  For a group of order at most TABLE_MAX_ORDER the
 products x*s by each generator s are kept as that generator's column.
 
-Products compose two permutation tuples and look the result up by hash.
-Inside a table scope (`table_scope`, `table_query`, `cached_query`), a
-group of order at most TABLE_MAX_ORDER multiplies by table lookup instead:
-right-multiplication columns col[j][i] = i*j, each its own 16-bit array,
-built on first use of j from the column of j's parent in the
+Every product is read from `mul(i, j)` or from the column of j,
+`column(j)[i] = i*j`, and each reader is written once over them.  Outside
+a table scope a column is a view that composes two permutation tuples
+and looks the result up by hash on each read.  Inside one (`table_scope`,
+`cached_query`), a group of order at most TABLE_MAX_ORDER multiplies by
+table lookup instead: right-multiplication columns, each its own 16-bit
+array, built on first use of j from the column of j's parent in the
 breadth-first tree and a generator column.  The columns are dropped when
 the outermost scope on that group exits, so a query that builds k
 columns holds about 2kn bytes, and only while it runs.
@@ -73,17 +75,6 @@ def mask_of(flags) -> int:
     return int(bytes(flags).translate(_TO_DIGITS)[::-1], 2)
 
 
-def table_query(fn):
-    """Run fn(M, ...) inside a table scope on its group argument M."""
-
-    @functools.wraps(fn)
-    def wrapper(M, *args, **kwargs):
-        with M.table_scope():
-            return fn(M, *args, **kwargs)
-
-    return wrapper
-
-
 def cached_query(label: str, default_cap: int):
     """Make fn(M) the query fn(M, cap=default_cap), computed once per group.
 
@@ -106,6 +97,23 @@ def cached_query(label: str, default_cap: int):
         return query
 
     return decorate
+
+
+class _ComposedColumn:
+    """col[i] = i*j, composed on each read: a column outside a table scope."""
+
+    __slots__ = ("index", "perms", "p")
+
+    def __init__(self, M, j):
+        self.index = M.index
+        self.perms = M.perms
+        self.p = M.perms[j]
+
+    def __getitem__(self, i):
+        return self.index[pm.compose(self.perms[i], self.p)]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.perms)))
 
 
 class MaterializedGroup:
@@ -171,21 +179,22 @@ class MaterializedGroup:
         if self._scopes == 1:
             self._cols = [None] * self.n
             self._cols[0] = range(self.n)  # the identity column, never built
-            # instance attributes shadow the compose-path methods
-            self.mul = self._table_mul
-            self.conj = self._table_conj
-            self.commutator = self._table_commutator
         try:
             yield
         finally:
             self._scopes -= 1
             if not self._scopes:
-                del self.mul, self.conj, self.commutator
                 self._cols = None
 
     def column(self, j: int):
-        """col[i] = i*j for every element i; only inside a table scope."""
+        """col[i] = i*j for every element i.
+
+        Inside a table scope, the stored column; otherwise a view that
+        composes on each read and stores nothing.
+        """
         cols = self._cols
+        if cols is None:
+            return _ComposedColumn(self, j)
         c = cols[j]
         if c is not None:
             return c
@@ -203,60 +212,47 @@ class MaterializedGroup:
             cols[y] = array("H", itemgetter(*cols[x])(step))
         return cols[j]
 
-    def _table_mul(self, i: int, j: int) -> int:
-        c = self._cols[j]
-        if c is None:
-            c = self.column(j)
-        return c[i]
-
-    def _table_conj(self, i: int, g: int) -> int:
-        c = self._cols[g]
-        if c is None:
-            c = self.column(g)
-        inv = self._inv
-        return c[inv[c[inv[i]]]]
-
-    def _table_commutator(self, i: int, j: int) -> int:
-        ci = self.column(i)
-        return self.column(j)[ci[self._inv[ci[j]]]]
-
     # -- basic arithmetic ----------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        return self.index[pm.compose(self.perms[i], self.perms[j])]
+        cols = self._cols
+        if cols is None:
+            return self.index[pm.compose(self.perms[i], self.perms[j])]
+        c = cols[j]
+        if c is None:
+            c = self.column(j)
+        return c[i]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
 
     def conj(self, i: int, g: int) -> int:
-        """g^-1 * i * g."""
-        return self.mul(self.mul(self._inv[g], i), g)
+        """g^-1 * i * g = (i^-1 g)^-1 g."""
+        c = self.column(g)
+        inv = self._inv
+        return c[inv[c[inv[i]]]]
 
     def commutator(self, i: int, j: int) -> int:
-        return self.mul(self.mul(self._inv[i], self._inv[j]), self.mul(i, j))
+        """i^-1 j^-1 i j = ((j i)^-1 i) j."""
+        ci = self.column(i)
+        return self.column(j)[ci[self._inv[ci[j]]]]
 
     def conj_map(self, g: int) -> list:
         """[g^-1 i g for every element i]."""
-        if self._cols is None:
-            return [self.conj(i, g) for i in range(self.n)]
         c = self.column(g)
         inv = self._inv
         return list(map(c.__getitem__, map(inv.__getitem__,
                                            map(c.__getitem__, inv))))
 
     def left_map(self, g: int) -> list:
-        """[g i for every element i]; in a table scope, g i = (i^-1 g^-1)^-1
-        reads only the column of g^-1."""
-        if self._cols is None:
-            return [self.mul(g, i) for i in range(self.n)]
+        """[g i for every element i]; g i = (i^-1 g^-1)^-1 reads only the
+        column of g^-1."""
         inv = self._inv
         c = self.column(inv[g])
         return list(map(inv.__getitem__, map(c.__getitem__, inv)))
 
     def right_map(self, g: int) -> list:
         """[i g for every element i]."""
-        if self._cols is None:
-            return [self.mul(i, g) for i in range(self.n)]
         return list(self.column(g))
 
     def power(self, i: int, e: int) -> int:
@@ -378,36 +374,23 @@ class MaterializedGroup:
 
     def centralizer(self, gen_indices) -> int:
         """Mask of elements commuting with every listed element."""
-        targets = list(gen_indices)
-        if self._cols is not None:
-            mask = self.full_mask
-            for t in targets:
-                mask &= mask_of(map(eq, self.conj_map(t), range(self.n)))
-            return mask
-        mask = 0
-        for x in range(self.n):
-            if all(self.mul(x, t) == self.mul(t, x) for t in targets):
-                mask |= 1 << x
+        mask = self.full_mask
+        for t in gen_indices:
+            mask &= mask_of(map(eq, self.conj_map(t), range(self.n)))
         return mask
 
     def center(self) -> int:
         return self.centralizer(self.gens)
 
-    def normalizer(self, mask: int, sub_gens) -> int:
-        """Mask of elements g with (sub)^g == sub; sub_gens generate sub."""
+    def normalizer(self, sub_gens) -> int:
+        """Mask of elements g with H^g == H, for H generated by sub_gens."""
         gl = list(sub_gens)
-        if self._cols is not None:
-            # x normalizes H iff h x lies in the left coset xH for each h
-            coset = self._left_cosets(gl)
-            out = self.full_mask
-            for h in gl:
-                hx = self.left_map(h)
-                out &= mask_of(map(eq, map(coset.__getitem__, hx), coset))
-            return out
-        out = 0
-        for x in range(self.n):
-            if all(mask >> self.conj(h, x) & 1 for h in gl):
-                out |= 1 << x
+        # x normalizes H iff h x lies in the left coset xH for each h
+        coset = self._left_cosets(gl)
+        out = self.full_mask
+        for h in gl:
+            hx = self.left_map(h)
+            out &= mask_of(map(eq, map(coset.__getitem__, hx), coset))
         return out
 
     def _left_cosets(self, sub_gens) -> list:
@@ -487,7 +470,7 @@ class MaterializedGroup:
         gens = [best]
         mask = self.close(gens)
         while mask.bit_count() < target:
-            nrm = self.normalizer(mask, gens)
+            nrm = self.normalizer(gens)
             grown = False
             for y in bits(nrm):
                 if mask >> y & 1:

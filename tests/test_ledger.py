@@ -3,6 +3,8 @@ import os
 import signal
 from dataclasses import replace
 
+import pytest
+
 from grpverify.claims import builtin_claims, get_claim
 from grpverify.ledger import (
     Caps,
@@ -152,6 +154,19 @@ def test_timeout_records_skip():
     res = run_claim(get_claim("LEM-3.8-II"), timeout=0.05)
     assert res.status == "skip"
     assert "timeout" in res.witness
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0], ids=str)
+def test_bad_timeout_raises_before_any_handler(timeout):
+    before = signal.getsignal(signal.SIGALRM)
+    record = get_claim("SHARP-D10")
+    with pytest.raises(ValueError, match="timeout"):
+        run_claim(record, timeout=timeout)
+    with pytest.raises(ValueError, match="timeout"):
+        run([record, record], jobs=2, timeout=timeout)
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert run_claim(record, timeout=60).status == "pass"
+    assert signal.getsignal(signal.SIGALRM) is before
 
 
 def test_caps_do_not_outlive_their_run():

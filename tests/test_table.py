@@ -1,16 +1,21 @@
-"""Table lookup against the compose path.
+"""Every reader of the products against definitions built on `compose_mul`.
 
-Inside a table scope, groups of order <= TABLE_MAX_ORDER multiply by
-right-multiplication columns.  Every product and every reader that uses
-the columns is compared here with the compose path of the same group,
-on seeded samples of elements and generating sets.
+A product i*j is read from `mul` or from the column of j.  Inside a table
+scope, groups of order <= TABLE_MAX_ORDER read stored right-multiplication
+columns; outside one, a column composes permutations on each read.  Both
+are compared here with `compose_mul`, which composes the two permutation
+tuples itself, and with closures, centralizers, normalizers and maps
+written from their definitions over it, on seeded samples of elements and
+generating sets.
 """
 
 import random
 import re
+from contextlib import nullcontext
 
 import pytest
 
+from grpverify import perm as pm
 from grpverify.claims import CD_CORPUS
 from grpverify.construct import (
     Alt,
@@ -38,7 +43,7 @@ GROUPS += [Hess(), Hsl23(), ProjGL(13), SwapSq(Alt(5))]
 
 
 def compose_mul(M, i, j):
-    return MaterializedGroup.mul(M, i, j)
+    return M.index[pm.compose(M.perms[i], M.perms[j])]
 
 
 def compose_conj(M, i, g):
@@ -48,6 +53,33 @@ def compose_conj(M, i, g):
 def compose_commutator(M, i, j):
     return compose_mul(M, compose_mul(M, M.inv(i), M.inv(j)),
                        compose_mul(M, i, j))
+
+
+def compose_close(M, gens):
+    """Mask of <gens>: the closure of the identity under right products."""
+    elems = [0]
+    seen = {0}
+    for x in elems:  # elems grows while it is walked
+        for g in gens:
+            y = compose_mul(M, x, g)
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return sum(1 << x for x in seen)
+
+
+def compose_centralizer(M, targets):
+    """Mask of {x : x t = t x for every target t}."""
+    return sum(1 << x for x in range(M.n)
+               if all(compose_mul(M, x, t) == compose_mul(M, t, x)
+                      for t in targets))
+
+
+def compose_normalizer(M, gens):
+    """Mask of {x : x^-1 h x in H for every generator h of H = <gens>}."""
+    H = compose_close(M, gens)
+    return sum(1 << x for x in range(M.n)
+               if all(H >> compose_conj(M, h, x) & 1 for h in gens))
 
 
 def sample_sets(M, rng, count, size):
@@ -61,24 +93,27 @@ def test_table_matches_compose_path(expr):
     rng = random.Random(M.n)
     pairs = [(rng.randrange(M.n), rng.randrange(M.n)) for _ in range(200)]
     gen_sets = sample_sets(M, rng, 6, 3)
-    # the compose path: outside any scope
-    closes = [M.close(s) for s in gen_sets]
-    cents = [M.centralizer(s) for s in gen_sets]
-    norms = [M.normalizer(m, s) for m, s in zip(closes, gen_sets)]
-    with M.table_scope():
-        for i, j in pairs:
-            assert M.mul(i, j) == compose_mul(M, i, j)
-            assert M.conj(i, j) == compose_conj(M, i, j)
-            assert M.commutator(i, j) == compose_commutator(M, i, j)
-        for _, j in pairs[:5]:
-            every = range(M.n)
-            assert list(M.column(j)) == [compose_mul(M, i, j) for i in every]
-            assert M.right_map(j) == [compose_mul(M, i, j) for i in every]
-            assert M.left_map(j) == [compose_mul(M, j, i) for i in every]
-            assert M.conj_map(j) == [compose_conj(M, i, j) for i in every]
-        assert [M.close(s) for s in gen_sets] == closes
-        assert [M.centralizer(s) for s in gen_sets] == cents
-        assert [M.normalizer(m, s) for m, s in zip(closes, gen_sets)] == norms
+    every = range(M.n)
+    closes = [compose_close(M, s) for s in gen_sets]
+    cents = [compose_centralizer(M, s) for s in gen_sets]
+    norms = [compose_normalizer(M, s) for s in gen_sets]
+    for table in (False, True):
+        with M.table_scope() if table else nullcontext():
+            assert (M._cols is not None) == table
+            for i, j in pairs:
+                assert M.mul(i, j) == compose_mul(M, i, j)
+                assert M.conj(i, j) == compose_conj(M, i, j)
+                assert M.commutator(i, j) == compose_commutator(M, i, j)
+            for _, j in pairs[:5]:
+                col = M.column(j)
+                assert [col[i] for i in every] == \
+                    [compose_mul(M, i, j) for i in every]
+                assert M.right_map(j) == [compose_mul(M, i, j) for i in every]
+                assert M.left_map(j) == [compose_mul(M, j, i) for i in every]
+                assert M.conj_map(j) == [compose_conj(M, i, j) for i in every]
+            assert [M.close(s) for s in gen_sets] == closes
+            assert [M.centralizer(s) for s in gen_sets] == cents
+            assert [M.normalizer(s) for s in gen_sets] == norms
     assert M._cols is None
 
 
@@ -164,8 +199,9 @@ def test_cached_query_builds_no_column(monkeypatch):
     (all_subgroups, "order 24 exceeds subgroup-sweep cap 23"),
     (subgroup_classes, "order 24 exceeds subgroup-sweep cap 23"),
     (automorphism_group, "order 24 exceeds automorphism cap 23"),
+    (chermak_delgado, "order 24 exceeds subgroup-sweep cap 23"),
 ], ids=["normal_subgroups", "all_subgroups", "subgroup_classes",
-         "automorphism_group"])
+         "automorphism_group", "chermak_delgado"])
 def test_cached_query_checks_its_cap_on_every_call(query, message):
     M = fresh(Sym(4))
     first = query(M)
@@ -174,18 +210,32 @@ def test_cached_query_checks_its_cap_on_every_call(query, message):
     assert query(M, cap=24) is first
 
 
-def test_groups_above_threshold_never_open_a_table(monkeypatch):
-    def refuse(self, j):
-        raise AssertionError(f"column built for order {self.n}")
-
-    monkeypatch.setattr(MaterializedGroup, "column", refuse)
+def test_groups_above_threshold_never_open_a_table():
     M = fresh(ProjGL(23))
     assert M.n > TABLE_MAX_ORDER
+    every = range(M.n)
     with M.table_scope():
-        assert "mul" not in vars(M)
         assert M._cols is None
+        for j in random.Random(M.n).sample(every, 3):
+            col = M.column(j)
+            assert [col[i] for i in every] == \
+                [compose_mul(M, i, j) for i in every]
+    assert M._cols is None
     subs = normal_subgroups(M)
     assert sorted(s.order for s in subs) == [1, M.n // 2, M.n]
+
+
+@pytest.mark.parametrize("expr", [Alt(5), ProjGL(23)], ids=str)
+def test_arithmetic_is_never_an_instance_attribute(expr):
+    M = fresh(expr)
+    methods = {"mul", "conj", "commutator"}
+    assert not methods & vars(M).keys()
+    with M.table_scope():
+        assert (M.mul(5, 7), M.conj(5, 7), M.commutator(5, 7)) == \
+            (compose_mul(M, 5, 7), compose_conj(M, 5, 7),
+             compose_commutator(M, 5, 7))
+        assert not methods & vars(M).keys()
+    assert not methods & vars(M).keys()
 
 
 QUERIES = {
