@@ -1,5 +1,9 @@
 """Subgroup lattices, normal subgroups, and minimal coprime abelian indices.
 
+The subgroup sweeps (`all_subgroups`, `subgroup_classes`) grow each
+subgroup H found by one element g at a time, reading <H, g> from
+`MaterializedGroup.extender`, which closes coset by coset from H.
+
 The central quantity is JAnalysis: for a prime p, the minimal index of a
 normal abelian subgroup of order coprime to p, and that index divided by
 the cube of the p-part as an exact rational.
@@ -84,8 +88,9 @@ def all_subgroups(M: MaterializedGroup) -> list[Sub]:
     """Every subgroup, built bottom-up by single-generator extension."""
     subs = {1: ()}
     queue = []
+    cyclic = M.extender(1, ())
     for x in range(1, M.n):
-        mask = M.close([x])
+        mask = cyclic(x)
         if mask not in subs:
             subs[mask] = (x,)
             queue.append(mask)
@@ -94,11 +99,12 @@ def all_subgroups(M: MaterializedGroup) -> list[Sub]:
         mask = queue[qi]
         qi += 1
         gens = subs[mask]
+        extend = M.extender(mask, gens)
         covered = mask
         for g in range(1, M.n):
             if covered >> g & 1:
                 continue
-            ext = M.close(list(gens) + [g])
+            ext = extend(g)
             if ext not in subs:
                 subs[ext] = gens + (g,)
                 queue.append(ext)
@@ -111,8 +117,12 @@ def all_subgroups(M: MaterializedGroup) -> list[Sub]:
 
 
 def conjugates_of(M: MaterializedGroup, mask: int) -> list[int]:
-    """Orbit of a subgroup mask under conjugation by G."""
-    maps = M.conj_maps()
+    """Orbit of a subgroup mask under conjugation by G.
+
+    The orbit is walked under the generators' conjugation maps only: an
+    orbit of a finite group is closed under its generators' inverses too.
+    """
+    maps = M.conj_maps()[::2]  # conj_maps holds g, then g^-1, per generator
     orbit = {mask}
     queue = [mask]
     while queue:
@@ -147,10 +157,11 @@ class _Canonizer:
 def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
     """One representative per conjugacy class of subgroups.
 
-    Cyclic-extension search over class representatives: extend each
-    representative by one element, skipping elements equivalent under
-    H-double-cosets and normalizer conjugation, and deduplicate by the
-    minimal conjugate bitmask.
+    Cyclic-extension search over class representatives, seeded with the
+    cyclic subgroup of one prime-power-order element per conjugacy class:
+    extend each representative by one element, skipping elements
+    equivalent under H-double-cosets and normalizer conjugation, and
+    deduplicate by the minimal conjugate bitmask.
     """
     canon = _Canonizer(M)
     reps = {}
@@ -164,10 +175,13 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
             queue.append(sub)
 
     register(1)
-    for x in range(1, M.n):
-        if factor_prime_power(M.element_order(x)) is None:
-            continue  # prime-power-order elements reach every subgroup
-        register(M.close([x]))
+    cyclic = M.extender(1, ())
+    # prime-power-order elements reach every subgroup, and conjugate
+    # elements generate conjugate subgroups: one element per class will do
+    for cls in M.conjugacy_classes():
+        x = cls[0]
+        if x and factor_prime_power(M.element_order(x)) is not None:
+            register(cyclic(x))
 
     qi = 0
     full = M.full_mask
@@ -177,6 +191,7 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
         if H.mask == full:
             continue
         hgens = list(H.gens)
+        extend = M.extender(H.mask, hgens)
         nmask = M.normalizer(hgens)
         # x -> hx, xh and x^u move within the H-double-coset of x and its
         # orbit under the normalizer
@@ -186,7 +201,7 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
         for g in range(1, M.n):
             if covered[g]:
                 continue
-            register(M.close(hgens + [g]))
+            register(extend(g))
             # skip the rest of the H-double-coset and its normalizer orbit
             covered[g] = 1
             orb = [g]

@@ -143,9 +143,12 @@ def _run_claim(record: ClaimRecord, timeout: float | None) -> ClaimResult:
         raise _ClaimTimeout
 
     old_handler = None
+    installed = False
     try:
         if timeout:
+            # raises ValueError off the main thread: then nothing is installed
             old_handler = signal.signal(signal.SIGALRM, _on_alarm)
+            installed = True
             signal.setitimer(signal.ITIMER_REAL, timeout)
         actual, witness = record.fn()
     except SkipClaim as e:
@@ -157,7 +160,7 @@ def _run_claim(record: ClaimRecord, timeout: float | None) -> ClaimResult:
     except Exception as e:  # engine errors are data, not crashes
         return done("fail", {}, f"error: {type(e).__name__}: {e}")
     finally:
-        if timeout:
+        if installed:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old_handler)
     status, mism = compare(record.expected, actual)

@@ -23,6 +23,11 @@ breadth-first tree and a generator column.  The columns are dropped when
 the outermost scope on that group exits, so a query that builds k
 columns holds about 2kn bytes, and only while it runs.
 
+A subgroup is closed from its generators by `close`, which walks from
+the identity, or grown by one element from a known subgroup H by
+`extender`, which walks <H, g> coset by coset of H and stops at more than
+n/2 elements, where the answer can only be G.
+
 The heavy queries of the lattice and autmorph modules are `cached_query`
 functions: their results are kept per group in one memo, owned here.
 """
@@ -353,6 +358,48 @@ class MaterializedGroup:
                     mask |= 1 << y
                     elems.append(y)
         return mask
+
+    def extender(self, mask: int, gens):
+        """g -> mask of <H, g>, for the subgroup H = <gens> with this mask.
+
+        Dimino's closure: <H, g> is walked coset by coset from H's known
+        elements instead of element by element from the identity.  With
+        one representative r per left coset rH found so far, each product
+        s*r = (r^-1 s^-1)^-1 by a generator s of H or by g either lies in a
+        known coset or starts a new one, filled from the columns of H's
+        elements.  Once the cosets found hold more than n/2 elements the
+        answer is G, by Lagrange.
+        """
+        n = self.n
+        inv = self._inv
+        full = self.full_mask
+        order = mask.bit_count()
+        # y*h for every h in H: the coset yH is [c[y] for c in cols]
+        cols = [self.column(h) for h in bits(mask)]
+        flags = flags_of(mask, n)
+        steps_h = [self.column(inv[s]) for s in gens]
+
+        def extend(g: int) -> int:
+            if mask >> g & 1:
+                return mask
+            seen = bytearray(flags)
+            steps = steps_h + [self.column(inv[g])]
+            size = order
+            reps = [0]
+            for r in reps:  # reps grows while it is walked
+                ri = inv[r]
+                for c in steps:
+                    y = inv[c[ri]]  # s*r
+                    if not seen[y]:
+                        size += order
+                        if 2 * size > n:
+                            return full
+                        reps.append(y)
+                        for c_h in cols:
+                            seen[c_h[y]] = 1
+            return mask_of(seen)
+
+        return extend
 
     def normal_closure(self, seed) -> tuple[int, list[int]]:
         """Smallest normal subgroup containing the seed elements.

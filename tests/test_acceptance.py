@@ -112,8 +112,8 @@ def test_criterion_4_lemma_3_8_sweeps(results):
     ok = ok and vi["quot_bound_viol"] == "-" and vi["sumzero_bound_viol"] == "-"
     vii = actual(results, "LEM-3.8-VII")
     ok = ok and vii["p5_exceptions"] == "192,288,576"
-    budgets = {"LEM-3.8-I": 60, "LEM-3.8-II": 1800, "LEM-3.8-III": 1800,
-               "LEM-3.8-IV": 300, "LEM-3.8-V": 900, "LEM-3.8-VI": 900,
+    budgets = {"LEM-3.8-I": 60, "LEM-3.8-II": 60, "LEM-3.8-III": 30,
+               "LEM-3.8-IV": 30, "LEM-3.8-V": 30, "LEM-3.8-VI": 30,
                "LEM-3.8-VII": 5}
     for cid, budget in budgets.items():
         assert results[cid].runtime_ms <= budget * 1000, (cid, budget)

@@ -5,8 +5,8 @@ from math import ceil, log2
 import pytest
 
 from grpverify.construct import (
-    Action, Alt, Cyc, Dih, ElemAb, PGroup, Prod, ProjGL, ProjSL, Semi, SwapSq,
-    Sym, build,
+    Action, Alt, Cyc, Dih, ElemAb, MatSL, PGroup, Prod, ProjGL, ProjSL, Semi,
+    SwapSq, Sym, build,
 )
 from grpverify.lattice import (
     Sub,
@@ -31,9 +31,11 @@ def mat(expr):
 
 
 def cayley_table(m):
-    """table[i][j] = i*j, multiplied once outside any table scope."""
-    full = range(m.n)
-    return [[m.mul(i, j) for j in full] for i in full]
+    """table[i][j] = i*j, composing the permutation tuples here: apply j's
+    permutation first, then i's."""
+    perms = m.perms
+    return [[m.index[tuple(map(p.__getitem__, q))] for q in perms]
+            for p in perms]
 
 
 def powerset_subgroups(m):
@@ -57,26 +59,72 @@ def powerset_subgroups(m):
     return sorted(out)
 
 
-def generated_subgroups(m):
-    """Bounded-generator oracle: closures of every subset of size <= log2 n,
-    each closed over the rows of the group's own Cayley table (not the
+def table_close(table, gens):
+    """Mask of <gens>, closed over the rows of a Cayley table (not the
     engine's close)."""
+    mask = 1
+    elems = [0]
+    for x in elems:  # elems grows while it is walked
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                elems.append(y)
+    return mask
+
+
+def generated_subgroups(m):
+    """Bounded-generator oracle: closures of every subset of size <= log2 n."""
     table = cayley_table(m)
     k = max(1, ceil(log2(m.n)))
     out = {1}
     for size in range(1, k + 1):
         for combo in combinations(range(1, m.n), size):
-            mask = 1
-            elems = [0]
-            for x in elems:  # elems grows while it is walked
-                row = table[x]
-                for g in combo:
-                    y = row[g]
-                    if not mask >> y & 1:
-                        mask |= 1 << y
-                        elems.append(y)
-            out.add(mask)
+            out.add(table_close(table, combo))
     return sorted(out)
+
+
+def extension_lattice(m, table):
+    """Every subgroup, as closures over the rows of a Cayley table.
+
+    A subgroup K > 1 is <K', x> for a maximal subgroup K' and any x in K
+    outside it, so extending every subgroup found by every element reaches
+    all of them, by induction on the order.
+    """
+    found = {1: ()}
+    queue = [1]
+    for mask in queue:  # queue grows while it is walked
+        for x in range(1, m.n):
+            if mask >> x & 1:
+                continue
+            gens = found[mask] + (x,)
+            k = table_close(table, gens)
+            if k not in found:
+                found[k] = gens
+                queue.append(k)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("expr, count", [
+    (Sym(5), 156), (MatSL(3), 15), (Dih(12), 34)], ids=str)
+def test_sweeps_match_extension_lattice(expr, count):
+    m = mat(expr)
+    table = cayley_table(m)
+    oracle = extension_lattice(m, table)
+    assert len(oracle) == count
+    assert sorted(s.mask for s in all_subgroups(m)) == oracle
+    # every class, expanded by conjugation with the table's own products
+    inverse = [row.index(0) for row in table]
+    expanded = set()
+    for sub in subgroup_classes(m):
+        members = list(bits(sub.mask))
+        orbit = {sum(1 << table[table[inverse[g]][h]][g] for h in members)
+                 for g in range(m.n)}
+        assert sorted(orbit) == conjugates_of(m, sub.mask)
+        assert not expanded & orbit  # one representative per class
+        expanded |= orbit
+    assert sorted(expanded) == oracle
 
 
 def test_all_subgroups_matches_power_set_oracle_small():

@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import threading
 from dataclasses import replace
 
 import pytest
@@ -166,6 +167,21 @@ def test_bad_timeout_raises_before_any_handler(timeout):
         run([record, record], jobs=2, timeout=timeout)
     assert signal.getsignal(signal.SIGALRM) is before
     assert run_claim(record, timeout=60).status == "pass"
+    assert signal.getsignal(signal.SIGALRM) is before
+
+
+def test_timeout_off_the_main_thread_fails_with_reason():
+    # SIGALRM can only be set from the main thread: the claim must come
+    # back as a fail naming why, and leave the handler as it was
+    before = signal.getsignal(signal.SIGALRM)
+    results = []
+    worker = threading.Thread(target=lambda: results.append(
+        run_claim(get_claim("SHARP-D10"), timeout=5)))
+    worker.start()
+    worker.join()
+    (res,) = results
+    assert res.status == "fail"
+    assert "ValueError" in res.witness and "main thread" in res.witness
     assert signal.getsignal(signal.SIGALRM) is before
 
 

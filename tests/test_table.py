@@ -21,6 +21,7 @@ from grpverify.construct import (
     Alt,
     Hess,
     Hsl23,
+    MatSL,
     ProjGL,
     SwapSq,
     Sym,
@@ -114,6 +115,44 @@ def test_table_matches_compose_path(expr):
             assert [M.close(s) for s in gen_sets] == closes
             assert [M.centralizer(s) for s in gen_sets] == cents
             assert [M.normalizer(s) for s in gen_sets] == norms
+    assert M._cols is None
+
+
+@pytest.mark.parametrize("expr", [Sym(4), MatSL(3), Alt(5), ProjGL(7)],
+                         ids=str)
+def test_extender_matches_compose_closure(expr):
+    """extender(H)(g) == <H, g> for every class representative H, every g."""
+    M = build(expr).materialized()
+    full = M.full_mask
+    subs = [(compose_close(M, s.gens), s.gens) for s in subgroup_classes(M)]
+    # compose_close, with the products x*s tabulated once by compose_mul
+    right = [[compose_mul(M, x, s) for x in range(M.n)] for s in range(M.n)]
+    want = {}
+    for mask, gens in subs:
+        for g in range(M.n):
+            steps = [right[s] for s in (*gens, g)]
+            elems = [0]
+            seen = {0}
+            for x in elems:  # elems grows while it is walked
+                for c in steps:
+                    y = c[x]
+                    if y not in seen:
+                        seen.add(y)
+                        elems.append(y)
+            want[mask, g] = sum(1 << x for x in seen)
+    assert (1, ()) in subs
+    assert any(mask >> g & 1 and mask != 1 for mask, g in want)
+    # <H, g> = G with H != G: the walk passes n/2 and stops there
+    assert any(mask != full and want[mask, g] == full for mask, g in want)
+    assert any(1 < want[mask, g].bit_count() < M.n and mask != want[mask, g]
+               for mask, g in want)
+    for table in (False, True):
+        with M.table_scope() if table else nullcontext():
+            assert (M._cols is not None) == table
+            for mask, gens in subs:
+                extend = M.extender(mask, gens)
+                assert [extend(g) for g in range(M.n)] == \
+                    [want[mask, g] for g in range(M.n)]
     assert M._cols is None
 
 
