@@ -1,0 +1,66 @@
+"""Micro-benchmarks of the subgroup sweeps on the groups of Lemma 3.8.
+
+    PYTHONPATH=src python -m pytest benches/bench_sweep.py
+
+These are pytest-benchmark timings of one layer each, outside the test
+suite's `testpaths`.  Every round works on a freshly enumerated group, so
+no memo or table column carries over from the round before.
+"""
+
+import pytest
+
+from grpverify.claims import MU24A5, MU33S4, WD5SEMI
+from grpverify.construct import Hsl23, Sym, build
+from grpverify.lattice import conjugates_of, subgroup_classes
+from grpverify.smallgroup import MaterializedGroup
+
+# Lemma 3.8 (ii)-(vi)
+GROUPS = {"mu2^4:S5": WD5SEMI, "mu2^4:A5": MU24A5, "S6": Sym(6),
+          "H3:SL2(F3)": Hsl23(), "mu3^3:S4": MU33S4}
+EXTENSIONS = 64  # elements g each class representative is extended by
+
+
+def fresh(expr):
+    h = build(expr)
+    return MaterializedGroup(h.group.generators, h.degree)
+
+
+@pytest.fixture(scope="module", params=GROUPS)
+def swept(request):
+    """The group and its subgroup-class representatives."""
+    expr = GROUPS[request.param]
+    return expr, subgroup_classes(fresh(expr))
+
+
+def test_subgroup_classes(benchmark, swept):
+    expr, _ = swept
+    benchmark.pedantic(subgroup_classes, setup=lambda: ((fresh(expr),), {}),
+                       rounds=3)
+
+
+def test_extender(benchmark, swept):
+    """<H, g> for every representative H and EXTENSIONS elements g."""
+    expr, classes = swept
+
+    def extend_all(M):
+        step = max(1, M.n // EXTENSIONS)
+        with M.table_scope():
+            for sub in classes:
+                extend = M.extender(sub.mask, sub.gens)
+                for g in range(0, M.n, step):
+                    extend(g)
+
+    benchmark.pedantic(extend_all, setup=lambda: ((fresh(expr),), {}),
+                       rounds=3)
+
+
+def test_conjugates_of(benchmark, swept):
+    """The conjugation orbit of every representative."""
+    expr, classes = swept
+
+    def expand_all(M):
+        for sub in classes:
+            conjugates_of(M, sub.mask)
+
+    benchmark.pedantic(expand_all, setup=lambda: ((fresh(expr),), {}),
+                       rounds=3)

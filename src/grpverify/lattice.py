@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .gf import factor_prime_power
 from .smallgroup import (
@@ -23,7 +24,6 @@ from .smallgroup import (
     cached_query,
     coprime,
     flags_of,
-    image_mask,
     p_part,
 )
 
@@ -100,17 +100,19 @@ def all_subgroups(M: MaterializedGroup) -> list[Sub]:
         qi += 1
         gens = subs[mask]
         extend = M.extender(mask, gens)
-        covered = mask
+        elems = list(bits(mask))
+        covered = bytearray(flags_of(mask, M.n))
         for g in range(1, M.n):
-            if covered >> g & 1:
+            if covered[g]:
                 continue
             ext = extend(g)
             if ext not in subs:
                 subs[ext] = gens + (g,)
                 queue.append(ext)
             # <H, hg> = <H, g> for h in H: mark the whole coset Hg
-            for x in bits(mask):
-                covered |= 1 << M.mul(x, g)
+            c = M.column(g)
+            for x in elems:
+                covered[c[x]] = 1
     out = [Sub(m, g) for m, g in subs.items()]
     out.sort(key=lambda s: (s.order, s.mask))
     return out
@@ -121,18 +123,24 @@ def conjugates_of(M: MaterializedGroup, mask: int) -> list[int]:
 
     The orbit is walked under the generators' conjugation maps only: an
     orbit of a finite group is closed under its generators' inverses too.
+    Each set is walked as the tuple of its elements in descending order,
+    gathered with one itemgetter per map; sets of one size compare as
+    masks the way these tuples compare, so the masks come out ascending.
     """
     maps = M.conj_maps()[::2]  # conj_maps holds g, then g^-1, per generator
-    orbit = {mask}
-    queue = [mask]
+    start = tuple(sorted(bits(mask), reverse=True))
+    orbit = {start}
+    queue = [start]
     while queue:
-        m0 = queue.pop()
+        x = queue.pop()
+        take = itemgetter(*x)
         for t in maps:
-            m1 = image_mask(m0, t)
-            if m1 not in orbit:
-                orbit.add(m1)
-                queue.append(m1)
-    return sorted(orbit)
+            y = take(t)
+            y = tuple(sorted(y, reverse=True)) if len(x) > 1 else (y,)
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return [sum(1 << i for i in x) for x in sorted(orbit)]
 
 
 class _Canonizer:
@@ -193,9 +201,10 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
         hgens = list(H.gens)
         extend = M.extender(H.mask, hgens)
         nmask = M.normalizer(hgens)
-        # x -> hx, xh and x^u move within the H-double-coset of x and its
-        # orbit under the normalizer
-        steps = [m for h in hgens for m in (M.left_map(h), M.right_map(h))]
+        # x -> xh and x^u move within the H-double-coset of x and its
+        # orbit under the normalizer; so does x -> hx = (x^(h^-1))h, as
+        # H <= N(H) and the orbit is closed under both
+        steps = [M.column(h) for h in hgens]
         steps += [M.conj_map(u) for u in M.gens_for_mask(nmask)]
         covered = bytearray(flags_of(H.mask, M.n))
         for g in range(1, M.n):
@@ -281,20 +290,22 @@ def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction,
     order_viol = []
     bound_viol = []
     unexpected = []
-    for sub in classes:
-        o = sub.order
-        pp = p_part(o, p)
-        limit = bound * pp**3
-        if o <= limit:
-            continue  # trivial subgroup witnesses min_index <= |H| <= limit
-        sm = sub_materialized(M, sub)
-        ja = j_analysis(sm, p)
-        entry = SweepEntry(sub, o, pp, False, ja.min_index, ja.min_index <= limit)
-        order_viol.append(entry)
-        if not entry.bound_ok:
-            bound_viol.append(entry)
-            if exempt is not None and not exempt(entry):
-                unexpected.append(entry)
+    with M.table_scope():  # one table for every violator's enumeration
+        for sub in classes:
+            o = sub.order
+            pp = p_part(o, p)
+            limit = bound * pp**3
+            if o <= limit:
+                continue  # trivial subgroup witnesses min_index <= |H| <= limit
+            sm = sub_materialized(M, sub)
+            ja = j_analysis(sm, p)
+            entry = SweepEntry(sub, o, pp, False, ja.min_index,
+                               ja.min_index <= limit)
+            order_viol.append(entry)
+            if not entry.bound_ok:
+                bound_viol.append(entry)
+                if exempt is not None and not exempt(entry):
+                    unexpected.append(entry)
     return SweepReport(p, bound, len(classes), tuple(order_viol),
                        tuple(bound_viol), tuple(unexpected))
 

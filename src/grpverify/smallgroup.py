@@ -25,8 +25,9 @@ columns holds about 2kn bytes, and only while it runs.
 
 A subgroup is closed from its generators by `close`, which walks from
 the identity, or grown by one element from a known subgroup H by
-`extender`, which walks <H, g> coset by coset of H and stops at more than
-n/2 elements, where the answer can only be G.
+`extender`, which walks <H, g> by right cosets of H, each gathered from
+an earlier one over a generator's column, and stops at more than n/2
+elements, where the answer can only be G.
 
 The heavy queries of the lattice and autmorph modules are `cached_query`
 functions: their results are kept per group in one memo, owned here.
@@ -362,41 +363,40 @@ class MaterializedGroup:
     def extender(self, mask: int, gens):
         """g -> mask of <H, g>, for the subgroup H = <gens> with this mask.
 
-        Dimino's closure: <H, g> is walked coset by coset from H's known
-        elements instead of element by element from the identity.  With
-        one representative r per left coset rH found so far, each product
-        s*r = (r^-1 s^-1)^-1 by a generator s of H or by g either lies in a
-        known coset or starts a new one, filled from the columns of H's
-        elements.  Once the cosets found hold more than n/2 elements the
-        answer is G, by Lagrange.
+        Dimino's closure: <H, g> is walked right coset by right coset of H
+        instead of element by element from the identity.  For each coset
+        Ht found so far and each generator s of H or g, Hts either is a
+        known coset (ts has been seen) or is new, and then it is Ht
+        multiplied by s: one gather of Ht's elements over the column of s.
+        No column but the generators' is read.  Once the cosets found hold
+        more than n/2 elements the answer is G, by Lagrange.
         """
         n = self.n
-        inv = self._inv
         full = self.full_mask
         order = mask.bit_count()
-        # y*h for every h in H: the coset yH is [c[y] for c in cols]
-        cols = [self.column(h) for h in bits(mask)]
         flags = flags_of(mask, n)
-        steps_h = [self.column(inv[s]) for s in gens]
+        # a coset Ht is the tuple of its elements; any of them serves as t
+        h_elems = tuple(bits(mask))
+        steps_h = [self.column(s) for s in gens]
 
         def extend(g: int) -> int:
             if mask >> g & 1:
                 return mask
             seen = bytearray(flags)
-            steps = steps_h + [self.column(inv[g])]
+            steps = steps_h + [self.column(g)]
             size = order
-            reps = [0]
-            for r in reps:  # reps grows while it is walked
-                ri = inv[r]
+            cosets = [h_elems]
+            for coset in cosets:  # cosets grows while it is walked
+                t = coset[0]
                 for c in steps:
-                    y = inv[c[ri]]  # s*r
-                    if not seen[y]:
+                    if not seen[c[t]]:
                         size += order
                         if 2 * size > n:
                             return full
-                        reps.append(y)
-                        for c_h in cols:
-                            seen[c_h[y]] = 1
+                        new = itemgetter(*coset)(c) if order > 1 else (c[t],)
+                        cosets.append(new)
+                        for y in new:
+                            seen[y] = 1
             return mask_of(seen)
 
         return extend

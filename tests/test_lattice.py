@@ -181,6 +181,19 @@ def test_class_expansion_matches_full_list_more_groups():
         assert expanded == {s.mask for s in all_subgroups(m)}
 
 
+def test_s6_known_subgroup_counts():
+    # OEIS A000638: S6 has 56 conjugacy classes of subgroups;
+    # OEIS A005432: 1455 subgroups in all
+    m = mat(Sym(6))
+    classes = subgroup_classes(m)
+    assert len(classes) == 56
+    orbits = [conjugates_of(m, sub.mask) for sub in classes]
+    assert sum(map(len, orbits)) == 1455
+    assert len(set().union(*orbits)) == 1455
+    assert all(m.is_normal_mask(sub.mask, sub.gens or None) ==
+               (len(orbit) == 1) for sub, orbit in zip(classes, orbits))
+
+
 def test_psl32_known_subgroup_counts():
     from grpverify.construct import PSL32
 

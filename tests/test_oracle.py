@@ -1,0 +1,55 @@
+"""The engine against `sympy.combinatorics`, an independent oracle.
+
+sympy and hypothesis are used by tests only; the engine is stdlib-only.
+Hypothesis draws permutations of S6 and S7 from a fixed seed, with a
+bounded number of examples, so the module runs in a few seconds.
+"""
+
+from contextlib import nullcontext
+
+import pytest
+
+combinatorics = pytest.importorskip("sympy.combinatorics")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from grpverify.construct import Sym, build  # noqa: E402
+
+
+def moving(n):
+    """A permutation of range(n) that moves only a drawn set of points, so
+    that small subgroups are drawn as often as S_n and A_n."""
+    return st.lists(st.integers(0, n - 1), min_size=2, unique=True).flatmap(
+        lambda pts: st.permutations(pts).map(
+            lambda img: tuple(dict(zip(pts, img)).get(i, i)
+                              for i in range(n))))
+
+
+def three_permutations(n):
+    return st.tuples(st.just(n), moving(n), moving(n), moving(n))
+
+
+def sympy_order(perms):
+    return combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(p)) for p in perms]).order()
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(st.sampled_from([6, 7]).flatmap(three_permutations))
+def test_extender_order_matches_sympy(case):
+    """|<H, g>| from extender equals sympy's order, for H = <a> and g = b,
+    and for H = <a, b> and a third element g."""
+    n, *perms = case
+    M = build(Sym(n)).materialized()
+    a, b, g = (M.index[tuple(p)] for p in perms)
+    want = [sympy_order(perms[:2]), sympy_order(perms)]
+    for table in (False, True):
+        with M.table_scope() if table else nullcontext():
+            got = []
+            for gens, x in (([a], b), ([a, b], g)):
+                H = M.close(gens)
+                ext = M.extender(H, gens)(x)
+                assert H & ~ext == 0 and ext >> x & 1
+                got.append(ext.bit_count())
+        assert got == want

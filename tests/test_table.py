@@ -156,6 +156,32 @@ def test_extender_matches_compose_closure(expr):
     assert M._cols is None
 
 
+@pytest.mark.parametrize("expr", [Sym(4), MatSL(3), Alt(5)], ids=str)
+def test_extender_reads_only_generator_columns(expr, monkeypatch):
+    """Inside a scope, extender(H, gens)(g) asks for no column but those of
+    gens and g: each coset is gathered over a generator's column."""
+    M = build(expr).materialized()
+    subs = subgroup_classes(M)
+    asked = []
+    column = MaterializedGroup.column
+
+    def spy(self, j):
+        asked.append(j)
+        return column(self, j)
+
+    monkeypatch.setattr(MaterializedGroup, "column", spy)
+    with M.table_scope():
+        for sub in subs:
+            asked.clear()
+            extend = M.extender(sub.mask, sub.gens)
+            assert set(asked) <= set(sub.gens)
+            for g in range(M.n):
+                asked.clear()
+                extend(g)
+                assert set(asked) <= {*sub.gens, g}
+    assert any(len(sub.gens) > 1 for sub in subs)
+
+
 def fresh(expr):
     h = build(expr)
     return MaterializedGroup(h.group.generators, h.degree)
