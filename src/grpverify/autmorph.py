@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import MAX_SUBGROUP_ORDER, all_subgroups
+from .lattice import all_subgroups
 from .smallgroup import (
     MaterializedGroup,
     bits,
@@ -20,8 +20,6 @@ from .smallgroup import (
     coprime,
     image_mask,
 )
-
-MAX_AUT_ORDER = 1000
 
 
 def generating_sequence(M: MaterializedGroup) -> list[int]:
@@ -216,7 +214,7 @@ class AutGroup:
         return out
 
 
-@cached_query("automorphism", MAX_AUT_ORDER)
+@cached_query("automorphism", "max_aut_order")
 def automorphism_group(M: MaterializedGroup) -> AutGroup:
     maps = [tuple(a) for a in _search_isomorphisms(M, M, find_all=True)]
     maps.sort()
@@ -227,13 +225,13 @@ def automorphism_group(M: MaterializedGroup) -> AutGroup:
     return aut
 
 
-def is_characteristic(M: MaterializedGroup, mask: int, cap: int = MAX_AUT_ORDER) -> bool:
+def is_characteristic(M: MaterializedGroup, mask: int) -> bool:
     """True iff every automorphism of M maps the subgroup onto itself."""
-    aut = automorphism_group(M, cap=cap)
+    aut = automorphism_group(M)
     return all(image_mask(mask, a) == mask for a in aut.maps)
 
 
-@cached_query("subgroup-sweep", MAX_SUBGROUP_ORDER)
+@cached_query("subgroup-sweep", "max_subgroup_order")
 def chermak_delgado(M: MaterializedGroup) -> int:
     """Minimal member of the maximal Chermak-Delgado-measure family.
 
@@ -243,7 +241,7 @@ def chermak_delgado(M: MaterializedGroup) -> int:
     """
     best_measure = 0
     family = []
-    for sub in all_subgroups(M, cap=M.n):  # the query checked its cap
+    for sub in all_subgroups(M):
         cent = M.centralizer(sub.gens or [0])
         measure = sub.order * cent.bit_count()
         if measure > best_measure:

@@ -55,8 +55,8 @@ from .lattice import (
     subgroup_classes,
     sweep_bound,
 )
-from .ledger import ClaimRecord, SkipClaim, current_caps
-from .smallgroup import bits, coprime, image_mask, p_part
+from .ledger import ClaimRecord, SkipClaim
+from .smallgroup import bits, coprime, current_caps, image_mask, p_part
 
 _REGISTRY: dict[str, ClaimRecord] = {}
 
@@ -97,8 +97,7 @@ def get_claim(cid: str) -> ClaimRecord:
 
 
 def M(expr):
-    return build(expr, current_caps().max_order).materialized(
-        current_caps().max_order)
+    return build(expr).materialized()
 
 
 def yn(flag) -> str:
@@ -115,15 +114,15 @@ def psl_order(q: int) -> int:
 
 def normal_part(expr) -> tuple:
     """(materialized group, Sub for the distinguished normal part)."""
-    h = build(expr, current_caps().max_order)
-    m = h.materialized(current_caps().max_order)
+    h = build(expr)
+    m = h.materialized()
     gens = tuple(m.index[p] for p in h.parts["normal_gens"])
     return m, Sub(m.close(gens), gens)
 
 
 def psl_inside_pgl(q: int) -> tuple:
-    h = build(ProjGL(q), current_caps().max_order)
-    m = h.materialized(current_caps().max_order)
+    h = build(ProjGL(q))
+    m = h.materialized()
     gens = tuple(m.index[p] for p in h.parts["psl_gens"])
     return m, Sub(m.close(gens), gens)
 
@@ -131,9 +130,8 @@ def psl_inside_pgl(q: int) -> tuple:
 def invariant_min_index(m, maps, p=None, cyclic=False):
     """Minimal index of an abelian subgroup of order coprime to p that is
     mapped onto itself by every given automorphism."""
-    cap = current_caps().max_subgroup_order
     best = None
-    for s in all_subgroups(m, cap=cap):
+    for s in all_subgroups(m):
         if p is not None and s.order % p == 0:
             continue
         if not m.is_abelian_set(s.gens):
@@ -148,13 +146,12 @@ def invariant_min_index(m, maps, p=None, cyclic=False):
 
 
 def aut_preserving(m, fmask):
-    return automorphism_group(m, cap=current_caps().max_aut_order).preserving(fmask)
+    return automorphism_group(m).preserving(fmask)
 
 
 def char_abelian_min_index(m, p):
     """Minimal index of a characteristic abelian subgroup of coprime order."""
-    return invariant_min_index(
-        m, automorphism_group(m, cap=current_caps().max_aut_order).maps, p=p)
+    return invariant_min_index(m, automorphism_group(m).maps, p=p)
 
 
 def sub_iso_label(m, entry_sub, candidates):
@@ -357,7 +354,7 @@ def _thm_3_2():
     bad = []
     for expr in CD_CORPUS:
         m = M(expr)
-        cd = chermak_delgado(m, cap=current_caps().max_subgroup_order)
+        cd = chermak_delgado(m)
         gens = m.gens_for_mask(cd)
         best_ab = max(s.order for s in all_subgroups(m) if m.is_abelian_set(s.gens))
         i = m.n // best_ab
@@ -382,7 +379,7 @@ def _cor_3_3():
     bad = []
     for expr in CD_CORPUS:
         m = M(expr)
-        cd = chermak_delgado(m, cap=current_caps().max_subgroup_order)
+        cd = chermak_delgado(m)
         best_ab = max(s.order for s in all_subgroups(m) if m.is_abelian_set(s.gens))
         i = m.n // best_ab
         for p in (2, 3, 5):
@@ -434,7 +431,6 @@ LEM_3_5_INSTANCES = ((Sym(4), Dih(6)), (Alt(4), Sym(3)))
 )
 def _lem_3_5():
     bad = []
-    cap = current_caps().max_subgroup_order
     for g1, g2 in LEM_3_5_INSTANCES:
         m1, m2 = M(g1), M(g2)
         prod = M(Prod(g1, g2))
@@ -442,14 +438,14 @@ def _lem_3_5():
             # J1: normal-abelian constant over all subgroups of Gamma_1
             j1 = max(Fraction(j_analysis(sub_materialized(m1, s), p).min_index,
                               p_part(s.order, p) ** 3)
-                     for s in subgroup_classes(m1, cap=cap))
+                     for s in subgroup_classes(m1))
             # J2: characteristic-abelian constant over all subgroups of Gamma_2
             j2 = Fraction(0)
-            for s in subgroup_classes(m2, cap=cap):
+            for s in subgroup_classes(m2):
                 sm = sub_materialized(m2, s)
                 idx = char_abelian_min_index(sm, p)
                 j2 = max(j2, Fraction(idx, p_part(s.order, p) ** 3))
-            for s in subgroup_classes(prod, cap=cap):
+            for s in subgroup_classes(prod):
                 sm = sub_materialized(prod, s)
                 if j_analysis(sm, p).min_index > j1 * j2 * p_part(s.order, p) ** 3:
                     bad.append(f"{to_src(g1)}x{to_src(g2)}@p={p}:|H|={s.order}")
@@ -502,9 +498,7 @@ AUX_J = {2: Fraction(3), 3: Fraction(10), 5: Fraction(144), 7: Fraction(720)}
 
 def _aux_sweep(m):
     """Sweep all four J values of the auxiliary-subgroups lemma."""
-    return {p: sweep_bound(m, p, AUX_J[p],
-                           cap=current_caps().max_subgroup_order)
-            for p in PRIMES}
+    return {p: sweep_bound(m, p, AUX_J[p]) for p in PRIMES}
 
 
 @claim(
@@ -617,9 +611,7 @@ def _lem_3_8_v():
     for p in PRIMES:
         # the stated exception list: Gamma itself or order 162, at p = 5
         exempt = (lambda e: e.order in (648, 162)) if p == 5 else None
-        reps[p] = sweep_bound(m, p, AUX_J[p],
-                              cap=current_caps().max_subgroup_order,
-                              exempt=exempt)
+        reps[p] = sweep_bound(m, p, AUX_J[p], exempt=exempt)
         if p != 7:
             actual[f"bound_viol_p{p}"] = ",".join(
                 str(e.order) for e in reps[p].bound_violations) or "-"
@@ -827,7 +819,7 @@ def _thm_4_2():
     actual = {}
     for q in (4, 5, 7, 8, 9):
         m = M(ProjSL(q))
-        aut = automorphism_group(m, cap=current_caps().max_aut_order)
+        aut = automorphism_group(m)
         actual[f"out_q{q}"] = aut.out_order
         if q == 9:
             autm = aut.as_materialized()
@@ -850,12 +842,10 @@ def _prop_4_4():
     actual = {}
     for q in (4, 5, 9):
         m = M(ProjSL(q))
-        actual[f"aut_psl_q{q}"] = automorphism_group(
-            m, cap=current_caps().max_aut_order).order
+        actual[f"aut_psl_q{q}"] = automorphism_group(m).order
     for q in (5, 9):
         m = M(ProjGL(q))
-        actual[f"aut_pgl_q{q}"] = automorphism_group(
-            m, cap=current_caps().max_aut_order).order
+        actual[f"aut_pgl_q{q}"] = automorphism_group(m).order
     return actual, ""
 
 
@@ -870,7 +860,7 @@ def _prop_4_4():
 def _prop_4_4_struct():
     psl = build(ProjSL(9))
     m = psl.materialized()
-    aut = automorphism_group(m, cap=current_caps().max_aut_order)
+    aut = automorphism_group(m)
     autm = aut.as_materialized()
 
     def conj_map(g):
@@ -921,8 +911,7 @@ def _cor_4_5():
     actual = {}
     for q in (4, 5, 9):
         m = M(ProjGL(q))
-        actual[f"out_pgl_q{q}"] = automorphism_group(
-            m, cap=current_caps().max_aut_order).out_order
+        actual[f"out_pgl_q{q}"] = automorphism_group(m).out_order
     for key, expr in (("a4", Alt(4)), ("s4", Sym(4)), ("a5", Alt(5))):
         aut = automorphism_group(M(expr))
         actual[f"out_{key}"] = aut.out_order
@@ -1029,12 +1018,11 @@ def _cor_5_2():
     {"s3xs3_classes": 22, "f12xf12_classes": 68, "all_pass": "yes"},
 )
 def _lem_5_3():
-    cap = current_caps().max_subgroup_order
     bad = []
     counts = {}
     for label, r, p in (("s3xs3", Sym(3), 3), ("f12xf12", MU34, 3)):
         m = M(Prod(r, r))
-        classes = subgroup_classes(m, cap=cap)
+        classes = subgroup_classes(m)
         counts[label] = len(classes)
         for s in classes:
             sm = sub_materialized(m, s)
@@ -1071,7 +1059,7 @@ def _cor_5_4():
 
 
 def _first_aut_of_order(m, r):
-    aut = automorphism_group(m, cap=current_caps().max_aut_order)
+    aut = automorphism_group(m)
     for a in aut.maps:
         if pm.perm_order(a) == r:
             return a
@@ -1129,9 +1117,6 @@ class _FirstFactorShim:
         self._h = prod_handle
         g1, g2 = prod_handle.parts["factor_gens"]
         self.parts = {"normal_gens": g1, "complement_gens": g2}
-
-    def materialized(self, cap=None):
-        return self._h.materialized()
 
     def __getattr__(self, name):
         return getattr(self._h, name)
@@ -1443,8 +1428,8 @@ def _lem_7_2_char_q11_13():
     actual = {}
     for q in (11, 13):
         m, psl = psl_inside_pgl(q)
-        actual[f"q{q}"] = "characteristic" if is_characteristic(
-            m, psl.mask, cap=cap) else "not-characteristic"
+        actual[f"q{q}"] = ("characteristic" if is_characteristic(m, psl.mask)
+                           else "not-characteristic")
     return actual, ""
 
 
@@ -1546,7 +1531,7 @@ def _lem_8_3():
     actual["hess_mu32_index"] = m.n // nsub.order
     # every subgroup containing mu_3^2 keeps it normal with index <= 24
     ok = True
-    for s in subgroup_classes(m, cap=current_caps().max_subgroup_order):
+    for s in subgroup_classes(m):
         for conj_mask in conjugates_of(m, s.mask):
             if conj_mask & nsub.mask == nsub.mask:
                 sm_gens = m.gens_for_mask(conj_mask)

@@ -28,7 +28,7 @@ from .ledger import (
     summary,
     write_json_report,
 )
-from .smallgroup import p_part
+from .smallgroup import caps_scope, p_part
 
 
 class UsageError(ValueError):
@@ -237,33 +237,34 @@ def _caps_from_args(args) -> Caps:
 def _add_cap_flags(sub):
     caps = Caps()
     sub.add_argument("--max-order", type=int, default=caps.max_order,
-                     help="materialization cap (default %(default)s)")
+                     help="largest order of any group built (default %(default)s)")
     sub.add_argument("--max-subgroup-order", type=int,
                      default=caps.max_subgroup_order,
-                     help="subgroup-sweep cap (default %(default)s)")
+                     help="largest order of a group whose subgroups are swept "
+                     "or that is tested for isomorphism (default %(default)s)")
     sub.add_argument("--max-aut-order", type=int, default=caps.max_aut_order,
-                     help="automorphism-computation cap (default %(default)s)")
+                     help="largest order |G| (not |Aut(G)|) of a group whose "
+                     "automorphisms are searched (default %(default)s)")
 
 
 def _group(args):
-    """(expression, caps, materialized group) of the command's expression.
+    """(expression, materialized group) of the command's expression.
 
     An expression that parses but names no group (an action that does not
     act, a malformed cycle string) is a usage error like a parse error.
     """
     expr = parse_expr(args.expr)
-    caps = _caps_from_args(args)
     try:
-        handle = cx.build(expr, caps.max_order)
+        handle = cx.build(expr)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    return expr, caps, handle.materialized(caps.max_order)
+    return expr, handle.materialized()
 
 
 def cmd_analyze(args) -> int:
     if not is_prime(args.p):
         raise UsageError(f"-p {args.p}: not a prime")
-    expr, _, m = _group(args)
+    expr, m = _group(args)
     ja = j_analysis(m, args.p)
     witness = ja.witness
     hint = _iso_hint(m, witness)
@@ -290,11 +291,11 @@ def _iso_hint(m, witness) -> str:
 
 
 def cmd_subgroups(args) -> int:
-    expr, caps, m = _group(args)
+    expr, m = _group(args)
     if args.up_to_conjugacy:
-        subs = subgroup_classes(m, cap=caps.max_subgroup_order)
+        subs = subgroup_classes(m)
     else:
-        subs = all_subgroups(m, cap=caps.max_subgroup_order)
+        subs = all_subgroups(m)
     kind = "classes" if args.up_to_conjugacy else "subgroups"
     print(f"group {cx.to_src(expr)}: |G| = {m.n}, {len(subs)} {kind}")
     by_order = {}
@@ -306,8 +307,8 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    expr, caps, m = _group(args)
-    aut = automorphism_group(m, cap=caps.max_aut_order)
+    expr, m = _group(args)
+    aut = automorphism_group(m)
     print(f"group      {cx.to_src(expr)}")
     print(f"order      {m.n}")
     print(f"|Aut|      {aut.order}")
@@ -346,9 +347,7 @@ def cmd_verify(args) -> int:
         if not records:
             print("verify: no claims match the selection", file=sys.stderr)
             return 2
-    caps = _caps_from_args(args)
-    results = run(records, jobs=args.jobs, timeout=args.timeout or None,
-                  caps=caps)
+    results = run(records, jobs=args.jobs, timeout=args.timeout or None)
     print(report_text(results))
     if args.json:
         write_json_report(results, args.json)
@@ -410,7 +409,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        rc = args.fn(args)
+        # one scope per command; `claims` has no cap flags
+        caps = _caps_from_args(args) if hasattr(args, "max_order") else Caps()
+        with caps_scope(caps):
+            rc = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return rc
     except (UsageError, CapExceeded) as e:

@@ -15,7 +15,14 @@ from math import gcd
 from . import perm as pm
 from .gf import Field, field_of_order, is_prime
 from .perm import PermGroup
-from .smallgroup import MAX_ORDER, CapExceeded, MaterializedGroup, materialize
+from .smallgroup import (
+    CapExceeded,
+    Caps,
+    MaterializedGroup,
+    caps_scope,
+    current_caps,
+    materialize,
+)
 
 
 class BuildError(ValueError):
@@ -203,9 +210,10 @@ class GroupHandle:
             self._order = self.group.order()
         return self._order
 
-    def materialized(self, cap: int = MAX_ORDER) -> MaterializedGroup:
+    def materialized(self) -> MaterializedGroup:
+        cap = current_caps().max_order
         if self._mat is None:
-            self._mat = materialize(self.group, cap=cap, name=self.name)
+            self._mat = materialize(self.group, name=self.name)
         elif self._mat.n > cap:
             raise CapExceeded(
                 f"order {self._mat.n} exceeds materialization cap {cap}")
@@ -526,8 +534,7 @@ def ea_action_perm(Nmat: MaterializedGroup, p: int, m: int, f):
     return tuple(enc[f(_ea_vector(Nmat, x, p, m))] for x in range(Nmat.n))
 
 
-def _verify_action(Nmat: MaterializedGroup, h_handle: GroupHandle, action_perms,
-                   cap: int = MAX_ORDER):
+def _verify_action(Nmat: MaterializedGroup, h_handle: GroupHandle, action_perms):
     """Check every action perm is an automorphism of N and that generator
     images extend to a homomorphism H -> Aut(N) (materialized word check)."""
     n = Nmat.n
@@ -543,7 +550,7 @@ def _verify_action(Nmat: MaterializedGroup, h_handle: GroupHandle, action_perms,
     for hperm, alpha in zip(h_handle.group.generators, action_perms):
         if genmap.setdefault(hperm, alpha) != alpha:
             raise ActionError("conflicting images for equal generators")
-    Hm = h_handle.materialized(cap)
+    Hm = h_handle.materialized()
     ident = tuple(range(n))
     img = {0: ident}
     queue = [0]
@@ -566,14 +573,14 @@ def _verify_action(Nmat: MaterializedGroup, h_handle: GroupHandle, action_perms,
 
 def semidirect_by_automorphisms(n_handle: GroupHandle, h_handle: GroupHandle,
                                 action_perms, name: str = "",
-                                max_order: int = MAX_ORDER,
                                 verify: bool = True) -> GroupHandle:
     """N x| H on the disjoint union of N's elements and H's domain.
 
     action_perms[i] is the permutation of N's materialized element indices
     by which the i-th generator of H acts.
     """
-    Nmat = n_handle.materialized(max_order)
+    Nmat = n_handle.materialized()
+    max_order = current_caps().max_order
     if Nmat.n * h_handle.order > max_order:
         raise CapExceeded(
             f"semidirect order {Nmat.n * h_handle.order} exceeds cap {max_order}")
@@ -581,7 +588,7 @@ def semidirect_by_automorphisms(n_handle: GroupHandle, h_handle: GroupHandle,
     if len(action_perms) != len(h_handle.group.generators):
         raise ActionError("one action perm per H generator required")
     if verify:
-        _verify_action(Nmat, h_handle, action_perms, cap=max_order)
+        _verify_action(Nmat, h_handle, action_perms)
     dn, dh = Nmat.n, h_handle.degree
     d = dn + dh
     idpart = list(range(dn, d))
@@ -671,18 +678,18 @@ def _linear_action_perms(n_expr, Nmat, h_handle):
     return out
 
 
-def _build_semi(expr: Semi, max_order):
+def _build_semi(expr: Semi):
     act = expr.action
     if act.kind == "swap":
         if not (isinstance(expr.n, Prod) and expr.n.a == expr.n.b
                 and expr.h == Cyc(2)):
             raise BuildError("swap action requires semi(prod(e,e),C(2),swap)")
-        return _build_swapsq(build(expr.n.a, max_order))
+        return _build_swapsq(build(expr.n.a))
 
     if act.kind == "natperm":
         if not isinstance(expr.n, ElemAb):
             raise BuildError("natperm requires N = EA(p,m)")
-        h = build(expr.h, max_order)
+        h = build(expr.h)
         p, m = expr.n.p, expr.n.m
         if h.degree != m:
             raise BuildError(f"natperm: H must act on {m} points")
@@ -697,7 +704,7 @@ def _build_semi(expr: Semi, max_order):
         return pg, {"normal_gens": tuple(ngens), "complement_gens": tuple(hgens)}
 
     if act.kind == "evenperm":
-        h = build(expr.h, max_order)
+        h = build(expr.h)
         m = h.degree
         if expr.n != ElemAb(2, m - 1):
             raise BuildError(f"evenperm over {m} points requires N = EA(2,{m-1})")
@@ -707,9 +714,9 @@ def _build_semi(expr: Semi, max_order):
         return pg, parts
 
     # remaining actions run through the generic union-carrier construction
-    n = build(expr.n, max_order)
-    h = build(expr.h, max_order)
-    Nmat = n.materialized(max_order)
+    n = build(expr.n)
+    h = build(expr.h)
+    Nmat = n.materialized()
 
     if act.kind == "quotperm":
         if not isinstance(expr.n, ElemAb):
@@ -744,7 +751,7 @@ def _build_semi(expr: Semi, max_order):
     else:
         raise BuildError(f"unsupported action {act.kind!r}")
 
-    built = semidirect_by_automorphisms(n, h, action_perms, max_order=max_order)
+    built = semidirect_by_automorphisms(n, h, action_perms)
     return built.group, built.parts
 
 
@@ -752,24 +759,25 @@ def _build_semi(expr: Semi, max_order):
 # the HSL23 atom: H3 x| SL_2(F_3) through Aut(H3)
 
 
-def _build_hsl23(max_order):
+def _build_hsl23():
     from .autmorph import automorphism_group
     from .lattice import is_isomorphic, sub_materialized, subgroup_classes
 
-    h3 = build(H3())
-    m3 = h3.materialized()
-    aut = automorphism_group(m3, cap=27)
-    autmat = aut.as_materialized()
-    if autmat.n != 432:
-        raise AssertionError(f"|Aut(H3)| = {autmat.n}, expected 432")
+    m3 = build(H3()).materialized()
     sl23 = build(MatSL(3)).materialized()
-    chosen = None
-    for sub in subgroup_classes(autmat, cap=432):
-        if sub.order != 24:
-            continue
-        if is_isomorphic(sub_materialized(autmat, sub), sl23):
-            chosen = sub
-            break
+    # the atom is one fixed group: its queries run at the default caps, so
+    # that it builds whatever query caps are active
+    with caps_scope(Caps()):
+        autmat = automorphism_group(m3).as_materialized()
+        if autmat.n != 432:
+            raise AssertionError(f"|Aut(H3)| = {autmat.n}, expected 432")
+        chosen = None
+        for sub in subgroup_classes(autmat):
+            if sub.order != 24:
+                continue
+            if is_isomorphic(sub_materialized(autmat, sub), sl23):
+                chosen = sub
+                break
     if chosen is None:
         raise AssertionError("no SL2(F3) subgroup found in Aut(H3)")
     # holomorph-style carrier: right translations and automorphisms both
@@ -788,11 +796,20 @@ def _build_hsl23(max_order):
 _CACHE: dict = {}
 
 
-def build(expr, max_order: int = MAX_ORDER) -> GroupHandle:
-    key = (to_src(expr), max_order)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
+def build(expr) -> GroupHandle:
+    """The group of expr, cached by expr; refused above the active max_order."""
+    key = to_src(expr)
+    handle = _CACHE.get(key)
+    if handle is None:
+        handle = _CACHE[key] = _build(expr)
+    max_order = current_caps().max_order
+    if handle.order > max_order:
+        raise CapExceeded(
+            f"{handle.name}: order {handle.order} exceeds cap {max_order}")
+    return handle
+
+
+def _build(expr) -> GroupHandle:
     match expr:
         case Cyc(n):
             pg, parts = _build_cyclic(n)
@@ -807,11 +824,9 @@ def build(expr, max_order: int = MAX_ORDER) -> GroupHandle:
         case H3():
             pg, parts = _build_h3()
         case Hess():
-            built = _build_semi(Semi(ElemAb(3, 2), MatSL(3), Action("linear")),
-                                max_order)
-            pg, parts = built
+            pg, parts = _build_semi(Semi(ElemAb(3, 2), MatSL(3), Action("linear")))
         case Hsl23():
-            pg, parts = _build_hsl23(max_order)
+            pg, parts = _build_hsl23()
         case MatGL(q):
             pg, parts = _build_matrix_group(q, special=False)
         case MatSL(q):
@@ -825,18 +840,13 @@ def build(expr, max_order: int = MAX_ORDER) -> GroupHandle:
         case WeylD(n):
             pg, parts = _build_weyl_d(n)
         case Prod(a, b):
-            pg, parts = _build_prod(build(a, max_order), build(b, max_order))
+            pg, parts = _build_prod(build(a), build(b))
         case SwapSq(e):
-            pg, parts = _build_swapsq(build(e, max_order))
+            pg, parts = _build_swapsq(build(e))
         case Semi():
-            pg, parts = _build_semi(expr, max_order)
+            pg, parts = _build_semi(expr)
         case PGroup(n, cycles):
             pg, parts = _build_pgroup(n, cycles)
         case _:
             raise BuildError(f"unknown expression {expr!r}")
-    handle = GroupHandle(pg, expr=expr, parts=parts)
-    if handle.order > max_order:
-        raise CapExceeded(
-            f"{handle.name}: order {handle.order} exceeds cap {max_order}")
-    _CACHE[key] = handle
-    return handle
+    return GroupHandle(pg, expr=expr, parts=parts)

@@ -17,17 +17,15 @@ from operator import itemgetter
 
 from .gf import factor_prime_power
 from .smallgroup import (
-    MAX_ORDER,
     CapExceeded,
     MaterializedGroup,
     bits,
     cached_query,
     coprime,
+    current_caps,
     flags_of,
     p_part,
 )
-
-MAX_SUBGROUP_ORDER = 2000
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ def is_normal(M: MaterializedGroup, sub: Sub) -> bool:
     return M.is_normal_mask(sub.mask, sub.gens or None)
 
 
-@cached_query("normal-lattice", MAX_ORDER)
+@cached_query("normal-lattice", "max_order")
 def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
     """All normal subgroups, as joins of normal closures of single classes."""
     found = {1: ()}
@@ -83,7 +81,7 @@ def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
     return out
 
 
-@cached_query("subgroup-sweep", MAX_SUBGROUP_ORDER)
+@cached_query("subgroup-sweep", "max_subgroup_order")
 def all_subgroups(M: MaterializedGroup) -> list[Sub]:
     """Every subgroup, built bottom-up by single-generator extension."""
     subs = {1: ()}
@@ -161,7 +159,7 @@ class _Canonizer:
         return c
 
 
-@cached_query("subgroup-sweep", MAX_SUBGROUP_ORDER)
+@cached_query("subgroup-sweep", "max_subgroup_order")
 def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
     """One representative per conjugacy class of subgroups.
 
@@ -278,7 +276,7 @@ class SweepReport:
 
 
 def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction,
-                cap: int = MAX_SUBGROUP_ORDER, exempt=None) -> SweepReport:
+                exempt=None) -> SweepReport:
     """Check |H| <= J*|H_(p)|^3 (and the normal-abelian rescue) over every
     subgroup class representative of M.
 
@@ -286,7 +284,7 @@ def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction,
     exceptions; violations outside it are reported as unexpected.
     """
     bound = Fraction(bound)
-    classes = subgroup_classes(M, cap=cap)
+    classes = subgroup_classes(M)
     order_viol = []
     bound_viol = []
     unexpected = []
@@ -332,10 +330,10 @@ def quotient(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
     return out
 
 
-def is_isomorphic(M1: MaterializedGroup, M2: MaterializedGroup,
-                  cap: int = MAX_SUBGROUP_ORDER) -> bool:
+def is_isomorphic(M1: MaterializedGroup, M2: MaterializedGroup) -> bool:
     from .autmorph import find_isomorphism
 
+    cap = current_caps().max_subgroup_order
     if M1.n > cap or M2.n > cap:
         raise CapExceeded(f"isomorphism test cap {cap} exceeded")
     return find_isomorphism(M1, M2) is not None

@@ -15,29 +15,14 @@ import signal
 import time
 from dataclasses import dataclass, field, replace
 
-from .autmorph import MAX_AUT_ORDER
-from .lattice import MAX_SUBGROUP_ORDER
-from .smallgroup import MAX_ORDER, CapExceeded
+from . import construct
+from .smallgroup import CapExceeded, Caps  # Caps: re-exported for callers
 
 REPORT_VERSION = 1
 
 # above about 9.2e9 s the claim timer cannot be set at all (Python keeps
 # times as 64-bit nanoseconds); a billion seconds is over 31 years
 MAX_TIMEOUT_S = 1e9
-
-
-@dataclass(frozen=True)
-class Caps:
-    max_order: int = MAX_ORDER
-    max_subgroup_order: int = MAX_SUBGROUP_ORDER
-    max_aut_order: int = MAX_AUT_ORDER
-
-
-_active_caps = Caps()
-
-
-def current_caps() -> Caps:
-    return _active_caps
 
 
 class SkipClaim(Exception):
@@ -117,21 +102,11 @@ def check_timeout(timeout: float | None) -> None:
                          f"seconds up to {MAX_TIMEOUT_S:g}")
 
 
-def run_claim(record: ClaimRecord, timeout: float | None = None,
-              caps: Caps | None = None) -> ClaimResult:
-    """Run one claim; caps apply to this call only."""
-    global _active_caps
+def run_claim(record: ClaimRecord, timeout: float | None = None) -> ClaimResult:
+    """Run one claim under the active caps, from an empty group cache, so
+    that nothing run before it changes its result or runtime_ms."""
     check_timeout(timeout)
-    saved = _active_caps
-    if caps is not None:
-        _active_caps = caps
-    try:
-        return _run_claim(record, timeout)
-    finally:
-        _active_caps = saved
-
-
-def _run_claim(record: ClaimRecord, timeout: float | None) -> ClaimResult:
+    construct._CACHE.clear()
     t0 = time.monotonic()
 
     def done(status, actual, witness):
@@ -170,16 +145,9 @@ def _run_claim(record: ClaimRecord, timeout: float | None) -> ClaimResult:
     return done("fail", actual, full)
 
 
-def _claim_process(record, timeout, caps, conn):
-    """Run one claim in its own forked process and send back its result.
-
-    The claim starts from an empty group cache, so its runtime_ms does not
-    depend on what the parent process has built.
-    """
-    from . import construct
-
-    construct._CACHE.clear()
-    conn.send(run_claim(record, timeout=timeout, caps=caps).to_json())
+def _claim_process(record, timeout, conn):
+    """Run one claim in its own forked process and send back its result."""
+    conn.send(run_claim(record, timeout=timeout).to_json())
     conn.close()
 
 
@@ -198,18 +166,18 @@ def select_claims(records, ids=None, pattern: str | None = None):
     return sorted(out, key=lambda r: r.id)
 
 
-def run(records, jobs: int = 1, timeout: float | None = None,
-        caps: Caps | None = None) -> list[ClaimResult]:
+def run(records, jobs: int = 1, timeout: float | None = None) -> list[ClaimResult]:
     """Execute claims (in parallel if jobs > 1); results in claim-id order.
 
-    In parallel each claim runs in its own process, at most jobs at a time.
-    A process that dies before it reports (killed by a signal, say) makes
-    its claim a fail; the other claims still run.
+    Claims run under the active caps.  In parallel each claim runs in its
+    own process, at most jobs at a time, and inherits the caps.  A process
+    that dies before it reports (killed by a signal, say) makes its claim a
+    fail; the other claims still run.
     """
     check_timeout(timeout)
     records = sorted(records, key=lambda r: r.id)
     if jobs <= 1 or len(records) <= 1:
-        return [run_claim(r, timeout=timeout, caps=caps) for r in records]
+        return [run_claim(r, timeout=timeout) for r in records]
     # imported here: a serial run and the CLI's start-up do without them
     from multiprocessing import get_context
     from multiprocessing.connection import wait
@@ -226,7 +194,7 @@ def run(records, jobs: int = 1, timeout: float | None = None,
                 record = pending.pop()
                 reader, writer = ctx.Pipe(duplex=False)
                 proc = ctx.Process(target=_claim_process,
-                                   args=(record, timeout, caps, writer))
+                                   args=(record, timeout, writer))
                 proc.start()
                 writer.close()
                 running[reader] = (proc, record, time.monotonic())

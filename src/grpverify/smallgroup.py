@@ -31,6 +31,9 @@ elements, where the answer can only be G.
 
 The heavy queries of the lattice and autmorph modules are `cached_query`
 functions: their results are kept per group in one memo, owned here.
+
+The user's order caps live here too: `caps_scope` makes one `Caps` active,
+and every build, materialization and cached query reads it when called.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ from __future__ import annotations
 import functools
 from array import array
 from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from operator import eq, itemgetter
 
 from . import perm as pm
 
-MAX_ORDER = 50000
 TABLE_MAX_ORDER = 8192  # largest order multiplied by table lookup
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -53,6 +56,35 @@ _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 class CapExceeded(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Largest orders of the groups a run builds, sweeps the subgroups of (or
+    tests for isomorphism) and searches the automorphisms of (|G|, not
+    |Aut(G)|)."""
+
+    max_order: int = 50000
+    max_subgroup_order: int = 2000
+    max_aut_order: int = 1000
+
+
+_active_caps = Caps()
+
+
+def current_caps() -> Caps:
+    return _active_caps
+
+
+@contextmanager
+def caps_scope(caps: Caps):
+    """Make caps the active caps until the block exits, however it exits."""
+    global _active_caps
+    saved, _active_caps = _active_caps, caps
+    try:
+        yield
+    finally:
+        _active_caps = saved
 
 
 def bits(mask: int):
@@ -81,17 +113,18 @@ def mask_of(flags) -> int:
     return int(bytes(flags).translate(_TO_DIGITS)[::-1], 2)
 
 
-def cached_query(label: str, default_cap: int):
-    """Make fn(M) the query fn(M, cap=default_cap), computed once per group.
+def cached_query(label: str, field: str):
+    """Make fn(M) a query computed once per group, bounded by a Caps field.
 
-    The cap is checked on every call, memo hits included, so a call is
-    refused the same way whatever ran before it; a result that is not yet
-    known is computed inside a table scope.
+    The active cap of that field is checked on every call, memo hits
+    included, so a call is refused the same way whatever ran before it; a
+    result that is not yet known is computed inside a table scope.
     """
 
     def decorate(fn):
         @functools.wraps(fn)
-        def query(M, cap: int = default_cap):
+        def query(M):
+            cap = getattr(_active_caps, field)
             if M.n > cap:
                 raise CapExceeded(f"order {M.n} exceeds {label} cap {cap}")
             memo = M._memo
@@ -123,13 +156,14 @@ class _ComposedColumn:
 
 
 class MaterializedGroup:
-    def __init__(self, generators, degree, cap: int = MAX_ORDER, name: str = ""):
+    def __init__(self, generators, degree, cap: int = Caps.max_order,
+                 name: str = ""):
         self._enumerate(pm.identity(degree), map(tuple, generators), pm.compose,
                         None, pm.inverse, degree, cap, name)
 
     @classmethod
     def enumerated(cls, one, gens, step, perm_of, inverse, degree: int,
-                   cap: int = MAX_ORDER, name: str = "") -> "MaterializedGroup":
+                   cap: int, name: str = "") -> "MaterializedGroup":
         """The group generated by gens, with elements in any hashable form.
 
         one is the identity, step(x, s) = x*s, perm_of(x) is the permutation
@@ -260,17 +294,6 @@ class MaterializedGroup:
     def right_map(self, g: int) -> list:
         """[i g for every element i]."""
         return list(self.column(g))
-
-    def power(self, i: int, e: int) -> int:
-        if e < 0:
-            return self.power(self._inv[i], -e)
-        r = 0
-        while e:
-            if e & 1:
-                r = self.mul(r, i)
-            i = self.mul(i, i)
-            e >>= 1
-        return r
 
     def element_order(self, i: int) -> int:
         if self._orders is None:
@@ -599,9 +622,10 @@ def breadth_first(one, gens, step, cap: int, name: str = ""):
     return elems, where, parent, None
 
 
-def materialize(group: pm.PermGroup, cap: int = MAX_ORDER, name: str = "") -> MaterializedGroup:
+def materialize(group: pm.PermGroup, name: str = "") -> MaterializedGroup:
     """Exhaustively enumerate a PermGroup (breadth-first closure)."""
     order = group.order()
+    cap = _active_caps.max_order
     if order > cap:
         raise CapExceeded(f"order {order} exceeds materialization cap {cap}")
     m = MaterializedGroup(group.generators, group.degree, cap=cap, name=name)

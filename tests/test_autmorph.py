@@ -16,7 +16,7 @@ from grpverify.construct import (
     Action, Alt, Cyc, Dih, ElemAb, H3, Prod, ProjSL, Semi, Sym, build,
 )
 from grpverify.lattice import all_subgroups, normal_subgroups
-from grpverify.smallgroup import CapExceeded, bits
+from grpverify.smallgroup import CapExceeded, Caps, bits, caps_scope
 
 
 def mat(expr):
@@ -99,7 +99,8 @@ def test_inner_automorphisms_appear():
 
 def test_aut_cap():
     with pytest.raises(CapExceeded):
-        automorphism_group(mat(Sym(5)), cap=100)
+        with caps_scope(Caps(max_aut_order=100)):
+            automorphism_group(mat(Sym(5)))
 
 
 def test_generating_sequence_generates():

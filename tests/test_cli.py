@@ -4,10 +4,7 @@ import pytest
 
 from grpverify import construct as cx
 from grpverify.cli import ParseError, build_arg_parser, main, parse_expr
-from grpverify.autmorph import MAX_AUT_ORDER
-from grpverify.lattice import MAX_SUBGROUP_ORDER
 from grpverify.ledger import Caps
-from grpverify.smallgroup import MAX_ORDER
 
 
 # -- parser -------------------------------------------------------------------
@@ -179,6 +176,13 @@ def test_cap_error_exit_code(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_cap_flags_bound_every_claim(capsys):
+    rc = main(["verify", "--claim", "THM-4.1-CHAR", "--jobs", "1",
+               "--max-aut-order", "10"])
+    assert rc == 0
+    assert "exceeds automorphism cap 10" in capsys.readouterr().out
+
+
 def test_build_error_exit_code(capsys):
     assert main(["aut", "semi(EA(3,3),S(4),natperm)"]) == 2
     assert "act on 3 points" in capsys.readouterr().err
@@ -311,7 +315,7 @@ def test_cap_flag_defaults_are_the_engine_caps(argv):
     parsed = Caps(max_order=args.max_order,
                   max_subgroup_order=args.max_subgroup_order,
                   max_aut_order=args.max_aut_order)
-    assert parsed == Caps() == Caps(MAX_ORDER, MAX_SUBGROUP_ORDER, MAX_AUT_ORDER)
+    assert parsed == Caps()
 
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):

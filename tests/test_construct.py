@@ -28,7 +28,7 @@ from grpverify.construct import (
     projective_line_action,
     to_src,
 )
-from grpverify.smallgroup import CapExceeded
+from grpverify.smallgroup import CapExceeded, Caps, caps_scope
 
 
 CATALOG = [
@@ -66,9 +66,11 @@ def test_catalog_orders(expr, order):
 def test_materialized_cap_applies_to_cached_group():
     h = build(Sym(4))
     assert h.materialized().n == 24
-    with pytest.raises(CapExceeded):
-        h.materialized(10)
-    assert h.materialized(24).n == 24
+    with caps_scope(Caps(max_order=10)):
+        with pytest.raises(CapExceeded):
+            h.materialized()
+    with caps_scope(Caps(max_order=24)):
+        assert h.materialized().n == 24
 
 
 def test_d4_is_klein_four():
@@ -95,7 +97,8 @@ def test_wd5_atom_matches_semi_form():
     a = build(WeylD(5)).materialized()
     b = build(Semi(ElemAb(2, 4), Sym(5), Action("evenperm"))).materialized()
     assert a.n == b.n == 1920
-    assert is_isomorphic(a, b, cap=2000)
+    with caps_scope(Caps(max_subgroup_order=2000)):
+        assert is_isomorphic(a, b)
 
 
 def test_hess_order_and_normal_part():
@@ -210,8 +213,19 @@ def test_no_nontrivial_action_rejected():
 
 
 def test_order_cap():
-    with pytest.raises(CapExceeded):
-        build(SwapSq(Alt(5)), max_order=5000)
+    h = build(SwapSq(Alt(5)))
+    with caps_scope(Caps(max_order=5000)):  # a cached group is checked again
+        with pytest.raises(CapExceeded, match="order 7200 exceeds cap 5000$"):
+            build(SwapSq(Alt(5)))
+    assert build(SwapSq(Alt(5))) is h
+
+
+def test_hsl23_builds_under_any_query_caps(monkeypatch):
+    from grpverify import construct
+
+    monkeypatch.setattr(construct, "_CACHE", {})  # build it, not a cached one
+    with caps_scope(Caps(max_subgroup_order=1, max_aut_order=1)):
+        assert build(Hsl23()).order == 648
 
 
 def test_unsupported_parameters():

@@ -20,7 +20,7 @@ from grpverify.lattice import (
     subgroup_classes,
     sweep_bound,
 )
-from grpverify.smallgroup import CapExceeded, bits
+from grpverify.smallgroup import CapExceeded, Caps, bits, caps_scope
 
 
 def mat(expr):
@@ -392,4 +392,5 @@ def test_not_isomorphic():
 
 def test_isomorphism_cap():
     with pytest.raises(CapExceeded):
-        is_isomorphic(mat(SwapSq(Alt(5))), mat(SwapSq(Alt(5))), cap=2000)
+        with caps_scope(Caps(max_subgroup_order=2000)):
+            is_isomorphic(mat(SwapSq(Alt(5))), mat(SwapSq(Alt(5))))

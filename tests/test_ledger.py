@@ -21,6 +21,7 @@ from grpverify.ledger import (
     summary,
     write_json_report,
 )
+from grpverify.smallgroup import caps_scope
 
 
 def test_registry_size_and_unique_ids():
@@ -186,9 +187,18 @@ def test_timeout_off_the_main_thread_fails_with_reason():
 
 
 def test_caps_do_not_outlive_their_run():
-    capped = run_claim(get_claim("EX-2.8"), caps=Caps(max_order=10))
+    with caps_scope(Caps(max_order=10)):
+        capped = run_claim(get_claim("EX-2.8"))
     assert capped.status == "skip"
     assert run_claim(get_claim("EX-2.8")).status == "pass"
+
+
+def test_forked_claims_inherit_the_caps():
+    records = [get_claim("EX-2.8"), get_claim("SHARP-D10")]
+    with caps_scope(Caps(max_order=1)):
+        results = run(records, jobs=2)
+    assert [r.status for r in results] == ["skip", "skip"]
+    assert all(r.witness.startswith("skipped (cap): ") for r in results)
 
 
 def test_claim_process_starts_cold(monkeypatch):
@@ -197,12 +207,45 @@ def test_claim_process_starts_cold(monkeypatch):
     cache = {}
     monkeypatch.setattr(construct, "_CACHE", cache)  # spare the session's
     run_claim(get_claim("EX-2.8"))
-    assert cache  # a serial run keeps its groups
+    assert cache  # a claim's groups stay until the next claim starts
     probe = ClaimRecord("PROBE-1", "", "test", {"cached_groups": "0"},
                         lambda: ({"cached_groups": len(construct._CACHE)}, ""))
     results = run([probe, replace(probe, id="PROBE-2")], jobs=2)
     assert [r.status for r in results] == ["pass", "pass"]
     assert cache  # the parent's groups stay
+    # a serial run starts each claim from an empty cache as well
+    results = run([probe, replace(probe, id="PROBE-2")], jobs=1)
+    assert [r.status for r in results] == ["pass", "pass"]
+
+
+# claims that compute with orders and fractions only and build no group
+ARITHMETIC_ONLY = {"COR-10.8", "COR-9.3", "LEM-3.8-VII", "PROP-9.2",
+                   "PROP-10.13-J-DP", "PROP-10.14-J-DP-ODD", "THM-1.9-ASSEMBLY"}
+
+
+def test_max_order_bounds_every_claim():
+    with caps_scope(Caps(max_order=1)):
+        results = [run_claim(rec) for rec in builtin_claims()]
+    assert {r.id for r in results if r.status == "pass"} == ARITHMETIC_ONLY
+    for r in results:
+        if r.id not in ARITHMETIC_ONLY:
+            assert r.status == "skip", r.id
+            assert r.witness.startswith("skipped (cap): "), r.id
+
+
+@pytest.mark.parametrize("cid, field, label", [
+    ("THM-4.1-CHAR", "max_aut_order", "automorphism"),
+    ("LEM-10.11", "max_aut_order", "automorphism"),
+    ("LEM-3.1", "max_aut_order", "automorphism"),
+    ("EX-2.12", "max_subgroup_order", "subgroup-sweep"),
+    ("EX-2.13", "max_subgroup_order", "subgroup-sweep"),
+])
+def test_query_caps_bound_every_claim(cid, field, label):
+    with caps_scope(Caps(**{field: 10})):
+        res = run_claim(get_claim(cid))
+    assert res.status == "skip"
+    assert res.witness.startswith("skipped (cap): ")
+    assert res.witness.endswith(f"exceeds {label} cap 10")
 
 
 def test_dead_worker_fails_its_claim_and_the_run_finishes():

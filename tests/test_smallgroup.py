@@ -1,7 +1,16 @@
 import pytest
 
 from grpverify.construct import Alt, Cyc, Dih, ElemAb, H3, Hsl23, Prod, SwapSq, Sym, build
-from grpverify.smallgroup import CapExceeded, bits, coprime, materialize, p_part
+from grpverify.smallgroup import (
+    CapExceeded,
+    Caps,
+    bits,
+    caps_scope,
+    coprime,
+    current_caps,
+    materialize,
+    p_part,
+)
 
 
 def mat(expr):
@@ -17,7 +26,18 @@ def test_materialize_s4():
 def test_materialize_cap():
     g = build(Sym(6))
     with pytest.raises(CapExceeded):
-        materialize(g.group, cap=100)
+        with caps_scope(Caps(max_order=100)):
+            materialize(g.group)
+
+
+def test_caps_scope_restores_the_caps_when_its_body_raises():
+    before = current_caps()
+    with pytest.raises(CapExceeded):
+        with caps_scope(Caps(max_order=100)):
+            with caps_scope(Caps(max_order=5)):
+                assert current_caps().max_order == 5
+                materialize(build(Sym(3)).group)
+    assert current_caps() is before
 
 
 def test_swapsq_a5_size():

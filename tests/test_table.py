@@ -35,7 +35,13 @@ from grpverify.lattice import (
     normal_subgroups,
     subgroup_classes,
 )
-from grpverify.smallgroup import TABLE_MAX_ORDER, CapExceeded, MaterializedGroup
+from grpverify.smallgroup import (
+    TABLE_MAX_ORDER,
+    CapExceeded,
+    Caps,
+    MaterializedGroup,
+    caps_scope,
+)
 from test_construct import CATALOG
 
 GROUPS = [e for e, order in CATALOG if order <= TABLE_MAX_ORDER]
@@ -259,20 +265,27 @@ def test_cached_query_builds_no_column(monkeypatch):
     assert scopes == [] and columns == []
 
 
-@pytest.mark.parametrize("query, message", [
-    (normal_subgroups, "order 24 exceeds normal-lattice cap 23"),
-    (all_subgroups, "order 24 exceeds subgroup-sweep cap 23"),
-    (subgroup_classes, "order 24 exceeds subgroup-sweep cap 23"),
-    (automorphism_group, "order 24 exceeds automorphism cap 23"),
-    (chermak_delgado, "order 24 exceeds subgroup-sweep cap 23"),
+@pytest.mark.parametrize("query, field, message", [
+    (normal_subgroups, "max_order", "order 24 exceeds normal-lattice cap 23"),
+    (all_subgroups, "max_subgroup_order",
+     "order 24 exceeds subgroup-sweep cap 23"),
+    (subgroup_classes, "max_subgroup_order",
+     "order 24 exceeds subgroup-sweep cap 23"),
+    (automorphism_group, "max_aut_order",
+     "order 24 exceeds automorphism cap 23"),
+    (chermak_delgado, "max_subgroup_order",
+     "order 24 exceeds subgroup-sweep cap 23"),
 ], ids=["normal_subgroups", "all_subgroups", "subgroup_classes",
          "automorphism_group", "chermak_delgado"])
-def test_cached_query_checks_its_cap_on_every_call(query, message):
+def test_cached_query_checks_its_cap_on_every_call(query, field, message):
     M = fresh(Sym(4))
     first = query(M)
-    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
-        query(M, cap=23)
-    assert query(M, cap=24) is first
+    # memo hits are refused too: the active cap is read on every call
+    with caps_scope(Caps(**{field: 23})):
+        with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+            query(M)
+    with caps_scope(Caps(**{field: 24})):
+        assert query(M) is first
 
 
 def test_groups_above_threshold_never_open_a_table():
