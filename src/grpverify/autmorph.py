@@ -18,7 +18,6 @@ from .smallgroup import (
     bits,
     cached_query,
     coprime,
-    image_mask,
 )
 
 
@@ -171,8 +170,9 @@ class AutGroup:
         return self.order // self.inner_count
 
     def preserving(self, mask: int) -> list:
-        """The automorphisms mapping the given element set onto itself."""
-        return [a for a in self.maps if image_mask(mask, a) == mask]
+        """The automorphisms mapping the given subgroup onto itself."""
+        gens = self.base.gens_for_mask(mask)
+        return [a for a in self.maps if invariant(mask, gens, (a,))]
 
     def as_materialized(self) -> MaterializedGroup:
         """Aut(G) as a concrete group acting on the |G| element indices."""
@@ -225,10 +225,19 @@ def automorphism_group(M: MaterializedGroup) -> AutGroup:
     return aut
 
 
+def invariant(mask: int, gens, maps) -> bool:
+    """True iff every map sends the subgroup mask = <gens> onto itself.
+
+    An automorphism a is a bijection of a finite group, so a(H) = H as soon
+    as a(h) lies in H for each generator h of H.
+    """
+    return all(mask >> a[h] & 1 for a in maps for h in gens)
+
+
 def is_characteristic(M: MaterializedGroup, mask: int) -> bool:
     """True iff every automorphism of M maps the subgroup onto itself."""
     aut = automorphism_group(M)
-    return all(image_mask(mask, a) == mask for a in aut.maps)
+    return invariant(mask, M.gens_for_mask(mask), aut.maps)
 
 
 @cached_query("subgroup-sweep", "max_subgroup_order")

@@ -16,6 +16,7 @@ from .autmorph import (
     automorphism_group,
     chermak_delgado,
     coprime_part,
+    invariant,
     is_characteristic,
 )
 from .construct import (
@@ -56,7 +57,7 @@ from .lattice import (
     sweep_bound,
 )
 from .ledger import ClaimRecord, SkipClaim
-from .smallgroup import bits, coprime, current_caps, image_mask, p_part
+from .smallgroup import bits, coprime, current_caps, p_part
 
 _REGISTRY: dict[str, ClaimRecord] = {}
 
@@ -108,23 +109,18 @@ def fr(x) -> str:
     return str(Fraction(x))
 
 
+def within(x, bound) -> str:
+    """The text x<=bound, or VIOLATION:x when x exceeds the bound."""
+    return f"{x}<={bound}" if x <= bound else f"VIOLATION:{x}"
+
+
+def matches(got, want) -> str:
+    """fr(got), or MISMATCH:fr(got) when got differs from want."""
+    return fr(got) if got == want else f"MISMATCH:{fr(got)}"
+
+
 def psl_order(q: int) -> int:
     return q * (q * q - 1) // gcd(2, q - 1)
-
-
-def normal_part(expr) -> tuple:
-    """(materialized group, Sub for the distinguished normal part)."""
-    h = build(expr)
-    m = h.materialized()
-    gens = tuple(m.index[p] for p in h.parts["normal_gens"])
-    return m, Sub(m.close(gens), gens)
-
-
-def psl_inside_pgl(q: int) -> tuple:
-    h = build(ProjGL(q))
-    m = h.materialized()
-    gens = tuple(m.index[p] for p in h.parts["psl_gens"])
-    return m, Sub(m.close(gens), gens)
 
 
 def invariant_min_index(m, maps, p=None, cyclic=False):
@@ -138,20 +134,11 @@ def invariant_min_index(m, maps, p=None, cyclic=False):
             continue
         if cyclic and max(m.element_order(i) for i in bits(s.mask)) != s.order:
             continue
-        if all(image_mask(s.mask, a) == s.mask for a in maps):
+        if invariant(s.mask, s.gens, maps):
             idx = m.n // s.order
             if best is None or idx < best:
                 best = idx
     return best
-
-
-def aut_preserving(m, fmask):
-    return automorphism_group(m).preserving(fmask)
-
-
-def char_abelian_min_index(m, p):
-    """Minimal index of a characteristic abelian subgroup of coprime order."""
-    return invariant_min_index(m, automorphism_group(m).maps, p=p)
 
 
 def sub_iso_label(m, entry_sub, candidates):
@@ -409,7 +396,8 @@ LEM_3_4_INSTANCES = (WD5SEMI, Hess(), MU33S4, MU73, MU24D10)
 def _lem_3_4():
     bad = []
     for expr in LEM_3_4_INSTANCES:
-        m, nsub = normal_part(expr)
+        h = build(expr)
+        m, nsub = h.materialized(), h.sub("normal_gens")
         qq = quotient(m, nsub)
         for p in PRIMES:
             bound = Fraction(qq.n, p_part(qq.n, p) ** 3) * p_part(m.n, p) ** 3
@@ -443,7 +431,7 @@ def _lem_3_5():
             j2 = Fraction(0)
             for s in subgroup_classes(m2):
                 sm = sub_materialized(m2, s)
-                idx = char_abelian_min_index(sm, p)
+                idx = invariant_min_index(sm, automorphism_group(sm).maps, p=p)
                 j2 = max(j2, Fraction(idx, p_part(s.order, p) ** 3))
             for s in subgroup_classes(prod):
                 sm = sub_materialized(prod, s)
@@ -772,7 +760,8 @@ def _thm_4_1_simple():
 def _thm_4_1_cent():
     actual = {}
     for q in (5, 7, 9):
-        m, psl = psl_inside_pgl(q)
+        h = build(ProjGL(q))
+        m, psl = h.materialized(), h.sub("psl_gens")
         actual[f"centralizer_q{q}"] = m.centralizer(psl.gens).bit_count()
         actual[f"center_pgl_q{q}"] = m.center().bit_count()
         actual[f"center_psl_q{q}"] = sub_materialized(m, psl).center().bit_count()
@@ -788,7 +777,8 @@ def _thm_4_1_cent():
 def _thm_4_1_derived():
     actual = {}
     for q in (3, 5, 7, 9):
-        m, psl = psl_inside_pgl(q)
+        h = build(ProjGL(q))
+        m, psl = h.materialized(), h.sub("psl_gens")
         dmask, _ = m.derived_subgroup()
         actual[f"q{q}"] = yn(dmask == psl.mask)
     return actual, ""
@@ -803,7 +793,8 @@ def _thm_4_1_derived():
 def _thm_4_1_char():
     actual = {}
     for q in (5, 7, 9):
-        m, psl = psl_inside_pgl(q)
+        h = build(ProjGL(q))
+        m, psl = h.materialized(), h.sub("psl_gens")
         actual[f"q{q}"] = yn(is_characteristic(m, psl.mask))
     return actual, ""
 
@@ -944,10 +935,7 @@ SEMI_INSTANCES = (
 
 def _semi_parts(expr):
     h = build(expr)
-    m = h.materialized()
-    ngens = tuple(m.index[p] for p in h.parts["normal_gens"])
-    lgens = tuple(m.index[p] for p in h.parts["complement_gens"])
-    return m, Sub(m.close(ngens), ngens), Sub(m.close(lgens), lgens)
+    return h.materialized(), h.sub("normal_gens"), h.sub("complement_gens")
 
 
 @claim(
@@ -1026,7 +1014,7 @@ def _lem_5_3():
         counts[label] = len(classes)
         for s in classes:
             sm = sub_materialized(m, s)
-            idx = char_abelian_min_index(sm, p)
+            idx = invariant_min_index(sm, automorphism_group(sm).maps, p=p)
             if idx > p_part(s.order, p) ** 3:
                 bad.append(f"{label}:|H|={s.order}")
     return ({"s3xs3_classes": counts["s3xs3"], "f12xf12_classes": counts["f12xf12"],
@@ -1066,14 +1054,6 @@ def _first_aut_of_order(m, r):
     raise AssertionError(f"no automorphism of order {r}")
 
 
-def _factor_sub(expr_prod):
-    h = build(expr_prod)
-    m = h.materialized()
-    g1, g2 = h.parts["factor_gens"]
-    f = tuple(m.index[p] for p in g1)
-    return h, m, Sub(m.close(f), f)
-
-
 @claim(
     "EXT-6.1", "Lemma 6.1: extension of a coprime cyclic group by mu_2^2 has "
     'an abelian subgroup of coprime order and "index at most 3 preserved by '
@@ -1086,15 +1066,14 @@ def _ext_6_1():
     a4 = build(Alt(4))
     m = a4.materialized()
     fmask, _ = m.derived_subgroup()  # V_4 inside A_4
-    maps = aut_preserving(m, fmask)
+    maps = automorphism_group(m).preserving(fmask)
     for p in (5, 7):
         actual[f"a4_p{p}_index"] = invariant_min_index(m, maps, p=p)
     v4 = build(ElemAb(2, 2))
     alpha = _first_aut_of_order(v4.materialized(), 3)
     h = semidirect_by_automorphisms(v4, build(Cyc(6)), [alpha], name="V4:mu6")
     hm = h.materialized()
-    fmask = hm.close([hm.index[p] for p in h.parts["normal_gens"]])
-    maps = aut_preserving(hm, fmask)
+    maps = automorphism_group(hm).preserving(h.sub("normal_gens").mask)
     for p in (5, 7):
         actual[f"v4mu6_p{p}_index"] = invariant_min_index(hm, maps, p=p)
     return actual, "A_4 = mu_2^2 : mu_3 and mu_2^2 : mu_6 instances"
@@ -1108,18 +1087,6 @@ def _alpha_sq_commutes_with(m, fprime_mask):
         if any(m.mul(a2, x) != m.mul(x, a2) for x in idx):
             return False
     return True
-
-
-class _FirstFactorShim:
-    """Present a product handle's first factor as its normal part."""
-
-    def __init__(self, prod_handle):
-        self._h = prod_handle
-        g1, g2 = prod_handle.parts["factor_gens"]
-        self.parts = {"normal_gens": g1, "complement_gens": g2}
-
-    def __getattr__(self, name):
-        return getattr(self._h, name)
 
 
 @claim(
@@ -1136,19 +1103,18 @@ def _ext_6_2():
 
     def run_instance(label, h, primes):
         hm = h.materialized()
-        fmask = hm.close([hm.index[p] for p in h.parts["normal_gens"]])
         rot = next(p for p in h.parts["normal_gens"]
                    if pm.perm_order(p) == 6)
         fprime = hm.close([hm.index[rot]])
         actual[f"{label}_hypothesis"] = yn(_alpha_sq_commutes_with(hm, fprime))
-        maps = aut_preserving(hm, fmask)
+        maps = automorphism_group(hm).preserving(h.sub("normal_gens").mask)
         for p in primes:
             idx = invariant_min_index(hm, maps, p=p)
             actual[f"{label}_p{p}_index"] = idx
             if idx > 4:
                 actual[f"{label}_p{p}_index"] = f"VIOLATION:{idx}>4"
 
-    run_instance("d12xmu5", _FirstFactorShim(build(Prod(Dih(6), Cyc(5)))), (7,))
+    run_instance("d12xmu5", build(Prod(Dih(6), Cyc(5))), (7,))
     dm = d12.materialized()
     refl = next(i for i in range(dm.n) if dm.element_order(i) == 2
                 and not dm.center() >> i & 1)
@@ -1166,9 +1132,10 @@ def _ext_6_2():
     {"checks": 44, "all_coprime_p3": "yes", "all_preserved": "yes"},
 )
 def _ext_6_3():
-    h, m, fsub = _factor_sub(Prod(Sym(3), Cyc(4)))
+    h = build(Prod(Sym(3), Cyc(4)))
+    m, fsub = h.materialized(), h.sub("normal_gens")
     p = 3
-    maps = aut_preserving(m, fsub.mask)
+    maps = automorphism_group(m).preserving(fsub.mask)
     checks = 0
     all_cop = all_pre = True
     cent_f = m.centralizer(fsub.gens)
@@ -1180,8 +1147,7 @@ def _ext_6_3():
             checks += 1
             if m.element_order(gamma) % p == 0:
                 all_cop = False
-            cyc = m.close([gamma])
-            if any(image_mask(cyc, a) != cyc for a in maps):
+            if not invariant(m.close([gamma]), (gamma,), maps):
                 all_pre = False
     return ({"checks": checks, "all_coprime_p3": yn(all_cop),
              "all_preserved": yn(all_pre)},
@@ -1201,12 +1167,13 @@ def _ext_6_4():
     s4 = build(Sym(4))
     m = s4.materialized()
     a4mask, _ = m.derived_subgroup()
-    maps = aut_preserving(m, a4mask)
+    maps = automorphism_group(m).preserving(a4mask)
     for p in (5, 7):
         actual[f"s4_p{p}_index"] = invariant_min_index(m, maps, p=p, cyclic=True)
     actual["s4_p5_bound"] = 2 * 12
-    _h, m2, fsub = _factor_sub(Prod(Alt(5), Cyc(7)))
-    maps = aut_preserving(m2, fsub.mask)
+    h = build(Prod(Alt(5), Cyc(7)))
+    m2 = h.materialized()
+    maps = automorphism_group(m2).preserving(h.sub("normal_gens").mask)
     actual["a5mu7_p13_index"] = invariant_min_index(m2, maps, p=13, cyclic=True)
     actual["a5mu7_bound"] = 2 * 60
     return actual, "d = 2 for A_4, S_4, A_5 (Corollary 4.5)"
@@ -1226,20 +1193,22 @@ def _ext_6_5():
     s4 = build(Sym(4))
     m = s4.materialized()
     a4mask, _ = m.derived_subgroup()
-    maps = aut_preserving(m, a4mask)
+    maps = automorphism_group(m).preserving(a4mask)
     for p in (5, 7):
         idx = invariant_min_index(m, maps, p=p, cyclic=True)
         bound = ext_j[p] * p_part(12, p) ** 3
-        actual[f"s4_p{p}"] = f"{idx}<={bound}" if idx <= bound else f"VIOLATION:{idx}"
-    _h, m2, fsub = _factor_sub(Prod(Alt(5), Cyc(7)))
-    maps = aut_preserving(m2, fsub.mask)
+        actual[f"s4_p{p}"] = within(idx, bound)
+    h = build(Prod(Alt(5), Cyc(7)))
+    m2 = h.materialized()
+    maps = automorphism_group(m2).preserving(h.sub("normal_gens").mask)
     idx = invariant_min_index(m2, maps, p=2, cyclic=True)
     bound = ext_j[2] * p_part(60, 2) ** 3
-    actual["a5mu7_p2"] = f"{idx}<={bound}" if idx <= bound else f"VIOLATION:{idx}"
-    _h, m3, fsub3 = _factor_sub(Prod(Sym(4), Cyc(5)))
-    maps = aut_preserving(m3, fsub3.mask)
+    actual["a5mu7_p2"] = within(idx, bound)
+    h = build(Prod(Sym(4), Cyc(5)))
+    m3 = h.materialized()
+    maps = automorphism_group(m3).preserving(h.sub("normal_gens").mask)
     idx = invariant_min_index(m3, maps, p=7, cyclic=True)
-    actual["s4mu5_p7"] = f"{idx}<=120" if idx <= 120 else f"VIOLATION:{idx}"
+    actual["s4mu5_p7"] = within(idx, 120)
     return actual, ""
 
 
@@ -1271,9 +1240,10 @@ def _ext_6_6():
     actual = {}
     for label, f_expr, c_expr, p in (
             ("psl5mu3", ProjSL(5), Cyc(3), 5), ("pgl3mu2", ProjGL(3), Cyc(2), 3)):
-        _h, m, fsub = _factor_sub(Prod(f_expr, c_expr))
+        h = build(Prod(f_expr, c_expr))
+        m, fsub = h.materialized(), h.sub("normal_gens")
         actual[f"{label}_hypothesis"] = yn(_hypothesis_6_6(m, fsub, p))
-        maps = aut_preserving(m, fsub.mask)
+        maps = automorphism_group(m).preserving(fsub.mask)
         actual[f"{label}_index"] = invariant_min_index(m, maps, p=p, cyclic=True)
         actual[f"{label}_bound"] = 2 * fsub.order
     return actual, "F = PSL_2(F_5) and F = PGL_2(F_3) instances"
@@ -1290,11 +1260,12 @@ def _ext_6_7():
     for label, f_expr, c_expr, p, fp in (
             ("psl5mu3_p5", ProjSL(5), Cyc(3), 5, 5),
             ("pgl3mu2_p3", ProjGL(3), Cyc(2), 3, 3)):
-        _h, m, fsub = _factor_sub(Prod(f_expr, c_expr))
-        maps = aut_preserving(m, fsub.mask)
+        h = build(Prod(f_expr, c_expr))
+        m = h.materialized()
+        maps = automorphism_group(m).preserving(h.sub("normal_gens").mask)
         idx = invariant_min_index(m, maps, p=p, cyclic=True)
         bound = 2 * fp**3
-        actual[label] = f"{idx}<={bound}" if idx <= bound else f"VIOLATION:{idx}"
+        actual[label] = within(idx, bound)
     return actual, ""
 
 
@@ -1306,10 +1277,11 @@ def _ext_6_7():
     {"hypothesis": "yes", "index": 6, "bound": 54},
 )
 def _ext_6_8():
-    _h, m, fsub = _factor_sub(Prod(MU34, Cyc(2)))
+    h = build(Prod(MU34, Cyc(2)))
+    m, fsub = h.materialized(), h.sub("normal_gens")
     p = 3
     hyp = _hypothesis_6_6(m, fsub, p)  # checked for all coprime-order lambda
-    maps = aut_preserving(m, fsub.mask)
+    maps = automorphism_group(m).preserving(fsub.mask)
     idx = invariant_min_index(m, maps, p=p)
     return ({"hypothesis": yn(hyp), "index": idx, "bound": 2 * 3**3},
             "F = mu_3 : mu_4, H = F x mu_2 at p = 3")
@@ -1404,7 +1376,8 @@ def _lem_7_2_pslpgl():
 def _lem_7_2_norm_q11_13():
     actual = {}
     for q in (11, 13):
-        m, psl = psl_inside_pgl(q)
+        h = build(ProjGL(q))
+        m, psl = h.materialized(), h.sub("psl_gens")
         actual[f"q{q}_normal"] = yn(m.is_normal_mask(psl.mask, psl.gens))
         dmask, _ = m.derived_subgroup()
         actual[f"q{q}_derived"] = yn(dmask == psl.mask)
@@ -1427,7 +1400,8 @@ def _lem_7_2_char_q11_13():
             "LEM-7.2-NORM-Q11-13 (char-untested)")
     actual = {}
     for q in (11, 13):
-        m, psl = psl_inside_pgl(q)
+        h = build(ProjGL(q))
+        m, psl = h.materialized(), h.sub("psl_gens")
         actual[f"q{q}"] = ("characteristic" if is_characteristic(m, psl.mask)
                            else "not-characteristic")
     return actual, ""
@@ -1449,9 +1423,7 @@ def _lem_7_2_semi():
         lprime = l.mask & g.centralizer(rp.gens)
         all_char = all_char and is_characteristic(g, lprime)
         idx = g.n // lprime.bit_count()
-        actual[f"i_{key}"] = f"{idx}<={p ** (2 * m_exp)}"
-        if idx > p ** (2 * m_exp):
-            actual[f"i_{key}"] = f"VIOLATION:{idx}"
+        actual[f"i_{key}"] = within(idx, p ** (2 * m_exp))
     actual["all_characteristic"] = yn(all_char)
     return actual, "witness L' = L meet C_R(R_(p)), cyclic of coprime order"
 
@@ -1527,7 +1499,8 @@ def _lem_8_2():
 )
 def _lem_8_3():
     actual = {}
-    m, nsub = normal_part(Hess())
+    h = build(Hess())
+    m, nsub = h.materialized(), h.sub("normal_gens")
     actual["hess_mu32_index"] = m.n // nsub.order
     # every subgroup containing mu_3^2 keeps it normal with index <= 24
     ok = True
@@ -1598,7 +1571,7 @@ def _prop_9_2():
         if p in special:
             cands.append((special[p][1], special[p][0]))
         best, arg = max(cands)
-        actual[f"p{p}"] = fr(best) if best == CB_J[p] else f"MISMATCH:{fr(best)}"
+        actual[f"p{p}"] = matches(best, CB_J[p])
         actual[f"argmax_p{p}"] = arg
     return actual, "I from the Section 6 lemmas, J from Lemma 7.2 variants"
 
@@ -1629,7 +1602,7 @@ def _cor_9_3():
         for name, table in cases.items():
             if p in table and table[p] > best:
                 best, arg = Fraction(table[p]), name
-        actual[f"p{p}"] = fr(best) if best == P2_J[p] else f"MISMATCH:{fr(best)}"
+        actual[f"p{p}"] = matches(best, P2_J[p])
         actual[f"argmax_p{p}"] = arg
     return actual, "max over Theorem 8.1 cases and the fixed-point reduction"
 
@@ -1696,7 +1669,7 @@ def _prop_10_13():
     actual = {}
     for p in PRIMES:
         got = max(P1XP1_J[p], CB_J[p], DP6_J[p], AUX_J[p])
-        actual[f"p{p}"] = fr(got) if got == DP_J[p] else f"MISMATCH:{fr(got)}"
+        actual[f"p{p}"] = matches(got, DP_J[p])
     return actual, ""
 
 
@@ -1713,7 +1686,7 @@ def _prop_10_14():
         dp1 = 2 * P1_J[p]
         actual[f"dp1_p{p}"] = fr(dp1)
         got = max(DP_J[p], P2_J[p], dp1)
-        actual[f"p{p}"] = fr(got) if got == DP_ODD_J[p] else f"MISMATCH:{fr(got)}"
+        actual[f"p{p}"] = matches(got, DP_ODD_J[p])
     return actual, "degree 9 uses P2, degree 2 doubles back to P2, degree 1 to 2*P1"
 
 
@@ -1727,7 +1700,7 @@ def _thm_1_9():
     actual = {}
     for p in (7, 5, 3):
         got = max(DP_ODD_J[p], CB_J[p])
-        actual[f"p{p}"] = fr(got) if got == CR2_J[p] else f"MISMATCH:{fr(got)}"
+        actual[f"p{p}"] = matches(got, CR2_J[p])
     return actual, "del Pezzo or conic bundle after G-MMP; sharp by SHARP-*"
 
 

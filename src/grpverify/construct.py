@@ -14,6 +14,7 @@ from math import gcd
 
 from . import perm as pm
 from .gf import Field, field_of_order, is_prime
+from .lattice import Sub
 from .perm import PermGroup
 from .smallgroup import (
     CapExceeded,
@@ -219,10 +220,11 @@ class GroupHandle:
                 f"order {self._mat.n} exceeds materialization cap {cap}")
         return self._mat
 
-    def mask_of(self, perms) -> int:
-        """Bitmask of the subgroup generated by the given permutations."""
+    def sub(self, key) -> Sub:
+        """The subgroup generated by the permutations in parts[key]."""
         m = self.materialized()
-        return m.close([m.index[tuple(p)] for p in perms])
+        gens = tuple(m.index[p] for p in self.parts[key])
+        return Sub(m.close(gens), gens)
 
     def __repr__(self):
         return f"GroupHandle({self.name or self.group!r})"
@@ -498,7 +500,8 @@ def _build_prod(ha: GroupHandle, hb: GroupHandle):
     pg = _pg(gens_a + gens_b, d)
     if pg.order() != ha.order * hb.order:
         raise AssertionError("product order wrong")
-    return pg, {"factor_gens": (tuple(gens_a), tuple(gens_b))}
+    # both factors are normal; the first is the F of the Section 6 claims
+    return pg, {"normal_gens": tuple(gens_a), "complement_gens": tuple(gens_b)}
 
 
 def _build_swapsq(he: GroupHandle):
@@ -572,8 +575,7 @@ def _verify_action(Nmat: MaterializedGroup, h_handle: GroupHandle, action_perms)
 
 
 def semidirect_by_automorphisms(n_handle: GroupHandle, h_handle: GroupHandle,
-                                action_perms, name: str = "",
-                                verify: bool = True) -> GroupHandle:
+                                action_perms, name: str = "") -> GroupHandle:
     """N x| H on the disjoint union of N's elements and H's domain.
 
     action_perms[i] is the permutation of N's materialized element indices
@@ -587,8 +589,7 @@ def semidirect_by_automorphisms(n_handle: GroupHandle, h_handle: GroupHandle,
     action_perms = [tuple(a) for a in action_perms]
     if len(action_perms) != len(h_handle.group.generators):
         raise ActionError("one action perm per H generator required")
-    if verify:
-        _verify_action(Nmat, h_handle, action_perms)
+    _verify_action(Nmat, h_handle, action_perms)
     dn, dh = Nmat.n, h_handle.degree
     d = dn + dh
     idpart = list(range(dn, d))

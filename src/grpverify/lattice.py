@@ -334,6 +334,7 @@ def is_isomorphic(M1: MaterializedGroup, M2: MaterializedGroup) -> bool:
     from .autmorph import find_isomorphism
 
     cap = current_caps().max_subgroup_order
-    if M1.n > cap or M2.n > cap:
-        raise CapExceeded(f"isomorphism test cap {cap} exceeded")
+    order = max(M1.n, M2.n)
+    if order > cap:
+        raise CapExceeded(f"order {order} exceeds isomorphism cap {cap}")
     return find_isomorphism(M1, M2) is not None

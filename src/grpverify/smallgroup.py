@@ -95,14 +95,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def image_mask(mask: int, table) -> int:
-    """Mask of {table[i] : i in mask}: an element set under an index map."""
-    out = 0
-    for i in bits(mask):
-        out |= 1 << table[i]
-    return out
-
-
 def flags_of(mask: int, n: int) -> bytes:
     """flags[i] == 1 iff bit i of mask is set, for i < n."""
     return format(mask, "b").zfill(n)[::-1].encode().translate(_TO_FLAGS)
@@ -163,7 +155,7 @@ class MaterializedGroup:
 
     @classmethod
     def enumerated(cls, one, gens, step, perm_of, inverse, degree: int,
-                   cap: int, name: str = "") -> "MaterializedGroup":
+                   cap: int) -> "MaterializedGroup":
         """The group generated by gens, with elements in any hashable form.
 
         one is the identity, step(x, s) = x*s, perm_of(x) is the permutation
@@ -171,7 +163,7 @@ class MaterializedGroup:
         their order are those of MaterializedGroup(map(perm_of, gens), ...).
         """
         self = cls.__new__(cls)
-        self._enumerate(one, gens, step, perm_of, inverse, degree, cap, name)
+        self._enumerate(one, gens, step, perm_of, inverse, degree, cap, "")
         return self
 
     def _enumerate(self, one, gens, step, perm_of, inverse, degree, cap, name):

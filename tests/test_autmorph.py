@@ -9,11 +9,12 @@ from grpverify.autmorph import (
     coprime_part,
     find_isomorphism,
     generating_sequence,
+    invariant,
     is_characteristic,
 )
 from grpverify.cli import parse_expr
 from grpverify.construct import (
-    Action, Alt, Cyc, Dih, ElemAb, H3, Prod, ProjSL, Semi, Sym, build,
+    Action, Alt, Cyc, Dih, ElemAb, H3, Prod, ProjSL, Semi, Sym, build, to_src,
 )
 from grpverify.lattice import all_subgroups, normal_subgroups
 from grpverify.smallgroup import CapExceeded, Caps, bits, caps_scope
@@ -145,6 +146,31 @@ def test_dihedral_rotation_characteristic_and_self_centralizing():
         assert is_characteristic(m, rot)
         gens = [m.index[h.parts["rotation"]]]
         assert m.centralizer(gens) == rot
+
+
+def image_of_every_element(mask, a):
+    """Reference rule: the mask of {a[i] : i in mask}."""
+    out = 0
+    for i in bits(mask):
+        out |= 1 << a[i]
+    return out
+
+
+@pytest.mark.parametrize("expr", [
+    Sym(4), Alt(4), Dih(6), ElemAb(2, 3),
+    Semi(Cyc(3), Cyc(4), Action("explicit")), Prod(Sym(3), Cyc(4)),
+], ids=lambda e: to_src(e))
+def test_invariant_matches_image_of_every_element(expr):
+    m = mat(expr)
+    aut = automorphism_group(m)
+    for s in all_subgroups(m):
+        kept = [a for a in aut.maps
+                if image_of_every_element(s.mask, a) == s.mask]
+        for a in aut.maps:
+            assert invariant(s.mask, s.gens, [a]) == (a in kept)
+        assert invariant(s.mask, s.gens, aut.maps) == (kept == aut.maps)
+        assert is_characteristic(m, s.mask) == (kept == aut.maps)
+        assert aut.preserving(s.mask) == kept
 
 
 def test_characteristic_implies_normal():

@@ -104,8 +104,7 @@ def test_wd5_atom_matches_semi_form():
 def test_hess_order_and_normal_part():
     h = build(Hess())
     assert h.order == 216
-    nmask = h.mask_of(h.parts["normal_gens"])
-    assert nmask.bit_count() == 9
+    assert h.sub("normal_gens").order == 9
 
 
 def test_hsl23():
@@ -152,7 +151,7 @@ def test_hsl23_matches_cocycle_construction():
 
 
 def test_semi_contains_normal_part_with_right_quotient():
-    from grpverify.lattice import Sub, is_isomorphic, quotient
+    from grpverify.lattice import is_isomorphic, quotient
 
     cases = [
         (Semi(Cyc(7), Cyc(3), Action("explicit")), Cyc(7), Cyc(3)),
@@ -171,24 +170,34 @@ def test_semi_contains_normal_part_with_right_quotient():
         n_want = build(n_expr)
         assert h.order == n_want.order * build(expr.h).order
         m = h.materialized()
-        nmask = h.mask_of(h.parts["normal_gens"])
-        assert nmask.bit_count() == n_want.order
-        gens = tuple(m.index[p] for p in h.parts["normal_gens"])
-        assert m.is_normal_mask(nmask, gens)
+        nsub = h.sub("normal_gens")
+        assert nsub.order == n_want.order
+        assert m.is_normal_mask(nsub.mask, nsub.gens)
         from grpverify.lattice import sub_materialized
 
-        assert is_isomorphic(sub_materialized(m, Sub(nmask, gens)),
-                             n_want.materialized())
+        assert is_isomorphic(sub_materialized(m, nsub), n_want.materialized())
         if h_expr is not None:
-            q = quotient(m, Sub(nmask, gens))
+            q = quotient(m, nsub)
             assert is_isomorphic(q, build(h_expr).materialized())
+
+
+@pytest.mark.parametrize("a, b", [
+    (Sym(3), Cyc(4)), (Dih(6), Cyc(5)), (Alt(4), Sym(3)), (MatSL(3), Cyc(2)),
+], ids=lambda e: to_src(e))
+def test_product_factors_are_normal_and_meet_trivially(a, b):
+    h = build(Prod(a, b))
+    m = h.materialized()
+    first, second = h.sub("normal_gens"), h.sub("complement_gens")
+    assert (first.order, second.order) == (build(a).order, build(b).order)
+    assert m.is_normal_mask(first.mask, first.gens)
+    assert m.is_normal_mask(second.mask, second.gens)
+    assert first.mask & second.mask == 1
 
 
 def test_swapsq_contains_index_two_product():
     h = build(SwapSq(Sym(3)))
     assert h.order == 72
-    inner = h.mask_of(h.parts["inner_gens"])
-    assert inner.bit_count() == 36
+    assert h.sub("inner_gens").order == 36
 
 
 def test_swap_action_is_swapsq():

@@ -1,4 +1,5 @@
-"""Source hygiene: every function the package defines is used somewhere.
+"""Source hygiene: every function the package defines is used somewhere,
+and every optional parameter it declares is set by some call.
 
 An `ast` pass lists the top-level functions and the methods of top-level
 classes in src/grpverify.  Each name must be referenced at least once in
@@ -7,10 +8,15 @@ attribute or an imported name, outside the body of a function of that
 name (a function that only calls itself is not used).  Words in strings,
 comments and docstrings do not count.  Claim runners (registered by
 `@claim`), dunders and `main` are exempt.
+
+Each parameter with a default must be passed, by keyword or by position,
+in at least one call to its function in those files; a default that no
+call overrides is a constant, not a setting.  A call is matched by the
+name it calls (`f(...)` or `x.f(...)`; `C(...)` for `C.__init__`).
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,22 +29,30 @@ def _is_claim_runner(fn) -> bool:
                for d in fn.decorator_list)
 
 
-def defined_functions():
-    """(file, line, name) of every top-level function and method."""
+def _is_dunder(name) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions():
+    """(file, class name or None, node) of every top-level function and
+    method."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            members = node.body if owner else [node]
             for fn in members:
-                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                name = fn.name
-                if name == "main" or (name.startswith("__")
-                                      and name.endswith("__")):
-                    continue
-                if _is_claim_runner(fn):
-                    continue
-                yield path.relative_to(ROOT), fn.lineno, name
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield path.relative_to(ROOT), owner, fn
+
+
+def defined_functions():
+    """(file, line, name) of every top-level function and method."""
+    for path, _owner, fn in definitions():
+        name = fn.name
+        if name == "main" or _is_dunder(name) or _is_claim_runner(fn):
+            continue
+        yield path, fn.lineno, name
 
 
 class _References(ast.NodeVisitor):
@@ -77,6 +91,74 @@ def reference_counts() -> Counter:
         for path in top.rglob("*.py"):
             refs.visit(ast.parse(path.read_text(), str(path)))
     return refs.counts
+
+
+def calls_by_name() -> dict:
+    """Every call in the searched files, keyed by the name it calls."""
+    out = defaultdict(list)
+    for top in SEARCHED:
+        for path in top.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    out[name].append(node)
+    return out
+
+
+def optional_parameters(owner, fn):
+    """(position in a call or None, name) of each parameter with a default.
+
+    The position counts the arguments a call passes, so a method's self or
+    cls is not counted; keyword-only parameters have no position.
+    """
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    shift = 1 if owner and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in fn.decorator_list) else 0
+    first = len(positional) - len(args.defaults)
+    for i in range(first, len(positional)):
+        yield i - shift, positional[i].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def sets_parameter(call, position, name) -> bool:
+    """True iff the call may pass the parameter, by keyword or position."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_optional_parameter_is_set_by_some_call():
+    calls = calls_by_name()
+    unset = []
+    for path, owner, fn in definitions():
+        if _is_dunder(fn.name) and fn.name != "__init__":
+            continue
+        called = owner if fn.name == "__init__" else fn.name
+        for position, name in optional_parameters(owner, fn):
+            if not any(sets_parameter(c, position, name) for c in calls[called]):
+                shown = f"{owner}.{fn.name}" if owner else fn.name
+                unset.append(f"{path}:{fn.lineno} {shown}({name}=...)")
+    assert unset == [], "defaults no call overrides: " + ", ".join(unset)
+
+
+def test_a_parameter_passed_by_position_or_keyword_is_set():
+    fn = ast.parse("def f(a, b=1, *, c=2, d=3):\n    pass\n").body[0]
+    assert list(optional_parameters(None, fn)) == [(1, "b"), (None, "c"),
+                                                   (None, "d")]
+    call = ast.parse("f(0, 5, c=6)").body[0].value
+    assert [sets_parameter(call, pos, name)
+            for pos, name in optional_parameters(None, fn)] == [True, True, False]
+    method = ast.parse("class K:\n    def f(self, a=1):\n        pass\n"
+                       ).body[0].body[0]
+    assert list(optional_parameters("K", method)) == [(0, "a")]
+    assert sets_parameter(ast.parse("k.f(*xs)").body[0].value, 0, "a")
 
 
 def test_every_function_is_used():

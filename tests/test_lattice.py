@@ -391,6 +391,7 @@ def test_not_isomorphic():
 
 
 def test_isomorphism_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded,
+                       match="^order 7200 exceeds isomorphism cap 2000$"):
         with caps_scope(Caps(max_subgroup_order=2000)):
             is_isomorphic(mat(SwapSq(Alt(5))), mat(SwapSq(Alt(5))))

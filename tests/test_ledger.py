@@ -239,6 +239,7 @@ def test_max_order_bounds_every_claim():
     ("LEM-3.1", "max_aut_order", "automorphism"),
     ("EX-2.12", "max_subgroup_order", "subgroup-sweep"),
     ("EX-2.13", "max_subgroup_order", "subgroup-sweep"),
+    ("EX-2.10", "max_subgroup_order", "isomorphism"),
 ])
 def test_query_caps_bound_every_claim(cid, field, label):
     with caps_scope(Caps(**{field: 10})):
