@@ -11,7 +11,12 @@ import pytest
 
 from grpverify.claims import MU24A5, MU33S4, WD5SEMI
 from grpverify.construct import Hsl23, Sym, build
-from grpverify.lattice import conjugates_of, subgroup_classes
+from grpverify.lattice import (
+    conjugates_of,
+    normal_subgroups,
+    sub_materialized,
+    subgroup_classes,
+)
 from grpverify.smallgroup import MaterializedGroup
 
 # Lemma 3.8 (ii)-(vi)
@@ -64,3 +69,34 @@ def test_conjugates_of(benchmark, swept):
 
     benchmark.pedantic(expand_all, setup=lambda: ((fresh(expr),), {}),
                        rounds=3)
+
+
+def test_normalizer(benchmark, swept):
+    """N(H) of every representative, by orbit-stabilizer from H's orbit."""
+    expr, classes = swept
+
+    def normalize_all(M):
+        with M.table_scope():
+            for sub in classes:
+                M.normalizer(sub.mask, sub.gens)
+
+    benchmark.pedantic(normalize_all, setup=lambda: ((fresh(expr),), {}),
+                       rounds=3)
+
+
+def test_normal_subgroups(benchmark, swept):
+    """The normal lattice of every representative, each as a group of its
+    own, as the Lemma 3.8 sweeps take it for j-analysis."""
+    expr, classes = swept
+
+    def subgroups():
+        M = fresh(expr)
+        with M.table_scope():
+            subs = [sub_materialized(M, s) for s in classes]
+        return (subs,), {}
+
+    def lattices(subs):
+        for S in subs:
+            normal_subgroups(S)
+
+    benchmark.pedantic(lattices, setup=subgroups, rounds=3)

@@ -3,6 +3,12 @@
 The subgroup sweeps (`all_subgroups`, `subgroup_classes`) grow each
 subgroup H found by one element g at a time, reading <H, g> from
 `MaterializedGroup.extender`, which closes coset by coset from H.
+`subgroup_classes` walks the conjugation orbit of each new class once: the
+walk names the class's least mask and gives N(H), by orbit-stabilizer.
+
+The normal lattice is built from the normal closures of single classes by
+joins.  A join AB of normal subgroups is closed only when no known normal
+subgroup of its order |A||B|/|A & B| holds A | B.
 
 The central quantity is JAnalysis: for a prime p, the minimal index of a
 normal abelian subgroup of order coprime to p, and that index divided by
@@ -13,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .gf import factor_prime_power
 from .smallgroup import (
@@ -55,27 +60,38 @@ def is_normal(M: MaterializedGroup, sub: Sub) -> bool:
 
 @cached_query("normal-lattice", "max_order")
 def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
-    """All normal subgroups, as joins of normal closures of single classes."""
+    """All normal subgroups, as joins of normal closures of single classes.
+
+    The join of normal A and B is AB, of order |A||B|/|A & B|, and it is the
+    only subgroup of that order holding A | B; so a join is closed only
+    when no known normal subgroup of that order holds A | B.
+    """
     found = {1: ()}
-    seeds = []
+    by_order = {1: [1]}  # order -> the masks of that order in found
+    queue = []
     for cls in M.conjugacy_classes():
         if cls[0] == 0:
             continue
         mask, gens = M.normal_closure([cls[0]])
         if mask not in found:
             found[mask] = tuple(gens)
-            seeds.append(mask)
-    queue = list(seeds)
+            by_order.setdefault(mask.bit_count(), []).append(mask)
+            queue.append(mask)
     while queue:
         a = queue.pop()
         ga = found[a]
         for b in list(found):
-            if a | b == a or a | b == b:
+            ab = a | b
+            if ab == a or ab == b:
+                continue
+            order = a.bit_count() * b.bit_count() // (a & b).bit_count()
+            known = by_order.setdefault(order, [])
+            if any(m & ab == ab for m in known):
                 continue
             j = M.close(list(ga) + list(found[b]))
-            if j not in found:
-                found[j] = tuple(M.gens_for_mask(j))
-                queue.append(j)
+            found[j] = tuple(M.gens_for_mask(j))
+            known.append(j)
+            queue.append(j)
     out = [Sub(m, g) for m, g in found.items()]
     out.sort(key=lambda s: (s.order, s.mask))
     return out
@@ -117,46 +133,9 @@ def all_subgroups(M: MaterializedGroup) -> list[Sub]:
 
 
 def conjugates_of(M: MaterializedGroup, mask: int) -> list[int]:
-    """Orbit of a subgroup mask under conjugation by G.
-
-    The orbit is walked under the generators' conjugation maps only: an
-    orbit of a finite group is closed under its generators' inverses too.
-    Each set is walked as the tuple of its elements in descending order,
-    gathered with one itemgetter per map; sets of one size compare as
-    masks the way these tuples compare, so the masks come out ascending.
-    """
-    maps = M.conj_maps()[::2]  # conj_maps holds g, then g^-1, per generator
-    start = tuple(sorted(bits(mask), reverse=True))
-    orbit = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        take = itemgetter(*x)
-        for t in maps:
-            y = take(t)
-            y = tuple(sorted(y, reverse=True)) if len(x) > 1 else (y,)
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
-    return [sum(1 << i for i in x) for x in sorted(orbit)]
-
-
-class _Canonizer:
-    """Caches subgroup-mask -> minimal conjugate mask for one group."""
-
-    def __init__(self, M):
-        self.M = M
-        self.cache = {}
-
-    def __call__(self, mask: int) -> int:
-        hit = self.cache.get(mask)
-        if hit is not None:
-            return hit
-        orbit = conjugates_of(self.M, mask)
-        c = orbit[0]
-        for m in orbit:
-            self.cache[m] = c
-        return c
+    """Orbit of a subgroup mask under conjugation by G, as ascending masks."""
+    points, _, _ = M.conjugation_orbit(mask)
+    return [sum(1 << i for i in x) for x in sorted(points)]
 
 
 @cached_query("subgroup-sweep", "max_subgroup_order")
@@ -167,18 +146,22 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
     cyclic subgroup of one prime-power-order element per conjugacy class:
     extend each representative by one element, skipping elements
     equivalent under H-double-cosets and normalizer conjugation, and
-    deduplicate by the minimal conjugate bitmask.
+    deduplicate by the minimal conjugate bitmask.  The one orbit walk that
+    finds a new class's minimal mask also gives its normalizer.
     """
-    canon = _Canonizer(M)
-    reps = {}
-    queue = []
+    canon = {}  # subgroup mask -> least mask of its conjugation orbit
+    queue = []  # (representative, generators of its normalizer)
 
     def register(mask):
-        c = canon(mask)
-        if c not in reps:
-            sub = Sub(c, tuple(M.gens_for_mask(c)))
-            reps[c] = sub
-            queue.append(sub)
+        if mask in canon:
+            return
+        # a new class: its one orbit walk serves the canonizer and N(H)
+        orbit = M.conjugation_orbit(mask)
+        masks = [sum(1 << i for i in x) for x in orbit[0]]
+        c = min(masks)
+        canon.update(dict.fromkeys(masks, c))
+        sub = Sub(c, tuple(M.gens_for_mask(c)))
+        queue.append((sub, M.normalizer(c, sub.gens, orbit)[1]))
 
     register(1)
     cyclic = M.extender(1, ())
@@ -189,21 +172,17 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
         if x and factor_prime_power(M.element_order(x)) is not None:
             register(cyclic(x))
 
-    qi = 0
     full = M.full_mask
-    while qi < len(queue):
-        H = queue[qi]
-        qi += 1
+    for H, ngens in queue:  # queue grows while it is walked
         if H.mask == full:
             continue
         hgens = list(H.gens)
         extend = M.extender(H.mask, hgens)
-        nmask = M.normalizer(hgens)
         # x -> xh and x^u move within the H-double-coset of x and its
         # orbit under the normalizer; so does x -> hx = (x^(h^-1))h, as
         # H <= N(H) and the orbit is closed under both
         steps = [M.column(h) for h in hgens]
-        steps += [M.conj_map(u) for u in M.gens_for_mask(nmask)]
+        steps += [M.conj_map(u) for u in ngens]
         covered = bytearray(flags_of(H.mask, M.n))
         for g in range(1, M.n):
             if covered[g]:
@@ -218,7 +197,7 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
                     if not covered[y]:
                         covered[y] = 1
                         orb.append(y)
-    return sorted(reps.values(), key=lambda s: (s.order, s.mask))
+    return sorted((H for H, _ in queue), key=lambda s: (s.order, s.mask))
 
 
 def j_analysis(M: MaterializedGroup, p: int) -> JAnalysis:

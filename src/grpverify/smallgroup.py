@@ -29,6 +29,13 @@ the identity, or grown by one element from a known subgroup H by
 an earlier one over a generator's column, and stops at more than n/2
 elements, where the answer can only be G.
 
+The conjugates of a subgroup H are walked once, by `conjugation_orbit`,
+which records for each conjugate an element that conjugates H to it.
+`normalizer` reads N(H) off that walk by orbit-stabilizer: |N(H)| is n
+over the orbit's length, and N(H) grows from H by the walk's Schreier
+elements, through `extender`, until it has that order (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+
 The heavy queries of the lattice and autmorph modules are `cached_query`
 functions: their results are kept per group in one memo, owned here.
 
@@ -276,13 +283,6 @@ class MaterializedGroup:
         return list(map(c.__getitem__, map(inv.__getitem__,
                                            map(c.__getitem__, inv))))
 
-    def left_map(self, g: int) -> list:
-        """[g i for every element i]; g i = (i^-1 g^-1)^-1 reads only the
-        column of g^-1."""
-        inv = self._inv
-        c = self.column(inv[g])
-        return list(map(inv.__getitem__, map(c.__getitem__, inv)))
-
     def right_map(self, g: int) -> list:
         """[i g for every element i]."""
         return list(self.column(g))
@@ -444,16 +444,74 @@ class MaterializedGroup:
     def center(self) -> int:
         return self.centralizer(self.gens)
 
-    def normalizer(self, sub_gens) -> int:
-        """Mask of elements g with H^g == H, for H generated by sub_gens."""
-        gl = list(sub_gens)
-        # x normalizes H iff h x lies in the left coset xH for each h
-        coset = self._left_cosets(gl)
-        out = self.full_mask
-        for h in gl:
-            hx = self.left_map(h)
-            out &= mask_of(map(eq, map(coset.__getitem__, hx), coset))
-        return out
+    def conjugation_orbit(self, mask: int):
+        """The conjugates of the subgroup H with this mask: points, trans, to.
+
+        The orbit is walked breadth-first under the generators' conjugation
+        maps only: an orbit of a finite group is closed under its
+        generators' inverses too.  points[i] is the i-th conjugate found,
+        as the tuple of its elements in descending order (points[0] is H;
+        sets of one size compare as masks the way these tuples compare),
+        gathered with one itemgetter per map.  trans[i] is an element u with
+        H^u = points[i]: u_y = u_x g for the tree step points[x]^g =
+        points[y], read off the column of the generator g.  to[x*k + t] is
+        the index of points[x]^g_t, for the k generators g_t.
+        """
+        maps = self.conj_maps()[::2]  # g, then g^-1, per generator
+        cols = [self.column(g) for g in self.gens]
+        start = tuple(sorted(bits(mask), reverse=True))
+        where = {start: 0}
+        points = [start]
+        trans = [0]
+        to = []
+        for i, x in enumerate(points):  # points grows while it is walked
+            take = itemgetter(*x)
+            u = trans[i]
+            for t, m in enumerate(maps):
+                y = take(m)
+                y = tuple(sorted(y, reverse=True)) if len(x) > 1 else (y,)
+                j = where.get(y)
+                if j is None:
+                    j = where[y] = len(points)
+                    points.append(y)
+                    trans.append(cols[t][u])
+                to.append(j)
+        return points, trans, to
+
+    def normalizer(self, mask: int, gens, orbit=None) -> tuple[int, list[int]]:
+        """N(H) for the subgroup H = <gens> with this mask: (mask, generators).
+
+        By orbit-stabilizer |N(H)| = n/|orbit| for H's conjugation orbit,
+        and by Schreier's lemma N(H) is generated by the elements
+        u_x g u_y^-1 of the orbit walk's steps points[x]^g = points[y],
+        conjugated by u_H^-1 when the walk started at another conjugate.
+        N(H) grows from H by one of them at a time, through `extender`, and
+        stops once it has that order.  orbit is H's orbit as returned by
+        `conjugation_orbit`, walked from H or from any conjugate of H.
+        """
+        if orbit is None:
+            orbit = self.conjugation_orbit(mask)
+        points, trans, to = orbit
+        target = self.n // len(points)
+        gens = list(gens)
+        if mask.bit_count() == target:
+            return mask, gens
+        u = trans[points.index(tuple(sorted(bits(mask), reverse=True)))]
+        cols = [self.column(g) for g in self.gens]
+        k = len(cols)
+        inv = self._inv
+        for e, y in enumerate(to):
+            x, t = divmod(e, k)
+            a = cols[t][trans[x]]  # u_x g
+            if a == trans[y]:
+                continue  # a tree step: u_x g u_y^-1 is the identity
+            s = self.conj(self.mul(a, inv[trans[y]]), u)
+            if not mask >> s & 1:
+                mask = self.extender(mask, gens)(s)
+                gens.append(s)
+                if mask.bit_count() == target:
+                    break
+        return mask, gens
 
     def _left_cosets(self, sub_gens) -> list:
         """label[y] == label[z] iff yH == zH, for H generated by sub_gens."""
@@ -530,22 +588,23 @@ class MaterializedGroup:
             if o > best_order and p_part(o, p) == o:
                 best, best_order = i, o
         gens = [best]
-        mask = self.close(gens)
-        while mask.bit_count() < target:
-            nrm = self.normalizer(gens)
-            grown = False
-            for y in bits(nrm):
-                if mask >> y & 1:
-                    continue
-                o = self.element_order(y)
-                if p_part(o, p) != o:
-                    continue
-                gens.append(y)
-                mask = self.close(gens)
-                grown = True
-                break
-            if not grown:  # cannot happen for p-subgroups below the p-part
-                raise AssertionError("Sylow growth stalled")
+        with self.table_scope():  # one table for the normalizers' products
+            mask = self.close(gens)
+            while mask.bit_count() < target:
+                nrm, _ = self.normalizer(mask, gens)
+                grown = False
+                for y in bits(nrm):
+                    if mask >> y & 1:
+                        continue
+                    o = self.element_order(y)
+                    if p_part(o, p) != o:
+                        continue
+                    gens.append(y)
+                    mask = self.close(gens)
+                    grown = True
+                    break
+                if not grown:  # cannot happen below the p-part
+                    raise AssertionError("Sylow growth stalled")
         return mask, gens
 
     def __len__(self):

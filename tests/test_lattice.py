@@ -4,9 +4,10 @@ from math import ceil, log2
 
 import pytest
 
+from grpverify.claims import MU24A5
 from grpverify.construct import (
-    Action, Alt, Cyc, Dih, ElemAb, MatSL, PGroup, Prod, ProjGL, ProjSL, Semi,
-    SwapSq, Sym, build,
+    Action, Alt, Cyc, Dih, ElemAb, Hsl23, MatSL, PGroup, Prod, ProjGL, ProjSL,
+    Semi, SwapSq, Sym, build,
 )
 from grpverify.lattice import (
     Sub,
@@ -20,7 +21,14 @@ from grpverify.lattice import (
     subgroup_classes,
     sweep_bound,
 )
-from grpverify.smallgroup import CapExceeded, Caps, bits, caps_scope
+from grpverify.smallgroup import (
+    CapExceeded,
+    Caps,
+    MaterializedGroup,
+    bits,
+    caps_scope,
+)
+from test_construct import CATALOG
 
 
 def mat(expr):
@@ -224,13 +232,127 @@ def test_normal_subgroups_psl27_simple():
 
 
 def test_normal_subgroups_match_filtered_all_subgroups():
-    for expr in [Sym(4), Dih(6), Semi(Cyc(7), Cyc(3), Action("explicit")),
-                 Alt(4), ElemAb(2, 3), SwapSq(Sym(3))]:
+    """Against every subgroup filtered by is_normal, on the catalog groups
+    of order at most 720 and a few more."""
+    groups = [Dih(6), Semi(Cyc(7), Cyc(3), Action("explicit")), ElemAb(2, 3),
+              SwapSq(Sym(3)), Sym(5), ProjGL(5)]
+    groups += [e for e, order in CATALOG if order <= 720]
+    for expr in groups:
         m = mat(expr)
-        fast = {s.mask for s in normal_subgroups(m)}
-        slow = {s.mask for s in all_subgroups(m)
-                if m.is_normal_mask(s.mask, s.gens or None)}
-        assert fast == slow
+        if m.n <= 168:
+            every = {s.mask for s in all_subgroups(m)}
+        else:  # all_subgroups of S6 alone takes seconds: expand the classes
+            every = {c for s in subgroup_classes(m)
+                     for c in conjugates_of(m, s.mask)}
+        fast = [s.mask for s in normal_subgroups(m)]
+        assert len(set(fast)) == len(fast)
+        assert set(fast) == {x for x in every if m.is_normal_mask(x)}, expr
+
+
+def fresh(expr):
+    """A newly enumerated group, with no memo shared with other tests."""
+    h = build(expr)
+    return MaterializedGroup(h.group.generators, h.degree)
+
+
+def rejoining_normal_subgroups(M):
+    """The join loop as it was before joins were looked up: every join of
+    two known normal subgroups is closed from the identity."""
+    found = {1: ()}
+    seeds = []
+    for cls in M.conjugacy_classes():
+        if cls[0] == 0:
+            continue
+        mask, gens = M.normal_closure([cls[0]])
+        if mask not in found:
+            found[mask] = tuple(gens)
+            seeds.append(mask)
+    queue = list(seeds)
+    while queue:
+        a = queue.pop()
+        ga = found[a]
+        for b in list(found):
+            if a | b == a or a | b == b:
+                continue
+            j = M.close(list(ga) + list(found[b]))
+            if j not in found:
+                found[j] = tuple(M.gens_for_mask(j))
+                queue.append(j)
+    out = [Sub(m, g) for m, g in found.items()]
+    out.sort(key=lambda s: (s.order, s.mask))
+    return out
+
+
+# the last three have normal subgroups that are not a chain
+JOIN_GROUPS = [Sym(4), Sym(5), MatSL(3), Hsl23(), MU24A5,
+               Dih(6), Cyc(12), ElemAb(2, 4)]
+
+
+@pytest.mark.parametrize("expr", JOIN_GROUPS, ids=str)
+def test_normal_joins_by_lookup_match_rejoining(expr):
+    M = fresh(expr)
+    with M.table_scope():
+        want = rejoining_normal_subgroups(M)
+    assert normal_subgroups(M) == want
+
+
+@pytest.mark.parametrize("expr", JOIN_GROUPS, ids=str)
+def test_normal_subgroups_close_only_new_joins(expr):
+    """Every join `normal_subgroups` closes is a normal subgroup not found
+    before: the closures inside `normal_closure` and `gens_for_mask` are
+    not joins and are not counted."""
+    M = fresh(expr)
+    known = {1}
+    depth = [0]
+
+    def spy(name, record):
+        method = getattr(M, name)
+
+        def call(*args):
+            depth[0] += 1
+            try:
+                out = method(*args)
+            finally:
+                depth[0] -= 1
+            if record and depth[0] == 0:
+                record(out)
+            return out
+
+        setattr(M, name, call)
+
+    def on_join(mask):
+        assert mask not in known, "a known join was closed again"
+        known.add(mask)
+
+    spy("close", on_join)
+    spy("normal_closure", lambda out: known.add(out[0]))
+    spy("gens_for_mask", None)
+    assert known == {s.mask for s in normal_subgroups(M)}
+
+
+# -- normalizers --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("expr", [Sym(5), MatSL(3), Alt(5), Sym(6)], ids=str)
+def test_normalizer_matches_brute_force(expr):
+    """N(H) = {x : H^x = H} for every class representative H, from a walk
+    of H's orbit started at H and at another conjugate of H."""
+    m = mat(expr)
+    with m.table_scope():
+        conj = [m.conj_map(x) for x in range(m.n)]
+    for sub in subgroup_classes(m):
+        elems = list(bits(sub.mask))
+        members = set(elems)
+        want = sum(1 << x for x in range(m.n)
+                   if members.issuperset(map(conj[x].__getitem__, elems)))
+        orbit = conjugates_of(m, sub.mask)
+        assert want.bit_count() * len(orbit) == m.n
+        for start in (sub.mask, orbit[-1]):
+            walk = m.conjugation_orbit(start)
+            mask, gens = m.normalizer(sub.mask, sub.gens, walk)
+            assert mask == want
+            assert m.close(gens) == want
+            assert list(gens[:len(sub.gens)]) == list(sub.gens)
 
 
 def test_normal_subgroups_closed_under_meet_and_are_class_unions():
