@@ -47,7 +47,6 @@ from .construct import (
 from .lattice import (
     Sub,
     all_subgroups,
-    conjugates_of,
     is_isomorphic,
     j_analysis,
     normal_subgroups,
@@ -1504,13 +1503,11 @@ def _lem_8_3():
     actual["hess_mu32_index"] = m.n // nsub.order
     # every subgroup containing mu_3^2 keeps it normal with index <= 24
     ok = True
-    for s in subgroup_classes(m):
-        for conj_mask in conjugates_of(m, s.mask):
-            if conj_mask & nsub.mask == nsub.mask:
-                sm_gens = m.gens_for_mask(conj_mask)
-                ok = ok and all(conj_mask >> m.conj(h, g) & 1
-                                for h in nsub.gens for g in sm_gens)
-                ok = ok and conj_mask.bit_count() // 9 <= 24
+    for s in all_subgroups(m):
+        if s.mask & nsub.mask == nsub.mask:
+            ok = ok and all(s.mask >> m.conj(h, g) & 1
+                            for h in nsub.gens for g in s.gens)
+            ok = ok and s.order // 9 <= 24
     actual["hess_overgroups_bounded"] = yn(ok)
     pgl_ok = psu_ok = True
     for p in (3, 5, 7):

@@ -1,10 +1,12 @@
 """Subgroup lattices, normal subgroups, and minimal coprime abelian indices.
 
-The subgroup sweeps (`all_subgroups`, `subgroup_classes`) grow each
-subgroup H found by one element g at a time, reading <H, g> from
-`MaterializedGroup.extender`, which closes coset by coset from H.
-`subgroup_classes` walks the conjugation orbit of each new class once: the
-walk names the class's least mask and gives N(H), by orbit-stabilizer.
+`subgroup_classes` grows each class representative H by one element g at
+a time, reading <H, g> from `MaterializedGroup.extender`, which closes
+coset by coset from H.  It walks the conjugation orbit of each new class
+once: the walk names the class's least mask and gives N(H), by
+orbit-stabilizer.  `all_subgroups` has no search of its own: it is those
+classes, each expanded by a walk of its orbit, where the conjugate H^u for
+the walk's transversal element u is generated by the elements h^u.
 
 The normal lattice is built from the normal closures of single classes by
 joins.  A join AB of normal subgroups is closed only when no known normal
@@ -24,7 +26,6 @@ from .gf import factor_prime_power
 from .smallgroup import (
     CapExceeded,
     MaterializedGroup,
-    bits,
     cached_query,
     coprime,
     current_caps,
@@ -98,47 +99,6 @@ def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
 
 
 @cached_query("subgroup-sweep", "max_subgroup_order")
-def all_subgroups(M: MaterializedGroup) -> list[Sub]:
-    """Every subgroup, built bottom-up by single-generator extension."""
-    subs = {1: ()}
-    queue = []
-    cyclic = M.extender(1, ())
-    for x in range(1, M.n):
-        mask = cyclic(x)
-        if mask not in subs:
-            subs[mask] = (x,)
-            queue.append(mask)
-    qi = 0
-    while qi < len(queue):
-        mask = queue[qi]
-        qi += 1
-        gens = subs[mask]
-        extend = M.extender(mask, gens)
-        elems = list(bits(mask))
-        covered = bytearray(flags_of(mask, M.n))
-        for g in range(1, M.n):
-            if covered[g]:
-                continue
-            ext = extend(g)
-            if ext not in subs:
-                subs[ext] = gens + (g,)
-                queue.append(ext)
-            # <H, hg> = <H, g> for h in H: mark the whole coset Hg
-            c = M.column(g)
-            for x in elems:
-                covered[c[x]] = 1
-    out = [Sub(m, g) for m, g in subs.items()]
-    out.sort(key=lambda s: (s.order, s.mask))
-    return out
-
-
-def conjugates_of(M: MaterializedGroup, mask: int) -> list[int]:
-    """Orbit of a subgroup mask under conjugation by G, as ascending masks."""
-    points, _, _ = M.conjugation_orbit(mask)
-    return [sum(1 << i for i in x) for x in sorted(points)]
-
-
-@cached_query("subgroup-sweep", "max_subgroup_order")
 def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
     """One representative per conjugacy class of subgroups.
 
@@ -198,6 +158,20 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
                         covered[y] = 1
                         orb.append(y)
     return sorted((H for H, _ in queue), key=lambda s: (s.order, s.mask))
+
+
+@cached_query("subgroup-sweep", "max_subgroup_order")
+def all_subgroups(M: MaterializedGroup) -> list[Sub]:
+    """Every subgroup: each class of `subgroup_classes` expanded by its
+    conjugation orbit, the conjugate H^u generated by the elements h^u."""
+    out = []
+    for H in subgroup_classes(M):
+        points, trans, _ = M.conjugation_orbit(H.mask)
+        for x, u in zip(points, trans):
+            out.append(Sub(sum(1 << i for i in x),
+                           tuple(M.conj(h, u) for h in H.gens)))
+    out.sort(key=lambda s: (s.order, s.mask))
+    return out
 
 
 def j_analysis(M: MaterializedGroup, p: int) -> JAnalysis:

@@ -224,14 +224,16 @@ def test_closed_output_pipe_ends_quietly():
 
 
 def test_subgroups_command(capsys):
-    rc = main(["subgroups", "S(4)"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "30 subgroups" in out
-    rc = main(["subgroups", "S(4)", "--up-to-conjugacy"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "11 classes" in out
+    # S6: OEIS A005432 and A000638
+    for group, subs, classes in [("S(4)", 30, 11), ("S(6)", 1455, 56)]:
+        rc = main(["subgroups", group])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"{subs} subgroups" in out
+        rc = main(["subgroups", group, "--up-to-conjugacy"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"{classes} classes" in out
 
 
 def test_aut_command(capsys):
