@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the subgroup sweeps on the groups of Lemma 3.8.
+"""Micro-benchmarks of the subgroup sweeps on the groups of Lemma 3.8, and
+of `all_subgroups` on abelian groups.
 
     PYTHONPATH=src python -m pytest benches/bench_sweep.py
 
@@ -10,7 +11,7 @@ no memo or table column carries over from the round before.
 import pytest
 
 from grpverify.claims import MU24A5, MU33S4, WD5SEMI
-from grpverify.construct import Hsl23, Sym, build
+from grpverify.construct import Cyc, ElemAb, Hsl23, Prod, Sym, build
 from grpverify.lattice import (
     all_subgroups,
     normal_subgroups,
@@ -22,6 +23,8 @@ from grpverify.smallgroup import MaterializedGroup
 # Lemma 3.8 (ii)-(vi)
 GROUPS = {"mu2^4:S5": WD5SEMI, "mu2^4:A5": MU24A5, "S6": Sym(6),
           "H3:SL2(F3)": Hsl23(), "mu3^3:S4": MU33S4}
+# abelian: every subgroup is its own class, and every N(H) is G, central
+ABELIAN = {"EA(2,5)": ElemAb(2, 5), "C4xC6": Prod(Cyc(4), Cyc(6))}
 EXTENSIONS = 64  # elements g each class representative is extended by
 
 
@@ -62,6 +65,12 @@ def test_extender(benchmark, swept):
 def test_all_subgroups(benchmark, swept):
     """Every subgroup: the classes, each expanded by its conjugation orbit."""
     expr, _ = swept
+    benchmark.pedantic(all_subgroups, setup=lambda: ((fresh(expr),), {}),
+                       rounds=3)
+
+
+@pytest.mark.parametrize("expr", ABELIAN.values(), ids=ABELIAN)
+def test_all_subgroups_abelian(benchmark, expr):
     benchmark.pedantic(all_subgroups, setup=lambda: ((fresh(expr),), {}),
                        rounds=3)
 

@@ -4,7 +4,11 @@
 a time, reading <H, g> from `MaterializedGroup.extender`, which closes
 coset by coset from H.  It walks the conjugation orbit of each new class
 once: the walk names the class's least mask and gives N(H), by
-orbit-stabilizer.  `all_subgroups` has no search of its own: it is those
+orbit-stabilizer.  The elements g that need no extension, because <H, g>
+is conjugate to one already known, are skipped right coset by right coset
+of H: the walk steps Hx to Hxh and to (Hx)^u = Hx^u for u generating
+N(H), and a u in H (Hx^u = Hxu) or in the centre (Hx^u = Hx) adds no
+step.  `all_subgroups` has no search of its own: it is those
 classes, each expanded by a walk of its orbit, where the conjugate H^u for
 the walk's transversal element u is generated by the elements h^u.
 
@@ -21,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .gf import factor_prime_power
 from .smallgroup import (
     CapExceeded,
     MaterializedGroup,
+    bits,
     cached_query,
     coprime,
     current_caps,
@@ -108,6 +114,12 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
     equivalent under H-double-cosets and normalizer conjugation, and
     deduplicate by the minimal conjugate bitmask.  The one orbit walk that
     finds a new class's minimal mask also gives its normalizer.
+
+    The skipped elements are walked by right cosets of H, each gathered
+    whole from the coset before it: by the columns of H's generators, and
+    by the conjugation maps of the generators of N(H) outside H and the
+    centre, as conjugation by u in H moves Hx as right multiplication by
+    u does and a central u fixes it.
     """
     canon = {}  # subgroup mask -> least mask of its conjugation orbit
     queue = []  # (representative, generators of its normalizer)
@@ -133,30 +145,43 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
             register(cyclic(x))
 
     full = M.full_mask
+    center = M.center()
     for H, ngens in queue:  # queue grows while it is walked
         if H.mask == full:
             continue
         hgens = list(H.gens)
         extend = M.extender(H.mask, hgens)
-        # x -> xh and x^u move within the H-double-coset of x and its
-        # orbit under the normalizer; so does x -> hx = (x^(h^-1))h, as
-        # H <= N(H) and the orbit is closed under both
+        # the skipped set of g is its orbit under x -> xh and x -> x^u;
+        # it holds hx = (x^(h^-1))h too, so it is a union of right cosets
+        # Hx, walked as Hx -> Hxh and Hx -> (Hx)^u = Hx^u.  For u in H
+        # that is Hxu, already a step, and for a central u it is Hx.
         steps = [M.column(h) for h in hgens]
-        steps += [M.conj_map(u) for u in ngens]
+        skip = H.mask | center
+        steps += [M.conj_map(u) for u in ngens if not skip >> u & 1]
+        h_elems = tuple(bits(H.mask))
+        many = len(h_elems) > 1
+
+        def image(coset, t):  # one gather: the coset's image under t
+            return itemgetter(*coset)(t) if many else (t[coset[0]],)
+
         covered = bytearray(flags_of(H.mask, M.n))
         for g in range(1, M.n):
             if covered[g]:
                 continue
             register(extend(g))
-            # skip the rest of the H-double-coset and its normalizer orbit
-            covered[g] = 1
-            orb = [g]
-            for x in orb:  # orb grows while it is walked
+            # skip g's orbit, from Hg; covered is a union of right cosets,
+            # so a coset's first element tells whether it is covered
+            cosets = [image(h_elems, M.column(g))]
+            for y in cosets[0]:
+                covered[y] = 1
+            for coset in cosets:  # cosets grows while it is walked
+                x = coset[0]
                 for t in steps:
-                    y = t[x]
-                    if not covered[y]:
-                        covered[y] = 1
-                        orb.append(y)
+                    if not covered[t[x]]:
+                        new = image(coset, t)
+                        for y in new:
+                            covered[y] = 1
+                        cosets.append(new)
     return sorted((H for H, _ in queue), key=lambda s: (s.order, s.mask))
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from grpverify.claims import MU24A5
 from grpverify.construct import (
-    PSL32, Action, Alt, Cyc, Dih, ElemAb, Hsl23, MatSL, PGroup, Prod, ProjGL,
-    ProjSL, Semi, SwapSq, Sym, build,
+    H3, PSL32, Action, Alt, Cyc, Dih, ElemAb, Hsl23, MatGL, MatSL, PGroup,
+    Prod, ProjGL, ProjSL, Semi, SwapSq, Sym, build,
 )
 from grpverify.lattice import (
     Sub,
@@ -117,7 +117,9 @@ LATTICES = [  # group, its subgroups, its classes of subgroups
     (Sym(5), 156, 19), (MatSL(3), 15, 7), (Dih(12), 34, 16),
     (Dih(6), 16, 10), (Alt(4), 10, 5),
     (Semi(Cyc(5), Cyc(4), Action("explicit")), 14, 6),
-    (Prod(Sym(3), Cyc(2)), 16, 10), (PSL32(), 179, 15)]
+    (Prod(Sym(3), Cyc(2)), 16, 10), (PSL32(), 179, 15),
+    # nontrivial centres
+    (MatGL(3), 55, 16), (H3(), 19, 11), (Dih(4), 10, 8)]
 
 
 @pytest.mark.parametrize("expr, count, n_classes", [
@@ -128,6 +130,26 @@ def test_sweeps_match_extension_lattice(expr, count, n_classes):
     assert len(oracle) == count
     assert sorted(s.mask for s in all_subgroups(m)) == oracle
     assert len(subgroup_classes(m)) == n_classes
+
+
+def gaussian_binomial(m, k, p):
+    """The number of k-dimensional subspaces of F_p^m."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (m - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p, m, count", [(2, 4, 67), (3, 3, 28), (2, 5, 374)])
+def test_abelian_classes_are_all_subgroups(p, m, count):
+    """In an abelian group every subgroup is its own class; in F_p^m they
+    are the subspaces, counted by the Gaussian binomials."""
+    M = mat(ElemAb(p, m))
+    classes = subgroup_classes(M)
+    assert classes == all_subgroups(M)
+    assert len(classes) == count == sum(
+        gaussian_binomial(m, k, p) for k in range(m + 1))
 
 
 def test_all_subgroups_matches_power_set_oracle_small():
@@ -324,6 +346,83 @@ def test_normalizer_matches_brute_force(expr):
             assert mask == want
             assert m.close(gens) == want
             assert list(gens[:len(sub.gens)]) == list(sub.gens)
+
+
+# -- the covered walk of subgroup_classes -------------------------------------
+
+
+def element_walk_extensions(M, H, ngens):
+    """The elements g that H is extended by, from the covered walk element
+    by element: each element stepped through the columns of H's generators
+    and the conjugation map of every generator of N(H)."""
+    steps = [M.column(h) for h in H.gens]
+    steps += [M.conj_map(u) for u in ngens]
+    covered = bytearray(M.n)
+    for x in bits(H.mask):
+        covered[x] = 1
+    out = []
+    for g in range(1, M.n):
+        if covered[g]:
+            continue
+        out.append(g)
+        covered[g] = 1
+        orb = [g]
+        for x in orb:  # orb grows while it is walked
+            for t in steps:
+                y = t[x]
+                if not covered[y]:
+                    covered[y] = 1
+                    orb.append(y)
+    return out
+
+
+# nontrivial centres and large normalizers: the skips of conjugation by
+# elements of H and of the centre both come into play
+WALK_GROUPS = [Sym(5), MatSL(3), MatGL(3), H3(), Dih(4), Cyc(12),
+               ElemAb(2, 4), Hsl23()]
+
+
+@pytest.mark.parametrize("expr", WALK_GROUPS, ids=str)
+def test_coset_walk_extends_by_the_element_walks_elements(expr):
+    """`subgroup_classes` extends each representative H by exactly the
+    elements that the element-level walk leaves uncovered."""
+    M = fresh(expr)
+    extender, normalizer = M.extender, M.normalizer
+    depth = [0]
+    walks = []  # (mask, elements extended by), per extender made outside N(H)
+
+    def spy_normalizer(*args):
+        depth[0] += 1
+        try:
+            return normalizer(*args)
+        finally:
+            depth[0] -= 1
+
+    def spy_extender(mask, gens):
+        extend = extender(mask, gens)
+        if depth[0]:
+            return extend
+        calls = []
+        walks.append((mask, calls))
+
+        def record(g):
+            calls.append(g)
+            return extend(g)
+
+        return record
+
+    M.extender, M.normalizer = spy_extender, spy_normalizer
+    classes = subgroup_classes(M)
+    del M.extender, M.normalizer
+    # the first extender grows the trivial subgroup to the cyclic seeds
+    assert walks[0][0] == 1
+    walks = dict(walks[1:])
+    with M.table_scope():
+        want = {H.mask: element_walk_extensions(
+                    M, H, M.normalizer(H.mask, H.gens)[1])
+                for H in classes if H.mask != M.full_mask}
+    assert len(walks) == len(classes) - 1
+    assert walks == want
 
 
 def test_normal_subgroups_closed_under_meet_and_are_class_unions():
