@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the subgroup sweeps on the groups of Lemma 3.8, and
-of `all_subgroups` on abelian groups.
+"""Micro-benchmarks of the subgroup sweeps and of j-analysis on the groups
+of Lemma 3.8, and of `all_subgroups` on abelian groups.
 
     PYTHONPATH=src python -m pytest benches/bench_sweep.py
 
@@ -14,6 +14,7 @@ from grpverify.claims import MU24A5, MU33S4, WD5SEMI
 from grpverify.construct import Cyc, ElemAb, Hsl23, Prod, Sym, build
 from grpverify.lattice import (
     all_subgroups,
+    j_analysis,
     normal_subgroups,
     sub_materialized,
     subgroup_classes,
@@ -88,19 +89,35 @@ def test_normalizer(benchmark, swept):
                        rounds=3)
 
 
-def test_normal_subgroups(benchmark, swept):
-    """The normal lattice of every representative, each as a group of its
-    own, as the Lemma 3.8 sweeps take it for j-analysis."""
-    expr, classes = swept
+def representatives(expr, classes):
+    """pytest-benchmark set-up: every representative as a group of its own,
+    enumerated afresh, as the Lemma 3.8 sweeps take it for j-analysis."""
+    M = fresh(expr)
+    with M.table_scope():
+        subs = [sub_materialized(M, s) for s in classes]
+    return (subs,), {}
 
-    def subgroups():
-        M = fresh(expr)
-        with M.table_scope():
-            subs = [sub_materialized(M, s) for s in classes]
-        return (subs,), {}
+
+def test_normal_subgroups(benchmark, swept):
+    """The normal lattice of every representative."""
+    expr, classes = swept
 
     def lattices(subs):
         for S in subs:
             normal_subgroups(S)
 
-    benchmark.pedantic(lattices, setup=subgroups, rounds=3)
+    benchmark.pedantic(lattices, setup=lambda: representatives(expr, classes),
+                       rounds=3)
+
+
+def test_j_analysis(benchmark, swept):
+    """j-analysis at p = 2, 3, 5, 7 of every representative."""
+    expr, classes = swept
+
+    def analyses(subs):
+        for S in subs:
+            for p in (2, 3, 5, 7):
+                j_analysis(S, p)
+
+    benchmark.pedantic(analyses, setup=lambda: representatives(expr, classes),
+                       rounds=3)

@@ -13,12 +13,20 @@ classes, each expanded by a walk of its orbit, where the conjugate H^u for
 the walk's transversal element u is generated by the elements h^u.
 
 The normal lattice is built from the normal closures of single classes by
-joins.  A join AB of normal subgroups is closed only when no known normal
-subgroup of its order |A||B|/|A & B| holds A | B.
+joins (`normal_joins`).  A join AB of normal subgroups is closed only when
+no known normal subgroup of its order |A||B|/|A & B| holds A | B.
 
 The central quantity is JAnalysis: for a prime p, the minimal index of a
 normal abelian subgroup of order coprime to p, and that index divided by
-the cube of the p-part as an exact rational.
+the cube of the p-part as an exact rational.  Such a subgroup is nilpotent,
+so it lies in the Fitting subgroup F(G) (Huppert, Endliche Gruppen I,
+1967), and `j_analysis` joins only the classes that can lie in one: a
+class C whose representative r has p'-order and commutes with every
+element of C, so that <C> is normal, abelian and of p'-order.  A join AB
+of two such subgroups is closed only when A's generators commute with
+B's, that is, when AB is abelian.  Every partial join of the classes
+inside a normal abelian p'-subgroup lies in it and so is abelian too, so
+no candidate is missed.
 """
 
 from __future__ import annotations
@@ -65,20 +73,21 @@ def is_normal(M: MaterializedGroup, sub: Sub) -> bool:
     return M.is_normal_mask(sub.mask, sub.gens or None)
 
 
-@cached_query("normal-lattice", "max_order")
-def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
-    """All normal subgroups, as joins of normal closures of single classes.
+def normal_joins(M: MaterializedGroup, classes, joinable) -> dict:
+    """mask -> generators of the normal closures of the given classes and
+    of their joins, a join AB closed only where joinable(A's generators,
+    B's generators) holds.
 
     The join of normal A and B is AB, of order |A||B|/|A & B|, and it is the
     only subgroup of that order holding A | B; so a join is closed only
-    when no known normal subgroup of that order holds A | B.
+    when no known normal subgroup of that order holds A | B.  A closure
+    keeps the generators `normal_closure` found it by, a join gets
+    `gens_for_mask`.
     """
     found = {1: ()}
     by_order = {1: [1]}  # order -> the masks of that order in found
     queue = []
-    for cls in M.conjugacy_classes():
-        if cls[0] == 0:
-            continue
+    for cls in classes:
         mask, gens = M.normal_closure([cls[0]])
         if mask not in found:
             found[mask] = tuple(gens)
@@ -93,12 +102,19 @@ def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
                 continue
             order = a.bit_count() * b.bit_count() // (a & b).bit_count()
             known = by_order.setdefault(order, [])
-            if any(m & ab == ab for m in known):
+            if any(m & ab == ab for m in known) or not joinable(ga, found[b]):
                 continue
             j = M.close(list(ga) + list(found[b]))
             found[j] = tuple(M.gens_for_mask(j))
             known.append(j)
             queue.append(j)
+    return found
+
+
+@cached_query("normal-lattice", "max_order")
+def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
+    """All normal subgroups, as joins of normal closures of single classes."""
+    found = normal_joins(M, M.conjugacy_classes(), lambda ga, gb: True)
     out = [Sub(m, g) for m, g in found.items()]
     out.sort(key=lambda s: (s.order, s.mask))
     return out
@@ -200,18 +216,33 @@ def all_subgroups(M: MaterializedGroup) -> list[Sub]:
 
 
 def j_analysis(M: MaterializedGroup, p: int) -> JAnalysis:
-    """Minimal index of a normal abelian subgroup of order coprime to p."""
+    """Minimal index of a normal abelian subgroup of order coprime to p.
+
+    Such a subgroup N is nilpotent, so it lies in the Fitting subgroup
+    F(G), and it is the join of <C> for the conjugacy classes C inside it:
+    those whose representative r has p'-order and commutes with every
+    element of C.  The normal lattice is therefore joined from those
+    classes alone, and a join AB of normal abelian A and B is closed only
+    when it is abelian, that is, when A's generators commute with B's.
+    Every partial join of N's classes lies in N, so every candidate is
+    still reached, and reached as in `normal_subgroups`: the witness and
+    its generators are the ones the full lattice gives.
+    """
+    cap = current_caps().max_order
+    if M.n > cap:
+        raise CapExceeded(f"order {M.n} exceeds normal-lattice cap {cap}")
     pp = p_part(M.n, p)
-    best = None
-    for sub in normal_subgroups(M):
-        if not coprime(sub.order, p):
-            continue
-        if not M.is_abelian_set(sub.gens):
-            continue
-        index = M.n // sub.order
-        if best is None or (index, sub.mask) < (best[0], best[1].mask):
-            best = (index, sub)
-    index, witness = best  # the trivial subgroup always qualifies
+
+    def commute(ga, gb):
+        return all(M.conj(x, y) == x for y in gb for x in ga)
+
+    with M.table_scope():
+        # conj(x, r) reads r's column only; r*x == x*r would build x's too
+        seeds = [c for c in M.conjugacy_classes()
+                 if coprime(M.element_order(c[0]), p) and commute(c, c[:1])]
+        found = normal_joins(M, seeds, commute)
+    index, mask = min((M.n // m.bit_count(), m) for m in found)
+    witness = Sub(mask, found[mask])
     return JAnalysis(p, pp, index, witness, Fraction(index, pp**3))
 
 

@@ -486,7 +486,8 @@ class MaterializedGroup:
         u_x g u_y^-1 of the orbit walk's steps points[x]^g = points[y],
         conjugated by u_H^-1 when the walk started at another conjugate.
         N(H) grows from H by one of them at a time, through `extender`, and
-        stops once it has that order.  orbit is H's orbit as returned by
+        stops once it has that order; a normal H (an orbit of one point)
+        gets G's generators after its own.  orbit is H's orbit as returned by
         `conjugation_orbit`, walked from H or from any conjugate of H.
         """
         if orbit is None:
@@ -496,6 +497,8 @@ class MaterializedGroup:
         gens = list(gens)
         if mask.bit_count() == target:
             return mask, gens
+        if len(points) == 1:  # H is normal: N(H) is G, no Schreier growth
+            return self.full_mask, gens + self.gens
         u = trans[points.index(tuple(sorted(bits(mask), reverse=True)))]
         cols = [self.column(g) for g in self.gens]
         k = len(cols)

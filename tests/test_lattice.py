@@ -10,6 +10,7 @@ from grpverify.construct import (
     Prod, ProjGL, ProjSL, Semi, SwapSq, Sym, build,
 )
 from grpverify.lattice import (
+    JAnalysis,
     Sub,
     all_subgroups,
     is_isomorphic,
@@ -26,8 +27,10 @@ from grpverify.smallgroup import (
     MaterializedGroup,
     bits,
     caps_scope,
+    p_part,
 )
 from test_construct import CATALOG
+from test_table import GROUPS as TABLE_GROUPS
 
 
 def mat(expr):
@@ -521,6 +524,35 @@ def test_j_analysis_matches_all_subgroup_filter():
                     and m.is_normal_mask(s.mask, s.gens or None):
                 best = min(best, m.n // s.order)
         assert j_analysis(m, p).min_index == best
+
+
+
+def filtered_normal_lattice(M, p):
+    """j-analysis by its definition: the least (index, mask) over the whole
+    normal lattice, filtered for abelian subgroups of order prime to p."""
+    best = None
+    for sub in normal_subgroups(M):
+        if sub.order % p and M.is_abelian_set(sub.gens):
+            index = M.n // sub.order
+            if best is None or (index, sub.mask) < (best[0], best[1].mask):
+                best = (index, sub)
+    return best
+
+
+def test_j_analysis_matches_normal_lattice_filter():
+    """The same index and witness, generators included, as the filtered
+    normal lattice, at every prime dividing |G| and at p = 7."""
+    groups = [e for e, _ in CATALOG]
+    groups += [e for e in TABLE_GROUPS if e not in groups]
+    for expr in groups:
+        m = mat(expr)
+        primes = {q for q in range(2, m.n + 1)
+                  if m.n % q == 0 and all(q % d for d in range(2, q))}
+        for p in sorted(primes | {7}):
+            index, witness = filtered_normal_lattice(m, p)
+            pp = p_part(m.n, p)
+            assert j_analysis(m, p) == JAnalysis(
+                p, pp, index, witness, Fraction(index, pp ** 3)), (expr, p)
 
 
 # -- sweeps ----------------------------------------------------------------------
