@@ -49,6 +49,7 @@ from .lattice import (
     all_subgroups,
     is_isomorphic,
     j_analysis,
+    normal_abelian_subgroups,
     normal_subgroups,
     quotient,
     sub_materialized,
@@ -466,8 +467,7 @@ def _thm_3_7():
         while o > 1:
             o //= p
             n += 1
-        best = max(s.order for s in normal_subgroups(syl)
-                   if syl.is_abelian_set(s.gens))
+        best = normal_abelian_subgroups(syl)[-1].order
         m_exp = 0
         while p**m_exp < best:
             m_exp += 1

@@ -16,14 +16,7 @@ from . import perm as pm
 from .gf import Field, field_of_order, is_prime
 from .lattice import Sub
 from .perm import PermGroup
-from .smallgroup import (
-    CapExceeded,
-    Caps,
-    MaterializedGroup,
-    caps_scope,
-    current_caps,
-    materialize,
-)
+from .smallgroup import CapExceeded, MaterializedGroup, current_caps, materialize
 
 
 class BuildError(ValueError):
@@ -306,16 +299,29 @@ def _build_elem_ab(p, m):
     return _pg(_ea_gens(p, m), p * m), {}
 
 
-def _h3_translation(g):
-    """Right translation by g on Heisenberg triples (x,y,z) over F_3."""
-    gx, gy, gz = g
+def _triple_perm(f):
+    """The permutation f of the Heisenberg triples (x,y,z) over F_3, each
+    numbered 9x + 3y + z."""
     images = []
     for x in range(3):
         for y in range(3):
             for z in range(3):
-                t = ((x + gx) % 3, (y + gy) % 3, (z + gz + x * gy) % 3)
-                images.append(9 * t[0] + 3 * t[1] + t[2])
+                u, v, w = f(x, y, z)
+                images.append(9 * (u % 3) + 3 * (v % 3) + w % 3)
     return tuple(images)
+
+
+def _h3_translation(g):
+    """Right translation by g on Heisenberg triples (x,y,z) over F_3."""
+    gx, gy, gz = g
+    return _triple_perm(lambda x, y, z: (x + gx, y + gy, z + gz + x * gy))
+
+
+def _h3_automorphism(a, b, c, d):
+    """The automorphism of H3 lifting [[a, b], [c, d]] in SL_2(F_3)."""
+    return _triple_perm(lambda x, y, z: (
+        a * x + b * y, c * x + d * y,
+        z + 2 * a * c * x * x + 2 * b * d * y * y + b * c * x * y))
 
 
 def _build_h3():
@@ -416,11 +422,6 @@ def matrix_to_projective_perm(F: Field, M):
         )
         images.append(projective_point_index(F, *w))
     return tuple(images)
-
-
-def projective_line_action(F: Field):
-    """(points, matrix -> permutation map) for the action on P^1(F_q)."""
-    return projective_line(F), (lambda M: matrix_to_projective_perm(F, M))
 
 
 def _build_projective(q, special):
@@ -757,38 +758,18 @@ def _build_semi(expr: Semi):
 
 
 # --------------------------------------------------------------------------
-# the HSL23 atom: H3 x| SL_2(F_3) through Aut(H3)
+# the HSL23 atom: H3 x| SL_2(F_3)
 
 
 def _build_hsl23():
-    from .autmorph import automorphism_group
-    from .lattice import is_isomorphic, sub_materialized, subgroup_classes
-
-    m3 = build(H3()).materialized()
-    sl23 = build(MatSL(3)).materialized()
-    # the atom is one fixed group: its queries run at the default caps, so
-    # that it builds whatever query caps are active
-    with caps_scope(Caps()):
-        autmat = automorphism_group(m3).as_materialized()
-        if autmat.n != 432:
-            raise AssertionError(f"|Aut(H3)| = {autmat.n}, expected 432")
-        chosen = None
-        for sub in subgroup_classes(autmat):
-            if sub.order != 24:
-                continue
-            if is_isomorphic(sub_materialized(autmat, sub), sl23):
-                chosen = sub
-                break
-    if chosen is None:
-        raise AssertionError("no SL2(F3) subgroup found in Aut(H3)")
-    # holomorph-style carrier: right translations and automorphisms both
-    # permute the 27 element indices of the materialized H3
-    sub_gens = [autmat.perms[i] for i in chosen.gens]
-    trans = [tuple(m3.right_map(g)) for g in m3.gens]
-    pg = _pg(trans + sub_gens, 27)
+    # H3's right translations and the automorphisms lifting the
+    # transvections that generate SL_2(F_3), all on the 27 triples
+    trans = [_h3_translation((1, 0, 0)), _h3_translation((0, 1, 0))]
+    auts = [_h3_automorphism(1, 1, 0, 1), _h3_automorphism(1, 0, 1, 1)]
+    pg = _pg(trans + auts, 27)
     if pg.order() != 648:
         raise AssertionError("H3 x| SL2(F3) order wrong")
-    return pg, {"normal_gens": tuple(trans), "complement_gens": tuple(sub_gens)}
+    return pg, {"normal_gens": tuple(trans), "complement_gens": tuple(auts)}
 
 
 # --------------------------------------------------------------------------

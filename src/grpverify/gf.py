@@ -209,9 +209,6 @@ class Field:
                 return a
         raise AssertionError("multiplicative group not cyclic")  # unreachable
 
-    def elements(self):
-        return range(self.q)
-
     def __repr__(self):
         return f"GF({self.q})"
 

@@ -16,17 +16,20 @@ The normal lattice is built from the normal closures of single classes by
 joins (`normal_joins`).  A join AB of normal subgroups is closed only when
 no known normal subgroup of its order |A||B|/|A & B| holds A | B.
 
+The normal abelian subgroups (`normal_abelian_subgroups`) are joined the
+same way from the classes that can lie in one: a class C whose
+representative commutes with every element of C, so that <C> is normal
+and abelian.  A join AB of two of them is closed only when A's generators
+commute with B's, that is, when AB is abelian.  Every partial join of the
+classes inside a normal abelian subgroup lies in it and so is abelian
+too, so none is missed.  They lie in the Fitting subgroup F(G) (Huppert,
+Endliche Gruppen I, 1967), and they do not depend on a prime.
+
 The central quantity is JAnalysis: for a prime p, the minimal index of a
 normal abelian subgroup of order coprime to p, and that index divided by
-the cube of the p-part as an exact rational.  Such a subgroup is nilpotent,
-so it lies in the Fitting subgroup F(G) (Huppert, Endliche Gruppen I,
-1967), and `j_analysis` joins only the classes that can lie in one: a
-class C whose representative r has p'-order and commutes with every
-element of C, so that <C> is normal, abelian and of p'-order.  A join AB
-of two such subgroups is closed only when A's generators commute with
-B's, that is, when AB is abelian.  Every partial join of the classes
-inside a normal abelian p'-subgroup lies in it and so is abelian too, so
-no candidate is missed.
+the cube of the p-part as an exact rational.  `j_analysis` reads it off
+the normal abelian subgroups, so their joins run once per group, whatever
+primes are asked for.
 """
 
 from __future__ import annotations
@@ -111,13 +114,32 @@ def normal_joins(M: MaterializedGroup, classes, joinable) -> dict:
     return found
 
 
+def _sorted_subs(found: dict) -> list[Sub]:
+    """The Subs of a mask -> generators dict, by (order, mask)."""
+    return sorted((Sub(m, g) for m, g in found.items()),
+                  key=lambda s: (s.order, s.mask))
+
+
 @cached_query("normal-lattice", "max_order")
 def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
     """All normal subgroups, as joins of normal closures of single classes."""
-    found = normal_joins(M, M.conjugacy_classes(), lambda ga, gb: True)
-    out = [Sub(m, g) for m, g in found.items()]
-    out.sort(key=lambda s: (s.order, s.mask))
-    return out
+    return _sorted_subs(normal_joins(M, M.conjugacy_classes(),
+                                     lambda ga, gb: True))
+
+
+@cached_query("normal-lattice", "max_order")
+def normal_abelian_subgroups(M: MaterializedGroup) -> list[Sub]:
+    """All normal abelian subgroups, by (order, mask): the joins of the
+    classes whose representative commutes with its whole class, a join
+    closed only when its generators commute.  Each is the Sub that
+    `normal_subgroups` gives for its mask, generators included."""
+
+    def commute(ga, gb):
+        return all(M.conj(x, y) == x for y in gb for x in ga)
+
+    # conj(x, r) reads r's column only; r*x == x*r would build x's too
+    seeds = [c for c in M.conjugacy_classes() if commute(c, c[:1])]
+    return _sorted_subs(normal_joins(M, seeds, commute))
 
 
 @cached_query("subgroup-sweep", "max_subgroup_order")
@@ -218,31 +240,14 @@ def all_subgroups(M: MaterializedGroup) -> list[Sub]:
 def j_analysis(M: MaterializedGroup, p: int) -> JAnalysis:
     """Minimal index of a normal abelian subgroup of order coprime to p.
 
-    Such a subgroup N is nilpotent, so it lies in the Fitting subgroup
-    F(G), and it is the join of <C> for the conjugacy classes C inside it:
-    those whose representative r has p'-order and commutes with every
-    element of C.  The normal lattice is therefore joined from those
-    classes alone, and a join AB of normal abelian A and B is closed only
-    when it is abelian, that is, when A's generators commute with B's.
-    Every partial join of N's classes lies in N, so every candidate is
-    still reached, and reached as in `normal_subgroups`: the witness and
-    its generators are the ones the full lattice gives.
+    The witness is the largest member of `normal_abelian_subgroups` of
+    p'-order, the least mask among those of its order; the trivial
+    subgroup always qualifies.
     """
-    cap = current_caps().max_order
-    if M.n > cap:
-        raise CapExceeded(f"order {M.n} exceeds normal-lattice cap {cap}")
+    witness = min((s for s in normal_abelian_subgroups(M)
+                   if coprime(s.order, p)), key=lambda s: (-s.order, s.mask))
+    index = M.n // witness.order
     pp = p_part(M.n, p)
-
-    def commute(ga, gb):
-        return all(M.conj(x, y) == x for y in gb for x in ga)
-
-    with M.table_scope():
-        # conj(x, r) reads r's column only; r*x == x*r would build x's too
-        seeds = [c for c in M.conjugacy_classes()
-                 if coprime(M.element_order(c[0]), p) and commute(c, c[:1])]
-        found = normal_joins(M, seeds, commute)
-    index, mask = min((M.n // m.bit_count(), m) for m in found)
-    witness = Sub(mask, found[mask])
     return JAnalysis(p, pp, index, witness, Fraction(index, pp**3))
 
 
@@ -265,8 +270,6 @@ def sub_materialized(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
 class SweepEntry:
     sub: Sub
     order: int
-    sylow: int
-    order_ok: bool
     min_index: int | None  # computed only for order-bound violators
     bound_ok: bool
 
@@ -306,8 +309,7 @@ def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction,
                 continue  # trivial subgroup witnesses min_index <= |H| <= limit
             sm = sub_materialized(M, sub)
             ja = j_analysis(sm, p)
-            entry = SweepEntry(sub, o, pp, False, ja.min_index,
-                               ja.min_index <= limit)
+            entry = SweepEntry(sub, o, ja.min_index, ja.min_index <= limit)
             order_viol.append(entry)
             if not entry.bound_ok:
                 bound_viol.append(entry)

@@ -67,13 +67,6 @@ def cycles(a: Perm):
     return out
 
 
-def cycle_string(a: Perm) -> str:
-    cs = cycles(a)
-    if not cs:
-        return "()"
-    return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cs)
-
-
 def parse_cycles(src: str, degree: int | None = None) -> Perm:
     """Parse 1-based disjoint cycle notation; "()" is the identity."""
     pos = 0
@@ -136,8 +129,8 @@ class PermGroup:
     """Permutation group with a deterministic Schreier-Sims chain.
 
     Base points are the smallest moved points; orbits are extended in
-    BFS order, so the chain (and hence membership answers and the order
-    computation) is reproducible across runs.
+    BFS order, so the chain (and hence the order computation) is
+    reproducible across runs.
     """
 
     def __init__(self, generators, degree: int, check_degree: bool = True):
@@ -216,15 +209,6 @@ class PermGroup:
         for lvl in self._levels:
             n *= len(lvl.transversal)
         return n
-
-    def contains(self, g) -> bool:
-        g = tuple(g)
-        if len(g) != self.degree:
-            raise DegreeError("degree mismatch")
-        return self._sift_from(0, g) is None
-
-    def base(self):
-        return [lvl.point for lvl in self._levels]
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"

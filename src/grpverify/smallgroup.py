@@ -198,7 +198,6 @@ class MaterializedGroup:
         self._cols = None  # per-element columns while a scope is open
         self._orders = None
         self._classes = None
-        self._class_of = None
         self._conj_maps = None
         self._memo = {}  # query results, kept by cached_query
 
@@ -338,12 +337,7 @@ class MaterializedGroup:
                             orbit.append(y)
                 classes.append(sorted(orbit))
             self._classes = classes
-            self._class_of = class_of
         return self._classes
-
-    def class_of(self, i: int) -> int:
-        self.conjugacy_classes()
-        return self._class_of[i]
 
     # -- subgroup helpers ------------------------------------------------------
 

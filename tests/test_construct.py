@@ -25,7 +25,7 @@ from grpverify.construct import (
     WeylD,
     build,
     matrix_to_projective_perm,
-    projective_line_action,
+    projective_line,
     to_src,
 )
 from grpverify.smallgroup import CapExceeded, Caps, caps_scope
@@ -114,40 +114,49 @@ def test_hsl23():
     assert m.center().bit_count() == 3
 
 
-def test_hsl23_matches_cocycle_construction():
-    """Independent oracle: SL2(F3) acts on Heisenberg triples explicitly via
-    (x,y,z) -> (ax+by, cx+dy, z + 2ac x^2 + 2bd y^2 + bc xy)."""
-    from grpverify.lattice import is_isomorphic
+def aut_h3_reference():
+    """H3:SL2(F3) by another route than `build`'s: H3's right translations
+    and the automorphisms of an SL2(F3) class of Aut(H3), found by a
+    subgroup-class sweep and isomorphism tests, all acting on H3's 27
+    element indices."""
+    from grpverify.autmorph import automorphism_group
+    from grpverify.lattice import is_isomorphic, sub_materialized, subgroup_classes
     from grpverify.perm import PermGroup
 
-    def triple_index(x, y, z):
-        return 9 * x + 3 * y + z
+    m3 = build(H3()).materialized()
+    sl23 = build(MatSL(3)).materialized()
+    autmat = automorphism_group(m3).as_materialized()
+    assert autmat.n == 432
+    chosen = next(s for s in subgroup_classes(autmat) if s.order == 24
+                  and is_isomorphic(sub_materialized(autmat, s), sl23))
+    gens = [tuple(m3.right_map(g)) for g in m3.gens]
+    gens += [autmat.perms[i] for i in chosen.gens]
+    return PermGroup(gens, 27)
 
-    def translation(g):
-        gx, gy, gz = g
-        return tuple(
-            triple_index((x + gx) % 3, (y + gy) % 3, (z + gz + x * gy) % 3)
-            for x in range(3) for y in range(3) for z in range(3)
-        )
 
-    def cocycle_aut(a, b, c, d):
-        assert (a * d - b * c) % 3 == 1
-        return tuple(
-            triple_index(
-                (a * x + b * y) % 3,
-                (c * x + d * y) % 3,
-                (z + 2 * a * c * x * x + 2 * b * d * y * y + b * c * x * y) % 3,
-            )
-            for x in range(3) for y in range(3) for z in range(3)
-        )
-
-    gens = [translation((1, 0, 0)), translation((0, 1, 0)),
-            cocycle_aut(1, 1, 0, 1), cocycle_aut(1, 0, 1, 1)]
-    oracle = PermGroup(gens, 27)
-    assert oracle.order() == 648
+def test_hsl23_matches_cocycle_construction():
+    """`build` lifts SL2(F3) to H3 by the explicit cocycle
+    (x,y,z) -> (ax+by, cx+dy, z + 2ac x^2 + 2bd y^2 + bc xy); the reference
+    finds SL2(F3) inside Aut(H3) instead."""
+    from grpverify.lattice import is_isomorphic
     from grpverify.smallgroup import materialize
 
-    assert is_isomorphic(materialize(oracle), build(Hsl23()).materialized())
+    reference = aut_h3_reference()
+    assert reference.order() == 648
+    assert is_isomorphic(materialize(reference), build(Hsl23()).materialized())
+
+
+def test_building_hsl23_runs_no_query(monkeypatch):
+    from grpverify import autmorph, construct, lattice
+
+    def refuse(*args):
+        raise AssertionError("building HSL23 ran a group query")
+
+    monkeypatch.setattr(construct, "_CACHE", {})  # build it, not a cached one
+    monkeypatch.setattr(autmorph, "automorphism_group", refuse)
+    monkeypatch.setattr(lattice, "subgroup_classes", refuse)
+    monkeypatch.setattr(lattice, "is_isomorphic", refuse)
+    assert build(Hsl23()).order == 648
 
 
 def test_semi_contains_normal_part_with_right_quotient():
@@ -250,16 +259,14 @@ def test_unsupported_parameters():
 
 def test_projective_line_action_gf3():
     F = gf.field_new(3, 1)
-    points, to_perm = projective_line_action(F)
-    assert len(points) == 4
-    perms = set()
+    assert len(projective_line(F)) == 4
     mats = [((a, b), (c, d)) for a in range(3) for b in range(3)
             for c in range(3) for d in range(3) if (a * d - b * c) % 3]
-    for M in mats:
-        perms.add(to_perm(M))
+    perms = {matrix_to_projective_perm(F, M) for M in mats}
     assert len(perms) == 24  # PGL2(F3) = S4 on 4 points
     # kernel of the action is exactly the scalars
-    scalars = [M for M in mats if to_perm(M) == tuple(range(4))]
+    scalars = [M for M in mats
+               if matrix_to_projective_perm(F, M) == tuple(range(4))]
     assert sorted(scalars) == [((1, 0), (0, 1)), ((2, 0), (0, 2))]
 
 

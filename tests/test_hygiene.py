@@ -178,3 +178,38 @@ def test_a_function_that_only_calls_itself_is_unused():
     assert refs.counts["power"] == 0
     refs.visit(ast.parse("from m import power\nx.power(2, 3)\n"))
     assert refs.counts["power"] == 2
+
+
+def imported_names(source):
+    """(module, name) of every import in the source, those inside functions
+    included; name is None where a whole module is imported."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2], None
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if module in ("", "grpverify"):  # from . import lattice
+                    yield alias.name, None
+                else:
+                    yield module, alias.name
+
+
+def test_construct_runs_no_group_query():
+    """Building a group runs no query: construct takes nothing from autmorph
+    and only Sub from lattice."""
+    imports = set(imported_names((PACKAGE / "construct.py").read_text()))
+    assert {(m, n) for m, n in imports if m in ("autmorph", "lattice")} \
+        == {("lattice", "Sub")}
+
+
+def test_imported_names_include_lazy_and_module_imports():
+    snippet = ("from .lattice import Sub\n"
+               "def f():\n"
+               "    from . import autmorph\n"
+               "    import grpverify.lattice\n"
+               "    from grpverify.autmorph import invariant\n")
+    assert set(imported_names(snippet)) == {
+        ("lattice", "Sub"), ("autmorph", None), ("lattice", None),
+        ("autmorph", "invariant")}

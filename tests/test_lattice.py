@@ -4,7 +4,7 @@ from math import ceil, log2
 
 import pytest
 
-from grpverify.claims import MU24A5
+from grpverify.claims import MU24A5, WD5SEMI
 from grpverify.construct import (
     H3, PSL32, Action, Alt, Cyc, Dih, ElemAb, Hsl23, MatGL, MatSL, PGroup,
     Prod, ProjGL, ProjSL, Semi, SwapSq, Sym, build,
@@ -15,6 +15,8 @@ from grpverify.lattice import (
     all_subgroups,
     is_isomorphic,
     j_analysis,
+    normal_abelian_subgroups,
+    normal_joins,
     normal_subgroups,
     quotient,
     sub_materialized,
@@ -553,6 +555,35 @@ def test_j_analysis_matches_normal_lattice_filter():
             pp = p_part(m.n, p)
             assert j_analysis(m, p) == JAnalysis(
                 p, pp, index, witness, Fraction(index, pp ** 3)), (expr, p)
+
+
+def test_normal_abelian_subgroups_are_the_abelian_normal_subgroups():
+    """The abelian members of the normal lattice, in its order and with its
+    generators."""
+    groups = [e for e, _ in CATALOG]
+    groups += [e for e in TABLE_GROUPS if e not in groups]
+    for expr in groups:
+        m = mat(expr)
+        want = [s for s in normal_subgroups(m) if m.is_abelian_set(s.gens)]
+        assert normal_abelian_subgroups(m) == want, expr
+
+
+@pytest.mark.parametrize("expr", [Sym(4), WD5SEMI], ids=["S4", "mu2^4:S5"])
+def test_j_analysis_joins_once_per_group(monkeypatch, expr):
+    from grpverify import lattice
+
+    calls = []
+
+    def spy(M, classes, joinable):
+        calls.append(M)
+        return normal_joins(M, classes, joinable)
+
+    monkeypatch.setattr(lattice, "normal_joins", spy)
+    h = build(expr)
+    M = MaterializedGroup(h.group.generators, h.degree)  # nothing memoized
+    for p in (2, 3, 5, 7, 11):
+        j_analysis(M, p)
+    assert len(calls) == 1
 
 
 # -- sweeps ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from grpverify.lattice import (
     Sub,
     all_subgroups,
     j_analysis,
+    normal_abelian_subgroups,
     normal_subgroups,
     subgroup_classes,
 )
@@ -269,6 +270,8 @@ def test_cached_query_builds_no_column(monkeypatch):
 
 @pytest.mark.parametrize("query, field, message", [
     (normal_subgroups, "max_order", "order 24 exceeds normal-lattice cap 23"),
+    (normal_abelian_subgroups, "max_order",
+     "order 24 exceeds normal-lattice cap 23"),
     (all_subgroups, "max_subgroup_order",
      "order 24 exceeds subgroup-sweep cap 23"),
     (subgroup_classes, "max_subgroup_order",
@@ -277,8 +280,8 @@ def test_cached_query_builds_no_column(monkeypatch):
      "order 24 exceeds automorphism cap 23"),
     (chermak_delgado, "max_subgroup_order",
      "order 24 exceeds subgroup-sweep cap 23"),
-], ids=["normal_subgroups", "all_subgroups", "subgroup_classes",
-         "automorphism_group", "chermak_delgado"])
+], ids=["normal_subgroups", "normal_abelian_subgroups", "all_subgroups",
+         "subgroup_classes", "automorphism_group", "chermak_delgado"])
 def test_cached_query_checks_its_cap_on_every_call(query, field, message):
     M = fresh(Sym(4))
     first = query(M)
@@ -323,6 +326,8 @@ QUERIES = {
     "all_subgroups": lambda M: [(s.mask, s.gens) for s in all_subgroups(M)],
     "normal_subgroups": lambda M: [(s.mask, s.gens)
                                    for s in normal_subgroups(M)],
+    "normal_abelian_subgroups": lambda M: [
+        (s.mask, s.gens) for s in normal_abelian_subgroups(M)],
     "automorphism_group": lambda M: automorphism_group(M).maps,
     "chermak_delgado": chermak_delgado,
 }
