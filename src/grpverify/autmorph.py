@@ -4,8 +4,14 @@ Automorphisms are found by backtracking over images of a fixed generating
 sequence, pruning by element order and conjugacy-class size; every map
 the search finds has been verified multiplicative on the whole group.  It
 runs modulo inner automorphisms: the first generator's image is one
-representative per conjugacy class, and composing each map found with
-conjugations supplies the rest.
+representative r per conjugacy class, and every automorphism is c_x . a
+for exactly one map a found with a(g1) = r and one x per conjugate of r.
+So Aut(G) is kept as generators, the conjugations by G's generators and
+the maps found, and its order is counted from the search, not listed.  A
+subgroup is invariant under Aut(G) iff it is invariant under each
+generator, and the stabilizer of a subgroup is read off its orbit by
+Schreier generators.  Only `AutGroup.as_materialized` lists every
+automorphism.
 """
 
 from __future__ import annotations
@@ -55,50 +61,54 @@ def _extend_map(M1, M2, gen_pairs, subgroup_size):
     """
     img = [-1] * M1.n
     img[0] = 0
-    used = 1
+    used = bytearray(M2.n)
+    used[0] = 1
+    steps = [(M1.column(g), M2.column(ig)) for g, ig in gen_pairs]
     queue = [0]
-    qi = 0
-    reached = 1
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+    for x in queue:  # queue grows while it is walked
         ix = img[x]
-        for g, ig in gen_pairs:
-            y = M1.mul(x, g)
-            iy = M2.mul(ix, ig)
+        for c1, c2 in steps:
+            y = c1[x]
+            iy = c2[ix]
             cur = img[y]
             if cur == -1:
-                if used >> iy & 1:
+                if used[iy]:
                     return None
                 img[y] = iy
-                used |= 1 << iy
+                used[iy] = 1
                 queue.append(y)
-                reached += 1
             elif cur != iy:
                 return None
-    if reached != subgroup_size:
+    if len(queue) != subgroup_size:
         raise AssertionError("generator span mismatch")
     return img
 
 
 def _search_isomorphisms(M1, M2, find_all):
     if M1.n != M2.n:
-        return []
+        return {}
     with M1.table_scope(), M2.table_scope():
         return _search(M1, M2, find_all)
 
 
 def _search(M1, M2, find_all):
+    """The isomorphisms found, as {r: maps a with a(g1) = r}.
+
+    c_x . a moves the image of the first generator g1 anywhere in its
+    class, so the search fixes it to a class representative r of M2; every
+    isomorphism is then c_x . a for exactly one map a found and one x per
+    conjugate of r.  Unless find_all, the search stops at the first map.
+    """
     inv1 = _invariant_table(M1)
     inv2 = _invariant_table(M2)
     if sorted(inv1) != sorted(inv2):
-        return []
+        return {}
     by_key = {}
     for i, key in enumerate(inv2):
         by_key.setdefault(key, []).append(i)
     gens = generating_sequence(M1)
     if not gens:  # trivial group
-        return [[0]]
+        return {0: [[0]]}
     spans = []
     mask = 1
     for i in range(len(gens)):
@@ -120,66 +130,117 @@ def _search(M1, M2, find_all):
                 return True
         return False
 
-    # c_x . a moves the image of the first generator anywhere in its class,
-    # so the search fixes it to a class representative r; each map found
-    # then yields c_x . a for one x per conjugate of r, and every
-    # isomorphism arises exactly once
-    results = []
-    shared = list(range(M2.n))  # stored images reuse these int objects
+    results = {}
     key = inv1[gens[0]]
     for cls in M2.conjugacy_classes():
         r = cls[0]
         if inv2[r] != key:
             continue
-        if dfs(0, [], [r]):
-            return found
-        if not found:
-            continue
-        reached = set()
-        for x in range(M2.n):
-            y = M2.conj(r, x)
-            if y in reached:
-                continue
-            reached.add(y)
-            inner = list(map(shared.__getitem__, M2.conj_map(x)))
-            results.extend(list(map(inner.__getitem__, a)) for a in found)
-            if len(reached) == len(cls):
-                break
-        found.clear()
+        done = dfs(0, [], [r])
+        if found:
+            results[r] = found[:]
+            found.clear()
+        if done:
+            break
     return results
 
 
 def find_isomorphism(M1: MaterializedGroup, M2: MaterializedGroup):
     """An isomorphism M1 -> M2 as an image list, or None."""
     found = _search_isomorphisms(M1, M2, find_all=False)
-    return found[0] if found else None
+    return next(iter(found.values()))[0] if found else None
 
 
 @dataclass
 class AutGroup:
-    base: MaterializedGroup
-    maps: list  # every automorphism, as a tuple permuting element indices
-    inner_count: int
+    """Aut(G) as generators, with its order counted by the search.
 
-    @property
-    def order(self) -> int:
-        return len(self.maps)
+    found maps each class representative r to the automorphisms a that
+    the search found with a(g1) = r.  Every automorphism is c_x . a for
+    exactly one of them and one x per conjugate of r, so gens, the
+    conjugations by G's generators and the maps found, generate Aut(G),
+    and order is the sum of |class(r)| |found[r]|.  Every map is a tuple
+    permuting G's element indices.
+    """
+
+    base: MaterializedGroup
+    found: dict
+    inner_count: int
+    gens: list  # no identity, no repeats
+    order: int
 
     @property
     def out_order(self) -> int:
         return self.order // self.inner_count
 
     def preserving(self, mask: int) -> list:
-        """The automorphisms mapping the given subgroup onto itself."""
-        gens = self.base.gens_for_mask(mask)
-        return [a for a in self.maps if invariant(mask, gens, (a,))]
+        """Generators of the automorphisms mapping the subgroup H onto itself.
+
+        H's orbit under Aut(G) is walked under `gens`, each image a(K) of
+        a point K gathered from K's elements, and u_K is an automorphism
+        with u_K(H) = K: u_L = a . u_K on the tree step a(K) = L.  By
+        Schreier's lemma the stabilizer is generated by u_L^-1 . a . u_K
+        over every step a(K) = L (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, 2005, section 4.1); the identity and
+        repeats are dropped.
+        """
+        n = self.base.n
+        one = tuple(range(n))
+        start = tuple(bits(mask))
+        where = {start: 0}
+        points = [start]
+        trans = [one]
+        inverses = {}
+        out = {}
+        for k, point in enumerate(points):  # points grows while it is walked
+            u = trans[k]
+            for a in self.gens:
+                au = tuple(map(a.__getitem__, u))
+                image = tuple(sorted(map(a.__getitem__, point)))
+                j = where.get(image)
+                if j is None:
+                    where[image] = len(points)
+                    points.append(image)
+                    trans.append(au)
+                    continue
+                if j not in inverses:  # position v holds u_L^-1(v)
+                    inverses[j] = sorted(range(n), key=trans[j].__getitem__)
+                s = tuple(map(inverses[j].__getitem__, au))
+                if s != one:
+                    out[s] = None
+        return list(out)
 
     def as_materialized(self) -> MaterializedGroup:
-        """Aut(G) as a concrete group acting on the |G| element indices."""
+        """Aut(G) as a concrete group acting on the |G| element indices.
+
+        The one place every automorphism is listed: each map a found with
+        a(g1) = r is composed with the conjugation by x, for one x per
+        conjugate of r.  The elements are then enumerated from a greedy
+        generating subset of the sorted list.
+        """
+        M = self.base
+        maps = []
+        with M.table_scope():
+            for cls in M.conjugacy_classes():
+                r = cls[0]
+                found = self.found.get(r)
+                if found is None:
+                    continue
+                reached = set()
+                for x in range(M.n):
+                    y = M.conj(r, x)
+                    if y in reached:
+                        continue
+                    reached.add(y)
+                    inner = M.conj_map(x)
+                    maps.extend(tuple(map(inner.__getitem__, a)) for a in found)
+                    if len(reached) == len(cls):
+                        break
+        maps.sort()
         # an automorphism is fixed by its images of G's generators, so a
         # product is looked up by that short key instead of composed
-        base = self.base.gens
-        full = {tuple(map(a.__getitem__, base)): a for a in self.maps}
+        base = M.gens
+        full = {tuple(map(a.__getitem__, base)): a for a in maps}
 
         def step(x, s):  # the key of full[x] o full[s]
             return tuple(map(full[x].__getitem__,
@@ -207,19 +268,22 @@ class AutGroup:
             if len(closed) == len(full):
                 break
         out = MaterializedGroup.enumerated(
-            one, gens, step, full.__getitem__, inverse, self.base.n,
-            cap=len(self.maps) + 1)
-        if out.n != len(self.maps):
+            one, gens, step, full.__getitem__, inverse, M.n, cap=self.order + 1)
+        if out.n != self.order:
             raise AssertionError("automorphism closure mismatch")
         return out
 
 
 @cached_query("automorphism", "max_aut_order")
 def automorphism_group(M: MaterializedGroup) -> AutGroup:
-    maps = [tuple(a) for a in _search_isomorphisms(M, M, find_all=True)]
-    maps.sort()
-    center = M.center()
-    aut = AutGroup(M, maps, M.n // center.bit_count())
+    found = {r: [tuple(a) for a in maps]
+             for r, maps in _search_isomorphisms(M, M, find_all=True).items()}
+    sizes = {cls[0]: len(cls) for cls in M.conjugacy_classes()}
+    order = sum(sizes[r] * len(maps) for r, maps in found.items())
+    gens = dict.fromkeys(tuple(M.conj_map(g)) for g in M.gens)
+    gens.update(dict.fromkeys(a for maps in found.values() for a in maps))
+    gens.pop(tuple(range(M.n)), None)
+    aut = AutGroup(M, found, M.n // M.center().bit_count(), list(gens), order)
     if aut.order % aut.inner_count:
         raise AssertionError("inner automorphisms do not divide Aut order")
     return aut
@@ -229,15 +293,15 @@ def invariant(mask: int, gens, maps) -> bool:
     """True iff every map sends the subgroup mask = <gens> onto itself.
 
     An automorphism a is a bijection of a finite group, so a(H) = H as soon
-    as a(h) lies in H for each generator h of H.
+    as a(h) lies in H for each generator h of H; and H is invariant under a
+    group of automorphisms iff it is invariant under each generator.
     """
     return all(mask >> a[h] & 1 for a in maps for h in gens)
 
 
 def is_characteristic(M: MaterializedGroup, mask: int) -> bool:
     """True iff every automorphism of M maps the subgroup onto itself."""
-    aut = automorphism_group(M)
-    return invariant(mask, M.gens_for_mask(mask), aut.maps)
+    return invariant(mask, M.gens_for_mask(mask), automorphism_group(M).gens)
 
 
 @cached_query("subgroup-sweep", "max_subgroup_order")

@@ -125,7 +125,8 @@ def psl_order(q: int) -> int:
 
 def invariant_min_index(m, maps, p=None, cyclic=False):
     """Minimal index of an abelian subgroup of order coprime to p that is
-    mapped onto itself by every given automorphism."""
+    mapped onto itself by every given automorphism, so by the group they
+    generate."""
     best = None
     for s in all_subgroups(m):
         if p is not None and s.order % p == 0:
@@ -431,7 +432,7 @@ def _lem_3_5():
             j2 = Fraction(0)
             for s in subgroup_classes(m2):
                 sm = sub_materialized(m2, s)
-                idx = invariant_min_index(sm, automorphism_group(sm).maps, p=p)
+                idx = invariant_min_index(sm, automorphism_group(sm).gens, p=p)
                 j2 = max(j2, Fraction(idx, p_part(s.order, p) ** 3))
             for s in subgroup_classes(prod):
                 sm = sub_materialized(prod, s)
@@ -1013,7 +1014,7 @@ def _lem_5_3():
         counts[label] = len(classes)
         for s in classes:
             sm = sub_materialized(m, s)
-            idx = invariant_min_index(sm, automorphism_group(sm).maps, p=p)
+            idx = invariant_min_index(sm, automorphism_group(sm).gens, p=p)
             if idx > p_part(s.order, p) ** 3:
                 bad.append(f"{label}:|H|={s.order}")
     return ({"s3xs3_classes": counts["s3xs3"], "f12xf12_classes": counts["f12xf12"],
@@ -1046,8 +1047,7 @@ def _cor_5_4():
 
 
 def _first_aut_of_order(m, r):
-    aut = automorphism_group(m)
-    for a in aut.maps:
+    for a in sorted(automorphism_group(m).as_materialized().perms):
         if pm.perm_order(a) == r:
             return a
     raise AssertionError(f"no automorphism of order {r}")
@@ -1309,11 +1309,11 @@ def _lem_7_2_dihedral():
                 continue  # the dihedral family requires n coprime to p
             m = M(Dih(n))
             pairs += 1
-            maps = automorphism_group(m).maps
+            maps = automorphism_group(m).gens
             idx = invariant_min_index(m, maps, p=p, cyclic=True)
             ok = ok and idx <= P1_J[p] * p_part(2 * n, p) ** 3
     m22 = M(Dih(2))
-    tight = invariant_min_index(m22, automorphism_group(m22).maps, p=3,
+    tight = invariant_min_index(m22, automorphism_group(m22).gens, p=3,
                                 cyclic=True)
     return ({"pairs": pairs, "all_pass": yn(ok),
              "mu22_p3_tight": f"{tight}<={P1_J[3] * 1}"},

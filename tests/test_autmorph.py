@@ -17,11 +17,27 @@ from grpverify.construct import (
     Action, Alt, Cyc, Dih, ElemAb, H3, Prod, ProjSL, Semi, Sym, build, to_src,
 )
 from grpverify.lattice import all_subgroups, normal_subgroups
+from grpverify.perm import PermGroup, compose
 from grpverify.smallgroup import CapExceeded, Caps, bits, caps_scope
 
 
 def mat(expr):
     return build(expr).materialized()
+
+
+def generated(maps, n):
+    """Reference: the sorted maps of the group the given maps generate,
+    closed by composing element-index tuples."""
+    one = tuple(range(n))
+    closed = {one}
+    queue = [one]
+    for x in queue:  # queue grows while it is walked
+        for a in maps:
+            y = compose(a, x)
+            if y not in closed:
+                closed.add(y)
+                queue.append(y)
+    return sorted(closed)
 
 
 def test_aut_s4():
@@ -82,7 +98,9 @@ def test_aut_maps_verified_multiplicative():
     m = mat(Dih(5))
     aut = automorphism_group(m)
     assert aut.order == 20
-    for a in aut.maps:
+    every = aut.as_materialized().perms
+    assert len(set(every)) == 20
+    for a in every:
         for x in range(m.n):
             for y in range(m.n):
                 assert a[m.mul(x, y)] == m.mul(a[x], a[y])
@@ -91,7 +109,7 @@ def test_aut_maps_verified_multiplicative():
 def test_inner_automorphisms_appear():
     m = mat(Sym(4))
     aut = automorphism_group(m)
-    maps = set(aut.maps)
+    maps = set(aut.as_materialized().perms)
     for g in range(m.n):
         conj = tuple(m.conj(x, g) for x in range(m.n))
         assert conj in maps
@@ -163,14 +181,16 @@ def image_of_every_element(mask, a):
 def test_invariant_matches_image_of_every_element(expr):
     m = mat(expr)
     aut = automorphism_group(m)
+    every = sorted(aut.as_materialized().perms)
     for s in all_subgroups(m):
-        kept = [a for a in aut.maps
+        kept = [a for a in every
                 if image_of_every_element(s.mask, a) == s.mask]
-        for a in aut.maps:
+        for a in every:
             assert invariant(s.mask, s.gens, [a]) == (a in kept)
-        assert invariant(s.mask, s.gens, aut.maps) == (kept == aut.maps)
-        assert is_characteristic(m, s.mask) == (kept == aut.maps)
-        assert aut.preserving(s.mask) == kept
+        assert invariant(s.mask, s.gens, aut.gens) == (kept == every)
+        assert is_characteristic(m, s.mask) == (kept == every)
+        # the preserving generators generate the whole stabilizer
+        assert generated(aut.preserving(s.mask), m.n) == kept
 
 
 def test_characteristic_implies_normal():
@@ -308,8 +328,11 @@ def brute_aut(m):
                                  "EA(2,3)", "C(24)", "semi(C(3),C(4),explicit)"])
 def test_aut_maps_match_brute_force(src):
     m = mat(parse_expr(src))
-    maps = automorphism_group(m).maps
-    assert maps == brute_aut(m)
+    aut = automorphism_group(m)
+    every = sorted(aut.as_materialized().perms)
+    assert every == brute_aut(m)
+    assert len(every) == aut.order
+    assert generated(aut.gens, m.n) == every
 
 
 @pytest.mark.parametrize("src,order", [("PSL(2,7)", 336), ("PSL(2,9)", 1440),
@@ -318,7 +341,18 @@ def test_aut_maps_match_brute_force(src):
 def test_aut_known_orders_without_duplicates(src, order):
     aut = automorphism_group(mat(parse_expr(src)))
     assert aut.order == order
-    assert len(set(aut.maps)) == order
+    assert len(set(aut.as_materialized().perms)) == order
+
+
+@pytest.mark.parametrize("src", ["S(4)", "A(5)", "D(12)", "GL(2,3)", "H3",
+                                 "EA(2,3)", "PSL(2,7)", "PSL(2,9)"])
+def test_aut_generators_have_the_counted_order(src):
+    """Schreier-Sims on the generators, independent of the search's count."""
+    m = mat(parse_expr(src))
+    aut = automorphism_group(m)
+    assert PermGroup(aut.gens, m.n, check_degree=False).order() == aut.order
+    assert tuple(range(m.n)) not in aut.gens
+    assert len(set(aut.gens)) == len(aut.gens)
 
 
 def _is_isomorphism(img, m1, m2):

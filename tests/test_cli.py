@@ -244,6 +244,14 @@ def test_aut_command(capsys):
     assert "|Out|      1" in out
 
 
+def test_aut_command_counts_psl29(capsys):
+    assert main(["aut", "PSL(2,9)"]) == 0
+    out = capsys.readouterr().out
+    assert "|Aut|      1440\n" in out
+    assert "|Inn|      360\n" in out
+    assert "|Out|      4\n" in out
+
+
 def test_claims_listing(capsys):
     rc = main(["claims", "--list"])
     out = capsys.readouterr().out.split()

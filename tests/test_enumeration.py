@@ -8,6 +8,7 @@ Each is compared here with `reference`, the enumeration that composes
 permutations, and a guard counts `perm.compose` calls on those paths.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from grpverify.autmorph import automorphism_group
 from grpverify.construct import Alt, MatGL, ProjGL, ProjSL, Sym, build
 from grpverify.lattice import Sub, sub_materialized
 from grpverify.smallgroup import TABLE_MAX_ORDER, MaterializedGroup
+from test_autmorph import generated
 from test_table import GROUPS, fresh
 
 
@@ -87,11 +89,12 @@ def test_enumeration_above_threshold_matches_compose_path(expr):
     assert M._parent is None and M._gen_cols is None
 
 
-def greedy_generators(aut):
-    """The generating subset of Aut(G) chosen by closing full maps."""
+def greedy_generators(every):
+    """The generating subset of Aut(G) chosen by closing the sorted list of
+    every automorphism."""
     gens = []
-    closed = {tuple(range(aut.base.n))}
-    for a in aut.maps:
+    closed = {tuple(range(len(every[0])))}
+    for a in every:
         if a in closed:
             continue
         gens.append(a)
@@ -102,7 +105,7 @@ def greedy_generators(aut):
                 if y not in closed:
                     closed.add(y)
                     queue.append(y)
-        if len(closed) == len(aut.maps):
+        if len(closed) == len(every):
             break
     return gens
 
@@ -113,7 +116,27 @@ def test_aut_as_materialized_matches_compose_path(expr):
     aut = automorphism_group(fresh(expr))
     A = aut.as_materialized()
     assert A.n == aut.order
-    assert_enumerated_as(A, greedy_generators(aut), aut.base.n)
+    # the group the generators generate, closed by composing
+    every = generated(aut.gens, aut.base.n)
+    assert len(every) == aut.order
+    assert_enumerated_as(A, greedy_generators(every), aut.base.n)
+
+
+# sha256 of repr((perms, gens)) of Aut(G).as_materialized() as the search
+# that listed every automorphism built it
+AUT_DIGESTS = {
+    ProjSL(9): "f8ec04f84eee757cf98d302799aea8f447299d542db8d2271b81d9237fd61ac1",
+    Sym(4): "c78da7fa622caf954a44b68fae9471bfb796f3c3dd5c8742444c4df5bfbd2875",
+    Alt(5): "f524a788d5ad31a19183640443ea59c29412d2ef20bf1770d13955d8a9a4d76c",
+}
+
+
+@pytest.mark.parametrize("expr", AUT_DIGESTS, ids=str)
+def test_aut_as_materialized_is_pinned(expr):
+    A = automorphism_group(fresh(expr)).as_materialized()
+    assert A.index == {p: i for i, p in enumerate(A.perms)}
+    digest = hashlib.sha256(repr((A.perms, A.gens)).encode()).hexdigest()
+    assert digest == AUT_DIGESTS[expr]
 
 
 @pytest.fixture

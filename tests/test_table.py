@@ -328,7 +328,8 @@ QUERIES = {
                                    for s in normal_subgroups(M)],
     "normal_abelian_subgroups": lambda M: [
         (s.mask, s.gens) for s in normal_abelian_subgroups(M)],
-    "automorphism_group": lambda M: automorphism_group(M).maps,
+    "automorphism_group": lambda M: (automorphism_group(M).order,
+                                     automorphism_group(M).gens),
     "chermak_delgado": chermak_delgado,
 }
 
