@@ -4,6 +4,13 @@ Each claim freezes the constants asserted in one statement (orders, exact
 rational index bounds, exception lists) and recomputes them with the group
 engine.  Expected values are stored as exact strings; sweeps report
 violation sets so a wrong constant shows up as a concrete counterexample.
+
+Each idea the claims share has one helper: `jprime` (|G|/|G_(p)|^3) and
+`within_j` (the J|G_(p)|^3 bound on the normal abelian p'-index);
+`aut_hf_index` (the least index invariant under Aut(H;F), its stabilizer
+found once per group); `invariant_min_index`, `is_cyclic` and
+`n_cyclic_characteristic`; the texts `within`, `orders_text` and
+`violation_tags`; and the groups `pgl_psl`, `normal_part` and `_cd_corpus`.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .construct import (
     semidirect_by_automorphisms,
     to_src,
 )
+from .gf import factor_prime_power
 from .lattice import (
     Sub,
     all_subgroups,
@@ -110,8 +118,8 @@ def fr(x) -> str:
 
 
 def within(x, bound) -> str:
-    """The text x<=bound, or VIOLATION:x when x exceeds the bound."""
-    return f"{x}<={bound}" if x <= bound else f"VIOLATION:{x}"
+    """The text x<=bound, or VIOLATION:x>bound when x exceeds the bound."""
+    return f"{x}<={bound}" if x <= bound else f"VIOLATION:{x}>{bound}"
 
 
 def matches(got, want) -> str:
@@ -123,31 +131,75 @@ def psl_order(q: int) -> int:
     return q * (q * q - 1) // gcd(2, q - 1)
 
 
-def invariant_min_index(m, maps, p=None, cyclic=False):
-    """Minimal index of an abelian subgroup of order coprime to p that is
-    mapped onto itself by every given automorphism, so by the group they
-    generate."""
-    best = None
-    for s in all_subgroups(m):
-        if p is not None and s.order % p == 0:
-            continue
-        if not m.is_abelian_set(s.gens):
-            continue
-        if cyclic and max(m.element_order(i) for i in bits(s.mask)) != s.order:
-            continue
-        if invariant(s.mask, s.gens, maps):
-            idx = m.n // s.order
-            if best is None or idx < best:
-                best = idx
-    return best
+def jprime(n, p) -> Fraction:
+    """n/|n_(p)|^3: the J that a group of order n meets through its trivial
+    subgroup."""
+    return Fraction(n, p_part(n, p) ** 3)
 
 
-def sub_iso_label(m, entry_sub, candidates):
-    sm = sub_materialized(m, entry_sub)
-    for label, expr in candidates:
-        if sm.n == build(expr).order and is_isomorphic(sm, M(expr)):
-            return label
+def within_j(m, p, J) -> bool:
+    """True iff m has a normal abelian subgroup of order coprime to p and
+    index at most J|G_(p)|^3."""
+    return j_analysis(m, p).min_index <= J * p_part(m.n, p) ** 3
+
+
+def is_cyclic(m, s) -> bool:
+    return max(m.element_order(i) for i in bits(s.mask)) == s.order
+
+
+def n_cyclic_characteristic(m) -> int:
+    """The number of nontrivial cyclic characteristic subgroups."""
+    return sum(1 for s in all_subgroups(m)
+               if s.order > 1 and is_cyclic(m, s) and is_characteristic(m, s.mask))
+
+
+def invariant_min_index(m, maps, p, cyclic=False):
+    """Minimal index of an abelian (if cyclic, a cyclic) subgroup of order
+    coprime to p that is mapped onto itself by every given automorphism, so
+    by the group they generate.  The trivial subgroup always qualifies."""
+    return next(m.n // s.order for s in reversed(all_subgroups(m))
+                if s.order % p and m.is_abelian_set(s.gens)
+                and (not cyclic or is_cyclic(m, s))
+                and invariant(s.mask, s.gens, maps))
+
+
+def aut_hf_index(m, fmask, primes, cyclic=False) -> dict:
+    """{p: invariant_min_index under Aut(H;F)}, the automorphisms of H = m
+    that preserve its subgroup F = fmask; the stabilizer is found once."""
+    maps = automorphism_group(m).preserving(fmask)
+    return {p: invariant_min_index(m, maps, p, cyclic) for p in primes}
+
+
+def sub_iso_label(m, sub, label, expr):
+    """label if the subgroup is isomorphic to expr's group, else
+    unidentified:<order>."""
+    sm = sub_materialized(m, sub)
+    if sm.n == build(expr).order and is_isomorphic(sm, M(expr)):
+        return label
     return f"unidentified:{sm.n}"
+
+
+def orders_text(entries) -> str:
+    """The orders of the entries, comma-separated; - when there are none."""
+    return ",".join(str(e.order) for e in entries) or "-"
+
+
+def violation_tags(reps) -> str:
+    """p<p>:<order> for each bound violation of a {p: SweepReport}; - when
+    there are none."""
+    return ",".join(f"p{p}:{e.order}" for p, rep in reps.items()
+                    for e in rep.bound_violations) or "-"
+
+
+def pgl_psl(q):
+    """PGL_2(F_q) and its subgroup PSL_2(F_q)."""
+    h = build(ProjGL(q))
+    return h.materialized(), h.sub("psl_gens")
+
+
+def normal_part(h):
+    """The group of a built extension and its normal subgroup."""
+    return h.materialized(), h.sub("normal_gens")
 
 
 # ===========================================================================
@@ -259,19 +311,14 @@ def _ex_2_12():
     m = M(Sym(4))
     ns = normal_subgroups(m)
     v4 = next(s for s in ns if s.order == 4)
-    n_cyc_char = 0
-    for s in all_subgroups(m):
-        if s.order > 1 and max(m.element_order(i) for i in bits(s.mask)) == s.order:
-            if is_characteristic(m, s.mask):
-                n_cyc_char += 1
     actual = {
-        "normal_orders": ",".join(str(s.order) for s in ns),
+        "normal_orders": orders_text(ns),
+        "nontrivial_cyclic_characteristic": n_cyclic_characteristic(m),
         "v4_characteristic": yn(is_characteristic(m, v4.mask)),
-        "nontrivial_cyclic_characteristic": n_cyc_char,
     }
     for p in (5, 3, 2):
         actual[f"J_p{p}"] = fr(j_analysis(m, p).j_ratio)
-        actual[f"Jprime_p{p}"] = fr(Fraction(m.n, p_part(m.n, p) ** 3))
+        actual[f"Jprime_p{p}"] = fr(jprime(m.n, p))
     return actual, "V_4 = {id,(12)(34),(13)(24),(14)(23)} is the witness"
 
 
@@ -284,14 +331,9 @@ def _ex_2_12():
 )
 def _ex_2_13():
     m = M(Alt(4))
-    n_cyc_char = 0
-    for s in all_subgroups(m):
-        if s.order > 1 and max(m.element_order(i) for i in bits(s.mask)) == s.order:
-            if is_characteristic(m, s.mask):
-                n_cyc_char += 1
-    actual = {"nontrivial_cyclic_characteristic": n_cyc_char}
+    actual = {"nontrivial_cyclic_characteristic": n_cyclic_characteristic(m)}
     for p in (5, 3, 2):
-        actual[f"Jprime_p{p}"] = fr(Fraction(m.n, p_part(m.n, p) ** 3))
+        actual[f"Jprime_p{p}"] = fr(jprime(m.n, p))
     return actual, ""
 
 
@@ -332,6 +374,16 @@ CD_CORPUS = (
 )
 
 
+def _cd_corpus():
+    """(name, group, Chermak-Delgado mask, I) over CD_CORPUS, where |G|/I is
+    the largest order of an abelian subgroup."""
+    for expr in CD_CORPUS:
+        m = M(expr)
+        cd = chermak_delgado(m)
+        best_ab = max(s.order for s in all_subgroups(m) if m.is_abelian_set(s.gens))
+        yield to_src(expr), m, cd, m.n // best_ab
+
+
 @claim(
     "THM-3.2", 'Theorem 3.2 (Chermak-Delgado): "G contains a characteristic '
     'abelian subgroup of index at most I^2"',
@@ -340,18 +392,13 @@ CD_CORPUS = (
 )
 def _thm_3_2():
     bad = []
-    for expr in CD_CORPUS:
-        m = M(expr)
-        cd = chermak_delgado(m)
-        gens = m.gens_for_mask(cd)
-        best_ab = max(s.order for s in all_subgroups(m) if m.is_abelian_set(s.gens))
-        i = m.n // best_ab
-        ok = (m.is_abelian_set(gens)
+    for name, m, cd, i in _cd_corpus():
+        ok = (m.is_abelian_set(m.gens_for_mask(cd))
               and is_characteristic(m, cd)
               and cd & m.center() == m.center()
               and m.n // cd.bit_count() <= i * i)
         if not ok:
-            bad.append(to_src(expr))
+            bad.append(name)
     return ({"groups": len(CD_CORPUS), "all_pass": yn(not bad)},
             f"violations: {bad}" if bad else
             "CD subgroup abelian+characteristic+contains center, index <= I^2")
@@ -365,11 +412,7 @@ def _thm_3_2():
 )
 def _cor_3_3():
     bad = []
-    for expr in CD_CORPUS:
-        m = M(expr)
-        cd = chermak_delgado(m)
-        best_ab = max(s.order for s in all_subgroups(m) if m.is_abelian_set(s.gens))
-        i = m.n // best_ab
+    for name, m, cd, i in _cd_corpus():
         for p in (2, 3, 5):
             aprime = coprime_part(m, cd, p)
             ok = (is_characteristic(m, aprime)
@@ -377,7 +420,7 @@ def _cor_3_3():
                   and coprime(aprime.bit_count(), p)
                   and m.n // aprime.bit_count() <= i * i * p_part(m.n, p))
             if not ok:
-                bad.append(f"{to_src(expr)}@p={p}")
+                bad.append(f"{name}@p={p}")
     return ({"groups": len(CD_CORPUS), "primes": "2,3,5", "all_pass": yn(not bad)},
             f"violations: {bad}" if bad else
             "coprime part of the CD subgroup, J = I/|G_(p)|^e")
@@ -397,12 +440,10 @@ LEM_3_4_INSTANCES = (WD5SEMI, Hess(), MU33S4, MU73, MU24D10)
 def _lem_3_4():
     bad = []
     for expr in LEM_3_4_INSTANCES:
-        h = build(expr)
-        m, nsub = h.materialized(), h.sub("normal_gens")
+        m, nsub = normal_part(build(expr))
         qq = quotient(m, nsub)
         for p in PRIMES:
-            bound = Fraction(qq.n, p_part(qq.n, p) ** 3) * p_part(m.n, p) ** 3
-            if j_analysis(m, p).min_index > bound:
+            if not within_j(m, p, jprime(qq.n, p)):
                 bad.append(f"{to_src(expr)}@p={p}")
     return ({"instances": len(LEM_3_4_INSTANCES),
              "checks": 4 * len(LEM_3_4_INSTANCES), "all_pass": yn(not bad)},
@@ -432,11 +473,10 @@ def _lem_3_5():
             j2 = Fraction(0)
             for s in subgroup_classes(m2):
                 sm = sub_materialized(m2, s)
-                idx = invariant_min_index(sm, automorphism_group(sm).gens, p=p)
+                idx = invariant_min_index(sm, automorphism_group(sm).gens, p)
                 j2 = max(j2, Fraction(idx, p_part(s.order, p) ** 3))
             for s in subgroup_classes(prod):
-                sm = sub_materialized(prod, s)
-                if j_analysis(sm, p).min_index > j1 * j2 * p_part(s.order, p) ** 3:
+                if not within_j(sub_materialized(prod, s), p, j1 * j2):
                     bad.append(f"{to_src(g1)}x{to_src(g2)}@p={p}:|H|={s.order}")
     return ({"instances": 2, "primes": "2,3", "all_pass": yn(not bad)},
             f"violations: {bad}" if bad else
@@ -463,15 +503,9 @@ def _thm_3_7():
         g = M(expr)
         mask, gens = g.sylow_subgroup(p)
         syl = sub_materialized(g, Sub(mask, tuple(gens)))
-        n = 0
-        o = syl.n
-        while o > 1:
-            o //= p
-            n += 1
-        best = normal_abelian_subgroups(syl)[-1].order
-        m_exp = 0
-        while p**m_exp < best:
-            m_exp += 1
+        # p divides |G|, and a nontrivial p-group has a nontrivial centre
+        n = factor_prime_power(syl.n)[1]
+        m_exp = factor_prime_power(normal_abelian_subgroups(syl)[-1].order)[1]
         logs.append(f"{to_src(expr)}:p={p}:n={n},m={m_exp}")
         if m_exp * (m_exp + 1) < 2 * n:
             bad.append(logs[-1])
@@ -499,21 +533,15 @@ def _aux_sweep(m):
      "rescue_p3_min_index": 4, "rescue_p2_min_index": 1, "bound_viol": "-"},
 )
 def _lem_3_8_i():
-    reps = _aux_sweep(M(Sym(5)))
-    actual = {}
-    bound_viol = []
-    for p, rep in reps.items():
-        actual[f"order_viol_p{p}"] = ",".join(
-            str(o) for o in rep.violation_orders()) or "-"
-        bound_viol += [f"p{p}:{e.order}" for e in rep.bound_violations]
-    actual["bound_viol"] = ",".join(bound_viol) or "-"
     m = M(Sym(5))
-    e3 = reps[3].order_violations[0]
-    actual["iso_p3"] = sub_iso_label(m, e3.sub, [("mu5:mu4", F20)])
-    actual["rescue_p3_min_index"] = e3.min_index
-    e2 = reps[2].order_violations[0]
-    actual["iso_p2"] = sub_iso_label(m, e2.sub, [("mu5", Cyc(5))])
-    actual["rescue_p2_min_index"] = e2.min_index
+    reps = _aux_sweep(m)
+    actual = {f"order_viol_p{p}": ",".join(
+        str(o) for o in rep.violation_orders()) or "-" for p, rep in reps.items()}
+    actual["bound_viol"] = violation_tags(reps)
+    for p, label, expr in ((3, "mu5:mu4", F20), (2, "mu5", Cyc(5))):
+        e = reps[p].order_violations[0]
+        actual[f"iso_p{p}"] = sub_iso_label(m, e.sub, label, expr)
+        actual[f"rescue_p{p}_min_index"] = e.min_index
     return actual, "normal mu_5 of index 4 rescues mu_5:mu_4 at p=3"
 
 
@@ -528,12 +556,10 @@ def _lem_3_8_i():
 def _lem_3_8_ii():
     m = M(WD5SEMI)
     reps = _aux_sweep(m)
-    actual = {}
-    for p, rep in reps.items():
-        actual[f"bound_viol_p{p}"] = ",".join(
-            str(e.order) for e in rep.bound_violations) or "-"
+    actual = {f"bound_viol_p{p}": orders_text(rep.bound_violations)
+              for p, rep in reps.items()}
     viol = reps[3].bound_violations[0]
-    actual["viol_p3_iso"] = sub_iso_label(m, viol.sub, [("mu2^4:(mu5:mu4)", MU24F20)])
+    actual["viol_p3_iso"] = sub_iso_label(m, viol.sub, "mu2^4:(mu5:mu4)", MU24F20)
     actual["viol_p3_min_index"] = viol.min_index
     return actual, ("the exception needs index 20 > 10 = J; its only normal "
                     "abelian subgroup of coprime order is mu_2^4")
@@ -549,9 +575,8 @@ def _lem_3_8_ii():
 def _lem_3_8_iii():
     m = M(MU24A5)
     reps = _aux_sweep(m)
-    actual = {f"bound_viol_p{p}": ",".join(
-        str(e.order) for e in rep.bound_violations) or "-"
-        for p, rep in reps.items()}
+    actual = {f"bound_viol_p{p}": orders_text(rep.bound_violations)
+              for p, rep in reps.items()}
     actual["order"] = m.n
     return actual, ""
 
@@ -565,19 +590,12 @@ def _lem_3_8_iii():
 )
 def _lem_3_8_iv():
     reps = _aux_sweep(M(Sym(6)))
-    actual = {}
-    bound_viol = []
-    for p, rep in reps.items():
-        bound_viol += [f"p{p}:{e.order}" for e in rep.bound_violations]
-    actual["order_viol_p3_orders"] = ",".join(
-        str(o) for o in sorted(set(reps[3].violation_orders())))
-    actual["order_viol_p2_orders"] = ",".join(
-        str(o) for o in sorted(set(reps[2].violation_orders())))
-    actual["bound_viol"] = ",".join(bound_viol) or "-"
-    actual["p3_rescue_max_index"] = max(
-        e.min_index for e in reps[3].order_violations)
-    actual["p2_rescue_max_index"] = max(
-        e.min_index for e in reps[2].order_violations)
+    actual = {"bound_viol": violation_tags(reps)}
+    for p in (3, 2):
+        actual[f"order_viol_p{p}_orders"] = ",".join(
+            str(o) for o in sorted(set(reps[p].violation_orders())))
+        actual[f"p{p}_rescue_max_index"] = max(
+            e.min_index for e in reps[p].order_violations)
     return actual, ("p=3: mu_2 x D_8 keeps a normal mu_2 x mu_4 of index 2, "
                     "mu_5:mu_4 keeps mu_5 of index 4; p=2 exceptions abelian")
 
@@ -593,19 +611,14 @@ def _lem_3_8_iv():
      "exempt_162_min_index": 6},
 )
 def _lem_3_8_v():
-    m = M(Hsl23())
-    actual = {}
-    reps = {}
-    for p in PRIMES:
-        # the stated exception list: Gamma itself or order 162, at p = 5
-        exempt = (lambda e: e.order in (648, 162)) if p == 5 else None
-        reps[p] = sweep_bound(m, p, AUX_J[p], exempt=exempt)
-        if p != 7:
-            actual[f"bound_viol_p{p}"] = ",".join(
-                str(e.order) for e in reps[p].bound_violations) or "-"
+    reps = _aux_sweep(M(Hsl23()))
+    actual = {f"bound_viol_p{p}": orders_text(reps[p].bound_violations)
+              for p in (2, 3, 5)}
     rep5 = reps[5]
     actual["order_viol_p5"] = ",".join(str(o) for o in rep5.violation_orders())
-    actual["viol_within_exempt"] = yn(not rep5.unexpected)
+    # the stated exception list: Gamma itself or order 162, at p = 5
+    actual["viol_within_exempt"] = yn(
+        all(e.order in (648, 162) for e in rep5.bound_violations))
     gamma = next(e for e in rep5.bound_violations if e.order == 648)
     actual["gamma_min_index"] = gamma.min_index
     sub162 = [e for e in rep5.order_violations if e.order == 162]
@@ -643,19 +656,12 @@ def _mu33_sumzero_s4():
      "sumzero_bound_viol": "-"},
 )
 def _lem_3_8_vi():
-    actual = {}
     quot = M(MU33S4)
-    actual["quot_order"] = quot.n
-    viol = []
-    for p, rep in _aux_sweep(quot).items():
-        viol += [f"p{p}:{e.order}" for e in rep.bound_violations]
-    actual["quot_bound_viol"] = ",".join(viol) or "-"
+    actual = {"quot_order": quot.n}
+    actual["quot_bound_viol"] = violation_tags(_aux_sweep(quot))
     sz = _mu33_sumzero_s4().materialized()
     actual["sumzero_order"] = sz.n
-    viol = []
-    for p, rep in _aux_sweep(sz).items():
-        viol += [f"p{p}:{e.order}" for e in rep.bound_violations]
-    actual["sumzero_bound_viol"] = ",".join(viol) or "-"
+    actual["sumzero_bound_viol"] = violation_tags(_aux_sweep(sz))
     return actual, "module structure unspecified in the statement; both verified"
 
 
@@ -671,27 +677,24 @@ def _lem_3_8_vi():
 )
 def _lem_3_8_vii():
     orders = sorted({2**a * 3**b for a in range(7) for b in range(3)})
-    p5_exc = [n for n in orders if n > AUX_J[5] * p_part(n, 5) ** 3]
-    p7_exc = [n for n in orders if n > AUX_J[7] * p_part(n, 7) ** 3]
-    p3_fail = [n for n in orders if n > AUX_J[3] * p_part(n, 3) ** 3]
-    p2_fail = [n for n in orders if n > AUX_J[2] * p_part(n, 2) ** 3]
+    fail = {p: [n for n in orders if jprime(n, p) > AUX_J[p]] for p in PRIMES}
     # rescues: p=3 failures are 2-groups; theorem 3.7 gives a normal abelian
     # subgroup of order 2^m with m(m+1) >= 2a, hence index 2^(a-m) <= 8
     p3_rescue = []
-    for n in p3_fail:
+    for n in fail[3]:
         a = n.bit_length() - 1
         m_exp = next(m for m in range(a + 1) if m * (m + 1) >= 2 * a)
         p3_rescue.append(2 ** (a - m_exp))
     # p=2 failures: every group of order 9 is abelian (index-1 witness);
     # 18 = 2*3^2 already satisfies 3^{b-1} <= 2^{2a}, despite the paper
     # listing it alongside 9
-    p2_rescue = [1 if n == 9 else 2 for n in p2_fail]
-    return ({"p5_exceptions": ",".join(map(str, p5_exc)),
-             "p3_order_failures": ",".join(map(str, p3_fail)),
+    p2_rescue = [1 if n == 9 else 2 for n in fail[2]]
+    return ({"p5_exceptions": ",".join(map(str, fail[5])),
+             "p3_order_failures": ",".join(map(str, fail[3])),
              "p3_rescue_indices": ",".join(map(str, p3_rescue)),
-             "p2_order_failures": ",".join(map(str, p2_fail)),
+             "p2_order_failures": ",".join(map(str, fail[2])),
              "p2_rescue_indices": ",".join(map(str, p2_rescue)),
-             "p7_failures": ",".join(map(str, p7_exc)) or "-"},
+             "p7_failures": ",".join(map(str, fail[7])) or "-"},
             "pure order arithmetic; the 576-group itself is never built")
 
 
@@ -744,8 +747,7 @@ def _thm_4_1_iso():
 def _thm_4_1_simple():
     actual = {}
     for q in (4, 5, 7, 8, 9):
-        ns = normal_subgroups(M(ProjSL(q)))
-        actual[f"q{q}"] = ",".join(str(s.order) for s in ns)
+        actual[f"q{q}"] = orders_text(normal_subgroups(M(ProjSL(q))))
     return actual, ""
 
 
@@ -760,8 +762,7 @@ def _thm_4_1_simple():
 def _thm_4_1_cent():
     actual = {}
     for q in (5, 7, 9):
-        h = build(ProjGL(q))
-        m, psl = h.materialized(), h.sub("psl_gens")
+        m, psl = pgl_psl(q)
         actual[f"centralizer_q{q}"] = m.centralizer(psl.gens).bit_count()
         actual[f"center_pgl_q{q}"] = m.center().bit_count()
         actual[f"center_psl_q{q}"] = sub_materialized(m, psl).center().bit_count()
@@ -777,8 +778,7 @@ def _thm_4_1_cent():
 def _thm_4_1_derived():
     actual = {}
     for q in (3, 5, 7, 9):
-        h = build(ProjGL(q))
-        m, psl = h.materialized(), h.sub("psl_gens")
+        m, psl = pgl_psl(q)
         dmask, _ = m.derived_subgroup()
         actual[f"q{q}"] = yn(dmask == psl.mask)
     return actual, ""
@@ -793,8 +793,7 @@ def _thm_4_1_derived():
 def _thm_4_1_char():
     actual = {}
     for q in (5, 7, 9):
-        h = build(ProjGL(q))
-        m, psl = h.materialized(), h.sub("psl_gens")
+        m, psl = pgl_psl(q)
         actual[f"q{q}"] = yn(is_characteristic(m, psl.mask))
     return actual, ""
 
@@ -863,9 +862,7 @@ def _prop_4_4_struct():
     idx_pgl = [autm.index[conj_map(g)] for g in pgl.group.generators]
     F = pgl.parts["field"]
     frob_pts = tuple([F.pow(a, F.p) for a in range(F.q)] + [F.q])
-    frob = tuple(m.index[pm.compose(pm.compose(pm.inverse(frob_pts),
-                                               m.perms[x]), frob_pts)]
-                 for x in range(m.n))
+    frob = conj_map(frob_pts)
     with autm.table_scope():  # one table for every query on Aut(PSL2(F9))
         actual = {
             "pgl_conjugations": autm.close(idx_pgl).bit_count(),
@@ -926,16 +923,16 @@ def _lem_10_11():
 # Section 5: semidirect products mu_p^m : mu_n
 
 SEMI_INSTANCES = (
-    ("3_1_4", MU34, 3, 1, 4),
-    ("3_2_8", MU328, 3, 2, 8),
-    ("5_1_4", F20, 5, 1, 4),
-    ("2_3_7", MU237, 2, 3, 7),
+    ("3_1_4", MU34, 3, 1),
+    ("3_2_8", MU328, 3, 2),
+    ("5_1_4", F20, 5, 1),
+    ("2_3_7", MU237, 2, 3),
 )
 
 
 def _semi_parts(expr):
     h = build(expr)
-    return h.materialized(), h.sub("normal_gens"), h.sub("complement_gens")
+    return *normal_part(h), h.sub("complement_gens")
 
 
 @claim(
@@ -946,7 +943,7 @@ def _semi_parts(expr):
 )
 def _lem_5_1():
     actual = {}
-    for key, expr, p, m_exp, _n in SEMI_INSTANCES:
+    for key, expr, p, m_exp in SEMI_INSTANCES:
         g, rp, _l = _semi_parts(expr)
         cent = g.centralizer(rp.gens)
         worst = 0
@@ -957,9 +954,7 @@ def _lem_5_1():
                 y = g.mul(y, x)
                 t += 1
             worst = max(worst, t)
-        actual[f"i_{key}"] = f"{worst}<={p**m_exp - 1}"
-        if worst > p**m_exp - 1:
-            actual[f"i_{key}"] = f"VIOLATION:{worst}>{p**m_exp - 1}"
+        actual[f"i_{key}"] = within(worst, p**m_exp - 1)
     return actual, "worst exponent over all group elements"
 
 
@@ -976,7 +971,7 @@ def _lem_5_1():
 def _cor_5_2():
     actual = {}
     all_char = all_cent = all_prod = all_bound = True
-    for key, expr, p, m_exp, _n in SEMI_INSTANCES:
+    for key, expr, p, m_exp in SEMI_INSTANCES:
         g, rp, l = _semi_parts(expr)
         cmask = g.centralizer(rp.gens)
         cgens = g.gens_for_mask(cmask)
@@ -1014,7 +1009,7 @@ def _lem_5_3():
         counts[label] = len(classes)
         for s in classes:
             sm = sub_materialized(m, s)
-            idx = invariant_min_index(sm, automorphism_group(sm).gens, p=p)
+            idx = invariant_min_index(sm, automorphism_group(sm).gens, p)
             if idx > p_part(s.order, p) ** 3:
                 bad.append(f"{label}:|H|={s.order}")
     return ({"s3xs3_classes": counts["s3xs3"], "f12xf12_classes": counts["f12xf12"],
@@ -1036,9 +1031,7 @@ def _cor_5_4():
     for label, r, p in (("swapsq_s3_p3", Sym(3), 3), ("swapsq_f12_p3", MU34, 3),
                         ("swapsq_f20_p5", F20, 5), ("swapsq_m237_p2", MU237, 2)):
         m = M(SwapSq(r))
-        j = Fraction(1 if p == 2 else 2)
-        actual[label] = yn(
-            j_analysis(m, p).min_index <= j * p_part(m.n, p) ** 3)
+        actual[label] = yn(within_j(m, p, 1 if p == 2 else 2))
     return actual, "S_3 = mu_3 : mu_2 is the smallest type-(5) instance"
 
 
@@ -1061,20 +1054,16 @@ def _first_aut_of_order(m, r):
     {"a4_p5_index": 3, "a4_p7_index": 3, "v4mu6_p5_index": 3, "v4mu6_p7_index": 3},
 )
 def _ext_6_1():
-    actual = {}
-    a4 = build(Alt(4))
-    m = a4.materialized()
+    m = M(Alt(4))
     fmask, _ = m.derived_subgroup()  # V_4 inside A_4
-    maps = automorphism_group(m).preserving(fmask)
-    for p in (5, 7):
-        actual[f"a4_p{p}_index"] = invariant_min_index(m, maps, p=p)
+    actual = {f"a4_p{p}_index": idx
+              for p, idx in aut_hf_index(m, fmask, (5, 7)).items()}
     v4 = build(ElemAb(2, 2))
     alpha = _first_aut_of_order(v4.materialized(), 3)
-    h = semidirect_by_automorphisms(v4, build(Cyc(6)), [alpha], name="V4:mu6")
-    hm = h.materialized()
-    maps = automorphism_group(hm).preserving(h.sub("normal_gens").mask)
-    for p in (5, 7):
-        actual[f"v4mu6_p{p}_index"] = invariant_min_index(hm, maps, p=p)
+    hm, f = normal_part(semidirect_by_automorphisms(
+        v4, build(Cyc(6)), [alpha], name="V4:mu6"))
+    for p, idx in aut_hf_index(hm, f.mask, (5, 7)).items():
+        actual[f"v4mu6_p{p}_index"] = idx
     return actual, "A_4 = mu_2^2 : mu_3 and mu_2^2 : mu_6 instances"
 
 
@@ -1101,17 +1090,13 @@ def _ext_6_2():
     d12 = build(Dih(6))
 
     def run_instance(label, h, primes):
-        hm = h.materialized()
+        hm, f = normal_part(h)
         rot = next(p for p in h.parts["normal_gens"]
                    if pm.perm_order(p) == 6)
         fprime = hm.close([hm.index[rot]])
         actual[f"{label}_hypothesis"] = yn(_alpha_sq_commutes_with(hm, fprime))
-        maps = automorphism_group(hm).preserving(h.sub("normal_gens").mask)
-        for p in primes:
-            idx = invariant_min_index(hm, maps, p=p)
-            actual[f"{label}_p{p}_index"] = idx
-            if idx > 4:
-                actual[f"{label}_p{p}_index"] = f"VIOLATION:{idx}>4"
+        for p, idx in aut_hf_index(hm, f.mask, primes).items():
+            actual[f"{label}_p{p}_index"] = idx if idx <= 4 else f"VIOLATION:{idx}>4"
 
     run_instance("d12xmu5", build(Prod(Dih(6), Cyc(5))), (7,))
     dm = d12.materialized()
@@ -1131,8 +1116,7 @@ def _ext_6_2():
     {"checks": 44, "all_coprime_p3": "yes", "all_preserved": "yes"},
 )
 def _ext_6_3():
-    h = build(Prod(Sym(3), Cyc(4)))
-    m, fsub = h.materialized(), h.sub("normal_gens")
+    m, fsub = normal_part(build(Prod(Sym(3), Cyc(4))))
     p = 3
     maps = automorphism_group(m).preserving(fsub.mask)
     checks = 0
@@ -1153,6 +1137,15 @@ def _ext_6_3():
             "F = S_3 inside H = S_3 x mu_4")
 
 
+def _a4s4_a5mu7_indices(s4_primes, a5mu7_primes):
+    """aut_hf_index of the cyclic subgroups for F = A_4 in H = S_4 and for
+    F = A_5 in H = A_5 x mu_7, at the given primes."""
+    m = M(Sym(4))
+    s4 = aut_hf_index(m, m.derived_subgroup()[0], s4_primes, cyclic=True)
+    m, f = normal_part(build(Prod(Alt(5), Cyc(7))))
+    return s4, aut_hf_index(m, f.mask, a5mu7_primes, cyclic=True)
+
+
 @claim(
     "EXT-6.4", "Lemma 6.4: extension of a coprime cyclic group by F with "
     'trivial center and Out(F) of exponent <= d has a cyclic subgroup of '
@@ -1162,18 +1155,10 @@ def _ext_6_3():
      "a5mu7_p13_index": 60, "a5mu7_bound": 120},
 )
 def _ext_6_4():
-    actual = {}
-    s4 = build(Sym(4))
-    m = s4.materialized()
-    a4mask, _ = m.derived_subgroup()
-    maps = automorphism_group(m).preserving(a4mask)
-    for p in (5, 7):
-        actual[f"s4_p{p}_index"] = invariant_min_index(m, maps, p=p, cyclic=True)
+    s4, a5mu7 = _a4s4_a5mu7_indices((5, 7), (13,))
+    actual = {f"s4_p{p}_index": idx for p, idx in s4.items()}
     actual["s4_p5_bound"] = 2 * 12
-    h = build(Prod(Alt(5), Cyc(7)))
-    m2 = h.materialized()
-    maps = automorphism_group(m2).preserving(h.sub("normal_gens").mask)
-    actual["a5mu7_p13_index"] = invariant_min_index(m2, maps, p=13, cyclic=True)
+    actual["a5mu7_p13_index"] = a5mu7[13]
     actual["a5mu7_bound"] = 2 * 60
     return actual, "d = 2 for A_4, S_4, A_5 (Corollary 4.5)"
 
@@ -1188,26 +1173,12 @@ def _ext_6_4():
 def _ext_6_5():
     ext_j = {7: Fraction(120), 5: Fraction(48), 3: Fraction(40, 9), 2: Fraction(2),
              13: Fraction(120)}
-    actual = {}
-    s4 = build(Sym(4))
-    m = s4.materialized()
-    a4mask, _ = m.derived_subgroup()
-    maps = automorphism_group(m).preserving(a4mask)
-    for p in (5, 7):
-        idx = invariant_min_index(m, maps, p=p, cyclic=True)
-        bound = ext_j[p] * p_part(12, p) ** 3
-        actual[f"s4_p{p}"] = within(idx, bound)
-    h = build(Prod(Alt(5), Cyc(7)))
-    m2 = h.materialized()
-    maps = automorphism_group(m2).preserving(h.sub("normal_gens").mask)
-    idx = invariant_min_index(m2, maps, p=2, cyclic=True)
-    bound = ext_j[2] * p_part(60, 2) ** 3
-    actual["a5mu7_p2"] = within(idx, bound)
-    h = build(Prod(Sym(4), Cyc(5)))
-    m3 = h.materialized()
-    maps = automorphism_group(m3).preserving(h.sub("normal_gens").mask)
-    idx = invariant_min_index(m3, maps, p=7, cyclic=True)
-    actual["s4mu5_p7"] = within(idx, 120)
+    s4, a5mu7 = _a4s4_a5mu7_indices((5, 7), (2,))
+    actual = {f"s4_p{p}": within(idx, ext_j[p] * p_part(12, p) ** 3)
+              for p, idx in s4.items()}
+    actual["a5mu7_p2"] = within(a5mu7[2], ext_j[2] * p_part(60, 2) ** 3)
+    m, f = normal_part(build(Prod(Sym(4), Cyc(5))))
+    actual["s4mu5_p7"] = within(aut_hf_index(m, f.mask, (7,), cyclic=True)[7], 120)
     return actual, ""
 
 
@@ -1219,12 +1190,17 @@ def _hypothesis_6_6(m, fsub, p):
             continue
         cyc = m.close([lam])
         for alpha in range(m.n):
-            if not all(cyc >> m.conj(x, alpha) & 1 for x in (lam,)):
+            if not cyc >> m.conj(lam, alpha) & 1:
                 continue
             a2 = m.mul(alpha, alpha)
             if m.mul(a2, lam) != m.mul(lam, a2):
                 return False
     return True
+
+
+# (label, F, the cyclic factor of H = F x mu_n, p) for Lemma 6.6, Corollary 6.7
+EXT_6_6_INSTANCES = (("psl5mu3", ProjSL(5), Cyc(3), 5),
+                     ("pgl3mu2", ProjGL(3), Cyc(2), 3))
 
 
 @claim(
@@ -1237,13 +1213,10 @@ def _hypothesis_6_6(m, fsub, p):
 )
 def _ext_6_6():
     actual = {}
-    for label, f_expr, c_expr, p in (
-            ("psl5mu3", ProjSL(5), Cyc(3), 5), ("pgl3mu2", ProjGL(3), Cyc(2), 3)):
-        h = build(Prod(f_expr, c_expr))
-        m, fsub = h.materialized(), h.sub("normal_gens")
+    for label, f_expr, c_expr, p in EXT_6_6_INSTANCES:
+        m, fsub = normal_part(build(Prod(f_expr, c_expr)))
         actual[f"{label}_hypothesis"] = yn(_hypothesis_6_6(m, fsub, p))
-        maps = automorphism_group(m).preserving(fsub.mask)
-        actual[f"{label}_index"] = invariant_min_index(m, maps, p=p, cyclic=True)
+        actual[f"{label}_index"] = aut_hf_index(m, fsub.mask, (p,), cyclic=True)[p]
         actual[f"{label}_bound"] = 2 * fsub.order
     return actual, "F = PSL_2(F_5) and F = PGL_2(F_3) instances"
 
@@ -1256,15 +1229,10 @@ def _ext_6_6():
 )
 def _ext_6_7():
     actual = {}
-    for label, f_expr, c_expr, p, fp in (
-            ("psl5mu3_p5", ProjSL(5), Cyc(3), 5, 5),
-            ("pgl3mu2_p3", ProjGL(3), Cyc(2), 3, 3)):
-        h = build(Prod(f_expr, c_expr))
-        m = h.materialized()
-        maps = automorphism_group(m).preserving(h.sub("normal_gens").mask)
-        idx = invariant_min_index(m, maps, p=p, cyclic=True)
-        bound = 2 * fp**3
-        actual[label] = within(idx, bound)
+    for label, f_expr, c_expr, p in EXT_6_6_INSTANCES:
+        m, f = normal_part(build(Prod(f_expr, c_expr)))
+        actual[f"{label}_p{p}"] = within(
+            aut_hf_index(m, f.mask, (p,), cyclic=True)[p], 2 * p_part(f.order, p) ** 3)
     return actual, ""
 
 
@@ -1276,12 +1244,10 @@ def _ext_6_7():
     {"hypothesis": "yes", "index": 6, "bound": 54},
 )
 def _ext_6_8():
-    h = build(Prod(MU34, Cyc(2)))
-    m, fsub = h.materialized(), h.sub("normal_gens")
+    m, fsub = normal_part(build(Prod(MU34, Cyc(2))))
     p = 3
     hyp = _hypothesis_6_6(m, fsub, p)  # checked for all coprime-order lambda
-    maps = automorphism_group(m).preserving(fsub.mask)
-    idx = invariant_min_index(m, maps, p=p)
+    idx = aut_hf_index(m, fsub.mask, (p,))[p]
     return ({"hypothesis": yn(hyp), "index": idx, "bound": 2 * 3**3},
             "F = mu_3 : mu_4, H = F x mu_2 at p = 3")
 
@@ -1309,11 +1275,10 @@ def _lem_7_2_dihedral():
                 continue  # the dihedral family requires n coprime to p
             m = M(Dih(n))
             pairs += 1
-            maps = automorphism_group(m).gens
-            idx = invariant_min_index(m, maps, p=p, cyclic=True)
+            idx = invariant_min_index(m, automorphism_group(m).gens, p, cyclic=True)
             ok = ok and idx <= P1_J[p] * p_part(2 * n, p) ** 3
     m22 = M(Dih(2))
-    tight = invariant_min_index(m22, automorphism_group(m22).gens, p=3,
+    tight = invariant_min_index(m22, automorphism_group(m22).gens, 3,
                                 cyclic=True)
     return ({"pairs": pairs, "all_pass": yn(ok),
              "mu22_p3_tight": f"{tight}<={P1_J[3] * 1}"},
@@ -1331,13 +1296,11 @@ def _lem_7_2_dihedral():
 def _lem_7_2_exc():
     actual = {}
     ok = True
-    for key, expr, order in (("a4", Alt(4), 12), ("s4", Sym(4), 24),
-                             ("a5", Alt(5), 60)):
+    for key, expr in (("a4", Alt(4)), ("s4", Sym(4)), ("a5", Alt(5))):
         m = M(expr)
-        vals = [Fraction(m.n, p_part(m.n, p) ** 3) for p in (7, 3, 2)]
-        actual[key] = "|".join(fr(v) for v in vals)
+        actual[key] = "|".join(fr(jprime(m.n, p)) for p in (7, 3, 2))
         for p in PRIMES:
-            ok = ok and Fraction(m.n, p_part(m.n, p) ** 3) <= P1_J[p]
+            ok = ok and jprime(m.n, p) <= P1_J[p]
     actual["within_p1_table"] = yn(ok)
     return actual, "trivial subgroup is characteristic and cyclic"
 
@@ -1375,8 +1338,7 @@ def _lem_7_2_pslpgl():
 def _lem_7_2_norm_q11_13():
     actual = {}
     for q in (11, 13):
-        h = build(ProjGL(q))
-        m, psl = h.materialized(), h.sub("psl_gens")
+        m, psl = pgl_psl(q)
         actual[f"q{q}_normal"] = yn(m.is_normal_mask(psl.mask, psl.gens))
         dmask, _ = m.derived_subgroup()
         actual[f"q{q}_derived"] = yn(dmask == psl.mask)
@@ -1399,8 +1361,7 @@ def _lem_7_2_char_q11_13():
             "LEM-7.2-NORM-Q11-13 (char-untested)")
     actual = {}
     for q in (11, 13):
-        h = build(ProjGL(q))
-        m, psl = h.materialized(), h.sub("psl_gens")
+        m, psl = pgl_psl(q)
         actual[f"q{q}"] = ("characteristic" if is_characteristic(m, psl.mask)
                            else "not-characteristic")
     return actual, ""
@@ -1417,7 +1378,7 @@ def _lem_7_2_char_q11_13():
 def _lem_7_2_semi():
     actual = {}
     all_char = True
-    for key, expr, p, m_exp, _n in SEMI_INSTANCES:
+    for key, expr, p, m_exp in SEMI_INSTANCES:
         g, rp, l = _semi_parts(expr)
         lprime = l.mask & g.centralizer(rp.gens)
         all_char = all_char and is_characteristic(g, lprime)
@@ -1450,11 +1411,7 @@ def _cor_7_3():
     actual = {}
     for key, expr, primes in COR_7_3_INSTANCES:
         m = M(expr)
-        ok = True
-        for p in primes:
-            ja = j_analysis(m, p)
-            ok = ok and ja.min_index <= P1XP1_J[p] * ja.p_part**3
-        actual[key] = yn(ok)
+        actual[key] = yn(all(within_j(m, p, P1XP1_J[p]) for p in primes))
     a5 = j_analysis(M(SwapSq(Alt(5))), 7)
     actual["sharp_swapsq_a5_p7"] = f"{a5.min_index}={P1XP1_J[7] * a5.p_part ** 3}"
     s4 = j_analysis(M(SwapSq(Sym(4))), 5)
@@ -1476,12 +1433,10 @@ def _lem_8_2():
     s3_orders = (1, 2, 3, 6)
     actual = {}
     for p, key in ((5, "p5"), (3, "p3"), (2, "p2")):
-        actual[key] = fr(max(Fraction(n, p_part(n, p) ** 3) for n in s3_orders))
+        actual[key] = fr(max(jprime(n, p) for n in s3_orders))
     tri_j = {7: Fraction(6), 5: Fraction(6), 3: Fraction(2), 2: Fraction(3)}
     m = M(Semi(ElemAb(5, 2), Sym(3), Action("quotperm")))
-    ok = all(j_analysis(m, p).min_index <= tri_j[p] * p_part(m.n, p) ** 3
-             for p in PRIMES)
-    actual["instance_pass"] = yn(ok)
+    actual["instance_pass"] = yn(all(within_j(m, p, tri_j[p]) for p in PRIMES))
     return actual, "abelian kernel mu_5^2 with quotient inside S_3"
 
 
@@ -1498,8 +1453,7 @@ def _lem_8_2():
 )
 def _lem_8_3():
     actual = {}
-    h = build(Hess())
-    m, nsub = h.materialized(), h.sub("normal_gens")
+    m, nsub = normal_part(build(Hess()))
     actual["hess_mu32_index"] = m.n // nsub.order
     # every subgroup containing mu_3^2 keeps it normal with index <= 24
     ok = True
@@ -1519,8 +1473,8 @@ def _lem_8_3():
     actual["pgl3_ineq_all"] = yn(pgl_ok)
     actual["psu3_ineq_all"] = yn(psu_ok)
     actual["psl27_factored"] = "168=2^3*3*7" if 168 == 8 * 3 * 7 else "bad"
-    actual["psl27_I_p5"] = fr(Fraction(168, p_part(168, 5) ** 3))
-    i3 = Fraction(168, p_part(168, 3) ** 3)
+    actual["psl27_I_p5"] = fr(jprime(168, 5))
+    i3 = jprime(168, 3)
     actual["psl27_I_p3"] = fr(i3)
     actual["psl27_I_p3_below_7"] = yn(i3 <= 7)
     actual["a6_bound"] = "720/125<6" if Fraction(720, 5**3) < 6 else "bad"
@@ -1615,13 +1569,10 @@ def _lem_10_2_dp6():
     quotients = (1, 2, 3, 4, 6, 12)
     actual = {}
     for p, key in ((5, "p5"), (3, "p3"), (2, "p2")):
-        actual[key] = fr(max(Fraction(n, p_part(n, p) ** 3) for n in quotients))
-    inst = _dp6_instance()
-    m = inst.materialized()
+        actual[key] = fr(max(jprime(n, p) for n in quotients))
+    m = _dp6_instance().materialized()
     actual["instance_order"] = m.n
-    ok = all(j_analysis(m, p).min_index <= DP6_J[p] * p_part(m.n, p) ** 3
-             for p in PRIMES)
-    actual["instance_pass"] = yn(ok)
+    actual["instance_pass"] = yn(all(within_j(m, p, DP6_J[p]) for p in PRIMES))
     return actual, "Aut(dP6) = torus : (S_3 x mu_2)"
 
 

@@ -41,6 +41,9 @@ class ParseError(UsageError):
         self.pos = pos
 
 
+MAX_NESTING = 32  # prod/swapsq/semi levels around an atom; deeper is refused
+
+
 class _Parser:
     """Recursive descent over the group-expression grammar."""
 
@@ -109,7 +112,11 @@ class _Parser:
             self.error("trailing input")
         return expr
 
-    def expr(self):
+    def expr(self, depth=0):
+        """An expression inside depth levels of prod, swapsq or semi."""
+        if depth > MAX_NESTING:
+            self._ws()
+            self.error(f"expressions nest deeper than {MAX_NESTING} levels")
         at = self.pos
         name = self.ident()
         if name in self.ATOMS0:
@@ -141,21 +148,21 @@ class _Parser:
             return cx.WeylD(n)
         if name == "prod":
             self.expect("(")
-            a = self.expr()
+            a = self.expr(depth + 1)
             self.expect(",")
-            b = self.expr()
+            b = self.expr(depth + 1)
             self.expect(")")
             return cx.Prod(a, b)
         if name == "swapsq":
             self.expect("(")
-            e = self.expr()
+            e = self.expr(depth + 1)
             self.expect(")")
             return cx.SwapSq(e)
         if name == "semi":
             self.expect("(")
-            n = self.expr()
+            n = self.expr(depth + 1)
             self.expect(",")
-            h = self.expr()
+            h = self.expr(depth + 1)
             self.expect(",")
             act = self.action()
             self.expect(")")

@@ -186,11 +186,11 @@ def action_src(act: Action) -> str:
 
 
 class GroupHandle:
-    def __init__(self, group: PermGroup, expr=None, name: str = "", parts=None):
+    def __init__(self, group: PermGroup, parts: dict, expr=None, name: str = ""):
         self.group = group
         self.expr = expr
         self.name = name or (to_src(expr) if expr is not None else "")
-        self.parts = parts or {}
+        self.parts = parts
         self._order = None
         self._mat = None
 
@@ -341,6 +341,11 @@ def _dot(F: Field, u, v):
     return s
 
 
+def _mat_vec(F: Field, M, v):
+    """The matrix M times the column vector v over F."""
+    return tuple(_dot(F, row, v) for row in M)
+
+
 def _det2(F, M):
     return F.sub(F.mul(M[0][0], M[1][1]), F.mul(M[0][1], M[1][0]))
 
@@ -369,14 +374,7 @@ def _nonzero_vectors(F):
 
 
 def _vector_perm(F, M, vectors, index):
-    out = []
-    for u, v in vectors:
-        w = (
-            F.add(F.mul(M[0][0], u), F.mul(M[0][1], v)),
-            F.add(F.mul(M[1][0], u), F.mul(M[1][1], v)),
-        )
-        out.append(index[w])
-    return tuple(out)
+    return tuple(index[_mat_vec(F, M, v)] for v in vectors)
 
 
 def _build_matrix_group(q, special):
@@ -414,14 +412,8 @@ def matrix_to_projective_perm(F: Field, M):
     """Permutation of P^1 induced by an invertible 2x2 matrix."""
     if _det2(F, M) == 0:
         raise ValueError("singular matrix has no projective action")
-    images = []
-    for u, v in projective_line(F):
-        w = (
-            F.add(F.mul(M[0][0], u), F.mul(M[0][1], v)),
-            F.add(F.mul(M[1][0], u), F.mul(M[1][1], v)),
-        )
-        images.append(projective_point_index(F, *w))
-    return tuple(images)
+    return tuple(projective_point_index(F, *_mat_vec(F, M, v))
+                 for v in projective_line(F))
 
 
 def _build_projective(q, special):
@@ -447,13 +439,7 @@ def _build_psl32():
         ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
         ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
     ]
-    gens = []
-    for M in mats:
-        images = []
-        for v in vectors:
-            w = tuple(sum(M[i][j] * v[j] for j in range(3)) % 2 for i in range(3))
-            images.append(index[w])
-        gens.append(tuple(images))
+    gens = [_vector_perm(field_of_order(2), M, vectors, index) for M in mats]
     pg = _pg(gens, 7)
     if pg.order() != 168:
         raise AssertionError("PSL(3,2) generators wrong")
@@ -642,12 +628,9 @@ def _explicit_action_perms(n_expr, Nmat, h_expr, params):
         p, m = n_expr.p, n_expr.m
         if len(params) != m * m:
             raise BuildError(f"explicit matrix for EA({p},{m}) needs {m*m} entries")
+        F = field_of_order(p)
         mat = [[params[i * m + j] % p for j in range(m)] for i in range(m)]
-
-        def apply(v):
-            return tuple(sum(mat[i][j] * v[j] for j in range(m)) % p for i in range(m))
-
-        return [ea_action_perm(Nmat, p, m, apply)]
+        return [ea_action_perm(Nmat, p, m, lambda v: _mat_vec(F, mat, v))]
     raise BuildError("explicit action requires cyclic or elementary abelian N")
 
 
@@ -668,9 +651,8 @@ def _linear_action_perms(n_expr, Nmat, h_handle):
     for M in mats:
         def apply(v, M=M):
             fvec = [F._encode(v[i * F.k:(i + 1) * F.k]) for i in range(nn)]
-            w = [_dot(F, M[i], fvec) for i in range(nn)]
             digits = []
-            for x in w:
+            for x in _mat_vec(F, M, fvec):
                 for _ in range(F.k):
                     digits.append(x % p)
                     x //= p

@@ -72,20 +72,6 @@ def _poly_mod(a, m, p):
     return a
 
 
-def _divides(f, g, p):
-    """True if monic g divides f over F_p."""
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) - 1 >= dg:
-        c = r[-1]
-        if c:
-            shift = len(r) - 1 - dg
-            for j in range(dg + 1):
-                r[shift + j] = (r[shift + j] - c * g[j]) % p
-        r.pop()
-    return all(c == 0 for c in r)
-
-
 def _is_irreducible(f, p):
     """Exhaustive factor check: no monic divisor of degree 1..deg(f)//2."""
     k = len(f) - 1
@@ -94,7 +80,7 @@ def _is_irreducible(f, p):
     for d in range(1, k // 2 + 1):
         for enc in range(p**d):
             g = _digits(enc, p, d) + [1]
-            if _divides(f, g, p):
+            if not any(_poly_mod(f, g, p)):
                 return False
     return True
 

@@ -270,36 +270,26 @@ def sub_materialized(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
 class SweepEntry:
     sub: Sub
     order: int
-    min_index: int | None  # computed only for order-bound violators
-    bound_ok: bool
+    min_index: int
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    p: int
-    bound: Fraction
     n_classes: int
     order_violations: tuple
-    bound_violations: tuple
-    unexpected: tuple  # bound violations not covered by the exempt predicate
+    bound_violations: tuple  # order violations whose min_index is above J too
 
     def violation_orders(self):
         return sorted(e.order for e in self.order_violations)
 
 
-def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction,
-                exempt=None) -> SweepReport:
+def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction) -> SweepReport:
     """Check |H| <= J*|H_(p)|^3 (and the normal-abelian rescue) over every
-    subgroup class representative of M.
-
-    exempt, if given, is a predicate over SweepEntry naming the expected
-    exceptions; violations outside it are reported as unexpected.
-    """
+    subgroup class representative of M."""
     bound = Fraction(bound)
     classes = subgroup_classes(M)
     order_viol = []
     bound_viol = []
-    unexpected = []
     with M.table_scope():  # one table for every violator's enumeration
         for sub in classes:
             o = sub.order
@@ -309,14 +299,11 @@ def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction,
                 continue  # trivial subgroup witnesses min_index <= |H| <= limit
             sm = sub_materialized(M, sub)
             ja = j_analysis(sm, p)
-            entry = SweepEntry(sub, o, ja.min_index, ja.min_index <= limit)
+            entry = SweepEntry(sub, o, ja.min_index)
             order_viol.append(entry)
-            if not entry.bound_ok:
+            if entry.min_index > limit:
                 bound_viol.append(entry)
-                if exempt is not None and not exempt(entry):
-                    unexpected.append(entry)
-    return SweepReport(p, bound, len(classes), tuple(order_viol),
-                       tuple(bound_viol), tuple(unexpected))
+    return SweepReport(len(classes), tuple(order_viol), tuple(bound_viol))
 
 
 def quotient(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:

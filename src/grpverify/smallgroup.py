@@ -627,7 +627,7 @@ def coprime(n: int, p: int) -> bool:
     return gcd(n, p) == 1
 
 
-def breadth_first(one, gens, step, cap: int, name: str = ""):
+def breadth_first(one, gens, step, cap: int, name: str):
     """Enumerate the closure of one under x -> step(x, s) for s in gens.
 
     Returns the elements in discovery order, a dict from element to

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from grpverify import construct as cx
-from grpverify.cli import ParseError, build_arg_parser, main, parse_expr
+from grpverify.cli import MAX_NESTING, ParseError, build_arg_parser, main, parse_expr
 from grpverify.ledger import Caps
 
 
@@ -168,6 +168,23 @@ def test_parse_error_exit_code(capsys):
     rc = main(["analyze", "PGL(2,6)", "-p", "5"])
     assert rc == 2
     assert "not a prime power" in capsys.readouterr().err
+
+
+def nested_prod(depth):
+    return "prod(" * depth + "C(1)" + ",C(1))" * depth
+
+
+def test_nesting_limit_parses_32_deep(capsys):
+    assert MAX_NESTING == 32
+    assert main(["analyze", nested_prod(32), "-p", "2"]) == 0
+    assert "min_index  1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("depth", [33, 1000])
+def test_nesting_beyond_the_limit_is_a_syntax_error(depth, capsys):
+    assert main(["analyze", nested_prod(depth), "-p", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "syntax error" in err and f"byte {33 * 5}:" in err  # at the atom
 
 
 def test_cap_error_exit_code(capsys):

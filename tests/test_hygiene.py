@@ -11,8 +11,10 @@ comments and docstrings do not count.  Claim runners (registered by
 
 Each parameter with a default must be passed, by keyword or by position,
 in at least one call to its function in those files; a default that no
-call overrides is a constant, not a setting.  A call is matched by the
-name it calls (`f(...)` or `x.f(...)`; `C(...)` for `C.__init__`).
+call overrides is a constant, not a setting.  Nor may every call pass
+it: a default that every call overrides is never used, so the parameter
+should be required.  A call is matched by the name it calls (`f(...)` or
+`x.f(...)`; `C(...)` for `C.__init__`).
 """
 
 import ast
@@ -134,18 +136,41 @@ def sets_parameter(call, position, name) -> bool:
             or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def test_every_optional_parameter_is_set_by_some_call():
+def parameter_settings(owner, fn, calls):
+    """(name, whether each call sets it) of each parameter with a default."""
+    return [(name, [sets_parameter(c, position, name) for c in calls])
+            for position, name in optional_parameters(owner, fn)]
+
+
+def defaults_and_their_calls():
+    """(where, whether each call sets it) of every parameter with a default
+    that the package declares."""
     calls = calls_by_name()
-    unset = []
     for path, owner, fn in definitions():
         if _is_dunder(fn.name) and fn.name != "__init__":
             continue
-        called = owner if fn.name == "__init__" else fn.name
-        for position, name in optional_parameters(owner, fn):
-            if not any(sets_parameter(c, position, name) for c in calls[called]):
-                shown = f"{owner}.{fn.name}" if owner else fn.name
-                unset.append(f"{path}:{fn.lineno} {shown}({name}=...)")
+        called = calls[owner if fn.name == "__init__" else fn.name]
+        shown = f"{owner}.{fn.name}" if owner else fn.name
+        for name, sets in parameter_settings(owner, fn, called):
+            yield f"{path}:{fn.lineno} {shown}({name}=...)", sets
+
+
+def test_every_optional_parameter_is_set_by_some_call():
+    unset = [where for where, sets in defaults_and_their_calls() if not any(sets)]
     assert unset == [], "defaults no call overrides: " + ", ".join(unset)
+
+
+def test_no_default_is_overridden_by_every_call():
+    dead = [where for where, sets in defaults_and_their_calls()
+            if sets and all(sets)]
+    assert dead == [], "defaults every call overrides: " + ", ".join(dead)
+
+
+def test_a_default_every_call_overrides_is_never_used():
+    fn = ast.parse("def f(a, b=1, c=2):\n    pass\n").body[0]
+    calls = [ast.parse(src).body[0].value for src in ("f(0, 5)", "f(0, b=6)")]
+    assert parameter_settings(None, fn, calls) == [("b", [True, True]),
+                                                   ("c", [False, False])]
 
 
 def test_a_parameter_passed_by_position_or_keyword_is_set():
