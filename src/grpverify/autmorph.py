@@ -12,6 +12,10 @@ subgroup is invariant under Aut(G) iff it is invariant under each
 generator, and the stabilizer of a subgroup is read off its orbit by
 Schreier generators.  Only `AutGroup.as_materialized` lists every
 automorphism.
+
+The same search, stopped at its first map, finds an isomorphism between
+two groups: `find_isomorphism`, and `is_isomorphic`, which refuses groups
+above the isomorphism cap.
 """
 
 from __future__ import annotations
@@ -20,27 +24,32 @@ from dataclasses import dataclass
 
 from .lattice import all_subgroups
 from .smallgroup import (
+    CapExceeded,
     MaterializedGroup,
     bits,
     cached_query,
     coprime,
+    current_caps,
 )
 
 
-def generating_sequence(M: MaterializedGroup) -> list[int]:
-    """Greedy small generating sequence, elements of large order first."""
+def generating_sequence(M: MaterializedGroup) -> tuple[list[int], list[int]]:
+    """Greedy small generating sequence, elements of large order first:
+    (gens, spans), spans[i] the order of the subgroup gens[:i+1] generate."""
     order = [1] + [M.element_order(i) for i in range(1, M.n)]
     cands = sorted(range(1, M.n), key=lambda i: (-order[i], i))
     gens = []
+    spans = []
     mask = 1
     for c in cands:
         if mask >> c & 1:
             continue
         gens.append(c)
         mask = M.close(gens)
+        spans.append(mask.bit_count())
         if mask == M.full_mask:
             break
-    return gens
+    return gens, spans
 
 
 def _invariant_table(M: MaterializedGroup):
@@ -106,14 +115,9 @@ def _search(M1, M2, find_all):
     by_key = {}
     for i, key in enumerate(inv2):
         by_key.setdefault(key, []).append(i)
-    gens = generating_sequence(M1)
+    gens, spans = generating_sequence(M1)
     if not gens:  # trivial group
         return {0: [[0]]}
-    spans = []
-    mask = 1
-    for i in range(len(gens)):
-        mask = M1.close(gens[: i + 1])
-        spans.append(mask.bit_count())
     found = []
 
     def dfs(level, pairs, cands):
@@ -149,6 +153,14 @@ def find_isomorphism(M1: MaterializedGroup, M2: MaterializedGroup):
     """An isomorphism M1 -> M2 as an image list, or None."""
     found = _search_isomorphisms(M1, M2, find_all=False)
     return next(iter(found.values()))[0] if found else None
+
+
+def is_isomorphic(M1: MaterializedGroup, M2: MaterializedGroup) -> bool:
+    cap = current_caps().max_subgroup_order
+    order = max(M1.n, M2.n)
+    if order > cap:
+        raise CapExceeded(f"order {order} exceeds isomorphism cap {cap}")
+    return find_isomorphism(M1, M2) is not None
 
 
 @dataclass
@@ -214,28 +226,19 @@ class AutGroup:
         """Aut(G) as a concrete group acting on the |G| element indices.
 
         The one place every automorphism is listed: each map a found with
-        a(g1) = r is composed with the conjugation by x, for one x per
-        conjugate of r.  The elements are then enumerated from a greedy
+        a(g1) = r is composed with the conjugation by x, for the x of the
+        transversal of r's conjugation orbit, one per conjugate of r.  Any
+        such x gives the same maps, as the search found every a with
+        a(g1) = r.  The elements are then enumerated from a greedy
         generating subset of the sorted list.
         """
         M = self.base
         maps = []
         with M.table_scope():
-            for cls in M.conjugacy_classes():
-                r = cls[0]
-                found = self.found.get(r)
-                if found is None:
-                    continue
-                reached = set()
-                for x in range(M.n):
-                    y = M.conj(r, x)
-                    if y in reached:
-                        continue
-                    reached.add(y)
+            for r, found in self.found.items():
+                for x in M.conjugation_orbit(1 << r)[1]:
                     inner = M.conj_map(x)
                     maps.extend(tuple(map(inner.__getitem__, a)) for a in found)
-                    if len(reached) == len(cls):
-                        break
         maps.sort()
         # an automorphism is fixed by its images of G's generators, so a
         # product is looked up by that short key instead of composed

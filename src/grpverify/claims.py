@@ -25,6 +25,7 @@ from .autmorph import (
     coprime_part,
     invariant,
     is_characteristic,
+    is_isomorphic,
 )
 from .construct import (
     Action,
@@ -55,7 +56,6 @@ from .gf import factor_prime_power
 from .lattice import (
     Sub,
     all_subgroups,
-    is_isomorphic,
     j_analysis,
     normal_abelian_subgroups,
     normal_subgroups,

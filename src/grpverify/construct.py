@@ -191,7 +191,6 @@ class GroupHandle:
         self.expr = expr
         self.name = name or (to_src(expr) if expr is not None else "")
         self.parts = parts
-        self._order = None
         self._mat = None
 
     @property
@@ -200,9 +199,7 @@ class GroupHandle:
 
     @property
     def order(self) -> int:
-        if self._order is None:
-            self._order = self.group.order()
-        return self._order
+        return self.group.order()
 
     def materialized(self) -> MaterializedGroup:
         cap = current_caps().max_order
@@ -351,9 +348,11 @@ def _det2(F, M):
 
 
 def _gl2_gens(F):
+    """GL(2,q) from diag(z, 1), a transvection and a swap; over F_2, z = 1
+    and diag(z, 1) is the identity, so it is left out."""
     z = F.primitive_element()
-    return [
-        ((z, 0), (0, 1)),
+    diag = [((z, 0), (0, 1))] if z != 1 else []
+    return diag + [
         ((1, 1), (0, 1)),
         ((0, 1), (1, 0)),
     ]

@@ -8,9 +8,10 @@ orbit-stabilizer.  The elements g that need no extension, because <H, g>
 is conjugate to one already known, are skipped right coset by right coset
 of H: the walk steps Hx to Hxh and to (Hx)^u = Hx^u for u generating
 N(H), and a u in H (Hx^u = Hxu) or in the centre (Hx^u = Hx) adds no
-step.  `all_subgroups` has no search of its own: it is those
-classes, each expanded by a walk of its orbit, where the conjugate H^u for
-the walk's transversal element u is generated by the elements h^u.
+step; each coset's image is one `gather` of its elements.
+`all_subgroups` has no search of its own: it is those classes, each
+expanded by a walk of its orbit, where the conjugate H^u for the walk's
+transversal element u is generated by the elements h^u.
 
 The normal lattice is built from the normal closures of single classes by
 joins (`normal_joins`).  A join AB of normal subgroups is closed only when
@@ -30,23 +31,26 @@ normal abelian subgroup of order coprime to p, and that index divided by
 the cube of the p-part as an exact rational.  `j_analysis` reads it off
 the normal abelian subgroups, so their joins run once per group, whatever
 primes are asked for.
+
+`quotient` reads the cosets xN of a normal N from `orbits`, the orbits
+under the columns of N's generators.  Isomorphism testing lives in
+autmorph, beside the search it runs; this module imports nothing from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .gf import factor_prime_power
 from .smallgroup import (
-    CapExceeded,
     MaterializedGroup,
     bits,
     cached_query,
     coprime,
-    current_caps,
     flags_of,
+    gather,
+    orbits,
     p_part,
 )
 
@@ -197,11 +201,6 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
         skip = H.mask | center
         steps += [M.conj_map(u) for u in ngens if not skip >> u & 1]
         h_elems = tuple(bits(H.mask))
-        many = len(h_elems) > 1
-
-        def image(coset, t):  # one gather: the coset's image under t
-            return itemgetter(*coset)(t) if many else (t[coset[0]],)
-
         covered = bytearray(flags_of(H.mask, M.n))
         for g in range(1, M.n):
             if covered[g]:
@@ -209,14 +208,14 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
             register(extend(g))
             # skip g's orbit, from Hg; covered is a union of right cosets,
             # so a coset's first element tells whether it is covered
-            cosets = [image(h_elems, M.column(g))]
+            cosets = [gather(h_elems)(M.column(g))]
             for y in cosets[0]:
                 covered[y] = 1
             for coset in cosets:  # cosets grows while it is walked
                 x = coset[0]
                 for t in steps:
                     if not covered[t[x]]:
-                        new = image(coset, t)
+                        new = gather(coset)(t)
                         for y in new:
                             covered[y] = 1
                         cosets.append(new)
@@ -307,32 +306,18 @@ def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction) -> SweepReport:
 
 
 def quotient(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
-    """Quotient by a normal subgroup, as its regular action on cosets."""
+    """Quotient by a normal subgroup, as its regular action on cosets.
+
+    The cosets xN are the orbits under the columns of N's generators,
+    numbered by their least elements, which represent them.
+    """
     if not is_normal(M, sub):
         raise ValueError("subgroup is not normal")
-    coset_id = M._left_cosets(sub.gens)  # xN = Nx: left and right agree
-    n_cosets = M.n // sub.order
-    reps = [0] * n_cosets
-    seen = [False] * n_cosets
-    for x in range(M.n):
-        c = coset_id[x]
-        if not seen[c]:
-            seen[c] = True
-            reps[c] = x
-    qgens = []
-    for g in M.gens:
-        qgens.append(tuple(coset_id[M.mul(reps[c], g)] for c in range(n_cosets)))
+    coset_id, cosets = orbits(M.n, [M.column(h) for h in sub.gens])
+    n_cosets = len(cosets)
+    reps = [c[0] for c in cosets]
+    qgens = [tuple(coset_id[M.mul(r, g)] for r in reps) for g in M.gens]
     out = MaterializedGroup(qgens, n_cosets, cap=n_cosets + 1)
     if out.n != n_cosets:
         raise AssertionError("coset action not transitive on cosets")
     return out
-
-
-def is_isomorphic(M1: MaterializedGroup, M2: MaterializedGroup) -> bool:
-    from .autmorph import find_isomorphism
-
-    cap = current_caps().max_subgroup_order
-    order = max(M1.n, M2.n)
-    if order > cap:
-        raise CapExceeded(f"order {order} exceeds isomorphism cap {cap}")
-    return find_isomorphism(M1, M2) is not None

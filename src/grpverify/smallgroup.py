@@ -29,6 +29,12 @@ the identity, or grown by one element from a known subgroup H by
 an earlier one over a generator's column, and stops at more than n/2
 elements, where the answer can only be G.
 
+Orbits of points are partitioned by one walk, `orbits`: the conjugacy
+classes are the orbits under the generators' conjugation maps, and the
+cosets xN of a subgroup the orbits under its generators' columns.  The
+walks over cosets and conjugates carry a set of elements to its image
+under a column or map by `gather`, one C-level pass.
+
 The conjugates of a subgroup H are walked once, by `conjugation_orbit`,
 which records for each conjugate an element that conjugates H to it.
 `normalizer` reads N(H) off that walk by orbit-stabilizer: |N(H)| is n
@@ -110,6 +116,39 @@ def flags_of(mask: int, n: int) -> bytes:
 def mask_of(flags) -> int:
     """Inverse of flags_of: the mask whose bit i is flags[i] (0 or 1)."""
     return int(bytes(flags).translate(_TO_DIGITS)[::-1], 2)
+
+
+def gather(idx):
+    """f(seq) = the tuple of seq[i] for i in idx, in one C-level pass: an
+    itemgetter, which for a single index would return the item itself."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
+
+
+def orbits(n: int, maps) -> tuple[list, list]:
+    """The orbits of 0..n-1 under the index maps: (label, orbits).
+
+    orbits[k] is the k-th orbit, numbered by its least point and listed in
+    the order walked from that point; label[x] is the k of x's orbit.
+    """
+    label = [-1] * n
+    out = []
+    for i in range(n):
+        if label[i] >= 0:
+            continue
+        k = len(out)
+        label[i] = k
+        orbit = [i]
+        for x in orbit:  # orbit grows while it is walked
+            for m in maps:
+                y = m[x]
+                if label[y] < 0:
+                    label[y] = k
+                    orbit.append(y)
+        out.append(orbit)
+    return label, out
 
 
 def cached_query(label: str, field: str):
@@ -287,15 +326,15 @@ class MaterializedGroup:
         return list(self.column(g))
 
     def element_order(self, i: int) -> int:
+        """A class function: one cycle decomposition per conjugacy class."""
         if self._orders is None:
-            if self._classes is None:
-                self._orders = [pm.perm_order(p) for p in self.perms]
-            else:  # a class function: one cycle decomposition per class
-                orders = self._orders = [0] * self.n
-                for cls in self._classes:
-                    o = pm.perm_order(self.perms[cls[0]])
-                    for x in cls:
-                        orders[x] = o
+            with self.table_scope():  # the classes' maps read by lookup
+                classes = self.conjugacy_classes()
+            orders = self._orders = [0] * self.n
+            for cls in classes:
+                o = pm.perm_order(self.perms[cls[0]])
+                for x in cls:
+                    orders[x] = o
         return self._orders[i]
 
     @property
@@ -315,28 +354,10 @@ class MaterializedGroup:
         return self._conj_maps
 
     def conjugacy_classes(self):
-        """Partition of indices into conjugacy classes (orbit expansion)."""
+        """Partition of indices into conjugacy classes, each sorted."""
         if self._classes is None:
-            maps = self.conj_maps()
-            class_of = [-1] * self.n
-            classes = []
-            for i in range(self.n):
-                if class_of[i] >= 0:
-                    continue
-                cid = len(classes)
-                orbit = [i]
-                class_of[i] = cid
-                qi = 0
-                while qi < len(orbit):
-                    x = orbit[qi]
-                    qi += 1
-                    for m in maps:
-                        y = m[x]
-                        if class_of[y] < 0:
-                            class_of[y] = cid
-                            orbit.append(y)
-                classes.append(sorted(orbit))
-            self._classes = classes
+            self._classes = [sorted(o)
+                             for o in orbits(self.n, self.conj_maps())[1]]
         return self._classes
 
     # -- subgroup helpers ------------------------------------------------------
@@ -402,7 +423,7 @@ class MaterializedGroup:
                         size += order
                         if 2 * size > n:
                             return full
-                        new = itemgetter(*coset)(c) if order > 1 else (c[t],)
+                        new = gather(coset)(c)
                         cosets.append(new)
                         for y in new:
                             seen[y] = 1
@@ -439,14 +460,16 @@ class MaterializedGroup:
         return self.centralizer(self.gens)
 
     def conjugation_orbit(self, mask: int):
-        """The conjugates of the subgroup H with this mask: points, trans, to.
+        """The conjugates of the set H with this mask: points, trans, to.
+
+        H is a subgroup, or any set of elements, such as one element 1 << r.
 
         The orbit is walked breadth-first under the generators' conjugation
         maps only: an orbit of a finite group is closed under its
         generators' inverses too.  points[i] is the i-th conjugate found,
         as the tuple of its elements in descending order (points[0] is H;
         sets of one size compare as masks the way these tuples compare),
-        gathered with one itemgetter per map.  trans[i] is an element u with
+        gathered by one `gather` per map.  trans[i] is an element u with
         H^u = points[i]: u_y = u_x g for the tree step points[x]^g =
         points[y], read off the column of the generator g.  to[x*k + t] is
         the index of points[x]^g_t, for the k generators g_t.
@@ -459,11 +482,10 @@ class MaterializedGroup:
         trans = [0]
         to = []
         for i, x in enumerate(points):  # points grows while it is walked
-            take = itemgetter(*x)
+            take = gather(x)
             u = trans[i]
             for t, m in enumerate(maps):
-                y = take(m)
-                y = tuple(sorted(y, reverse=True)) if len(x) > 1 else (y,)
+                y = tuple(sorted(take(m), reverse=True))
                 j = where.get(y)
                 if j is None:
                     j = where[y] = len(points)
@@ -509,25 +531,6 @@ class MaterializedGroup:
                 if mask.bit_count() == target:
                     break
         return mask, gens
-
-    def _left_cosets(self, sub_gens) -> list:
-        """label[y] == label[z] iff yH == zH, for H generated by sub_gens."""
-        steps = [self.column(h) for h in sub_gens]
-        label = [-1] * self.n
-        k = 0
-        for y in range(self.n):
-            if label[y] >= 0:
-                continue
-            label[y] = k
-            orbit = [y]
-            for x in orbit:
-                for c in steps:
-                    z = c[x]
-                    if label[z] < 0:
-                        label[z] = k
-                        orbit.append(z)
-            k += 1
-        return label
 
     def derived_subgroup(self) -> tuple[int, list[int]]:
         comms = set()

@@ -159,6 +159,16 @@ def test_analyze_c12(capsys):
     assert "cyclic mu_4" in out
 
 
+def test_analyze_linear_action_of_gl2_over_f2(capsys):
+    """GL(2,2) acting on EA(2,2) is S4; over F_2, diag(z, 1) is the identity
+    and is not an H generator."""
+    rc = main(["analyze", "semi(EA(2,2),GL(2,2),linear)", "-p", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "order      24" in out
+    assert "min_index  6" in out
+
+
 def test_analyze_rejects_nonprime(capsys):
     rc = main(["analyze", "C(12)", "-p", "6"])
     assert rc == 2

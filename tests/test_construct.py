@@ -92,7 +92,7 @@ def test_mu7_mu3_default_action():
 
 
 def test_wd5_atom_matches_semi_form():
-    from grpverify.lattice import is_isomorphic
+    from grpverify.autmorph import is_isomorphic
 
     a = build(WeylD(5)).materialized()
     b = build(Semi(ElemAb(2, 4), Sym(5), Action("evenperm"))).materialized()
@@ -119,8 +119,8 @@ def aut_h3_reference():
     and the automorphisms of an SL2(F3) class of Aut(H3), found by a
     subgroup-class sweep and isomorphism tests, all acting on H3's 27
     element indices."""
-    from grpverify.autmorph import automorphism_group
-    from grpverify.lattice import is_isomorphic, sub_materialized, subgroup_classes
+    from grpverify.autmorph import automorphism_group, is_isomorphic
+    from grpverify.lattice import sub_materialized, subgroup_classes
     from grpverify.perm import PermGroup
 
     m3 = build(H3()).materialized()
@@ -138,7 +138,7 @@ def test_hsl23_matches_cocycle_construction():
     """`build` lifts SL2(F3) to H3 by the explicit cocycle
     (x,y,z) -> (ax+by, cx+dy, z + 2ac x^2 + 2bd y^2 + bc xy); the reference
     finds SL2(F3) inside Aut(H3) instead."""
-    from grpverify.lattice import is_isomorphic
+    from grpverify.autmorph import is_isomorphic
     from grpverify.smallgroup import materialize
 
     reference = aut_h3_reference()
@@ -155,12 +155,13 @@ def test_building_hsl23_runs_no_query(monkeypatch):
     monkeypatch.setattr(construct, "_CACHE", {})  # build it, not a cached one
     monkeypatch.setattr(autmorph, "automorphism_group", refuse)
     monkeypatch.setattr(lattice, "subgroup_classes", refuse)
-    monkeypatch.setattr(lattice, "is_isomorphic", refuse)
+    monkeypatch.setattr(autmorph, "is_isomorphic", refuse)
     assert build(Hsl23()).order == 648
 
 
 def test_semi_contains_normal_part_with_right_quotient():
-    from grpverify.lattice import is_isomorphic, quotient
+    from grpverify.autmorph import is_isomorphic
+    from grpverify.lattice import quotient
 
     cases = [
         (Semi(Cyc(7), Cyc(3), Action("explicit")), Cyc(7), Cyc(3)),
@@ -277,7 +278,7 @@ def test_singular_matrix_rejected():
 
 
 def test_gf2_pgl_is_s3():
-    from grpverify.lattice import is_isomorphic
+    from grpverify.autmorph import is_isomorphic
 
     assert is_isomorphic(build(ProjGL(2)).materialized(),
                          build(Sym(3)).materialized())

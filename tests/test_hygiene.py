@@ -15,6 +15,9 @@ call overrides is a constant, not a setting.  Nor may every call pass
 it: a default that every call overrides is never used, so the parameter
 should be required.  A call is matched by the name it calls (`f(...)` or
 `x.f(...)`; `C(...)` for `C.__init__`).
+
+The modules of the package import one another without a cycle, imports
+inside functions included.
 """
 
 import ast
@@ -238,3 +241,46 @@ def test_imported_names_include_lazy_and_module_imports():
     assert set(imported_names(snippet)) == {
         ("lattice", "Sub"), ("autmorph", None), ("lattice", None),
         ("autmorph", "invariant")}
+
+
+def import_graph(sources):
+    """module -> the modules of the package its source imports, given
+    module -> source; imports inside functions count."""
+    return {mod: {m for m, _ in imported_names(src) if m in sources and m != mod}
+            for mod, src in sources.items()}
+
+
+def import_cycles(graph):
+    """The sorted modules of each strongly connected part of the graph that
+    holds more than one module, or a module importing itself."""
+    reach = {}
+    for start in graph:
+        seen = set()
+        todo = list(graph[start])
+        while todo:
+            m = todo.pop()
+            if m not in seen:
+                seen.add(m)
+                todo.extend(graph[m])
+        reach[start] = seen
+    return sorted({tuple(sorted(m for m in reach[start] if start in reach[m]))
+                   for start in graph if start in reach[start]})
+
+
+def test_no_import_cycle():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert import_cycles(import_graph(sources)) == []
+
+
+def test_an_import_inside_a_function_closes_a_cycle():
+    sources = {"lattice": ("from .smallgroup import bits\n"
+                           "def is_isomorphic():\n"
+                           "    from .autmorph import find_isomorphism\n"),
+               "autmorph": "from .lattice import all_subgroups\n",
+               "smallgroup": "import math\n"}
+    graph = import_graph(sources)
+    assert graph == {"lattice": {"smallgroup", "autmorph"},
+                     "autmorph": {"lattice"}, "smallgroup": set()}
+    assert import_cycles(graph) == [("autmorph", "lattice")]
+    del sources["lattice"]
+    assert import_cycles(import_graph(sources)) == []

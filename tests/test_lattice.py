@@ -4,6 +4,7 @@ from math import ceil, log2
 
 import pytest
 
+from grpverify.autmorph import is_isomorphic
 from grpverify.claims import MU24A5, WD5SEMI
 from grpverify.construct import (
     H3, PSL32, Action, Alt, Cyc, Dih, ElemAb, Hsl23, MatGL, MatSL, PGroup,
@@ -13,7 +14,6 @@ from grpverify.lattice import (
     JAnalysis,
     Sub,
     all_subgroups,
-    is_isomorphic,
     j_analysis,
     normal_abelian_subgroups,
     normal_joins,

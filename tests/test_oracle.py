@@ -2,7 +2,9 @@
 
 sympy and hypothesis are used by tests only; the engine is stdlib-only.
 Hypothesis draws permutations of S6 and S7 from a fixed seed, with a
-bounded number of examples, so the module runs in a few seconds.
+bounded number of examples, so the module runs in a few seconds.  The
+conjugacy classes and element orders of seven catalog groups are checked
+against sympy's too.
 """
 
 from contextlib import nullcontext
@@ -13,7 +15,10 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from grpverify.construct import Sym, build  # noqa: E402
+from grpverify.construct import (  # noqa: E402
+    Alt, MatGL, ProjGL, ProjSL, SwapSq, Sym, WeylD, build, to_src,
+)
+from grpverify.smallgroup import materialize  # noqa: E402
 
 
 def moving(n):
@@ -53,3 +58,27 @@ def test_extender_order_matches_sympy(case):
                 assert H & ~ext == 0 and ext >> x & 1
                 got.append(ext.bit_count())
         assert got == want
+
+
+CLASS_GROUPS = [Sym(5), ProjSL(7), MatGL(3), WeylD(4), ProjGL(7),
+                SwapSq(Sym(3)), Alt(6)]
+
+
+@pytest.mark.parametrize("expr", CLASS_GROUPS, ids=to_src)
+@pytest.mark.parametrize("first", ["element_order", "conjugacy_classes"])
+def test_classes_and_orders_match_sympy(expr, first):
+    """The class sizes and element orders equal sympy's, whichever of
+    element_order and conjugacy_classes a fresh group is asked first."""
+    M = materialize(build(expr).group)
+    if first == "element_order":
+        orders = [M.element_order(i) for i in range(M.n)]
+        classes = M.conjugacy_classes()
+    else:
+        classes = M.conjugacy_classes()
+        orders = [M.element_order(i) for i in range(M.n)]
+    perms = [combinatorics.Permutation(list(p)) for p in M.perms]
+    assert orders == [p.order() for p in perms]
+    G = combinatorics.PermutationGroup([perms[i] for i in M.gens])
+    assert G.order() == M.n
+    assert sorted(map(len, classes)) == sorted(
+        len(c) for c in G.conjugacy_classes())
