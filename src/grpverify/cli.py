@@ -1,4 +1,7 @@
-"""Command-line front end: expression parser, analysis commands, ledger runs.
+"""Command-line front end: analysis commands and ledger runs.
+
+Group expressions are parsed by `construct.parse_expr` (re-exported here);
+the grammar and its limits live in construct.GRAMMAR.
 
 Exit codes: 0 all claims pass, 1 any claim fails, 2 usage, parse or cap
 error (a bad command line or group expression), 3 internal or engine error.
@@ -17,7 +20,8 @@ import sys
 
 from . import construct as cx
 from .autmorph import automorphism_group
-from .gf import is_prime, is_prime_power
+from .construct import parse_expr
+from .gf import is_prime
 from .lattice import all_subgroups, j_analysis, sub_materialized, subgroup_classes
 from .ledger import (
     Caps,
@@ -28,211 +32,14 @@ from .ledger import (
     summary,
     write_json_report,
 )
-from .smallgroup import caps_scope, p_part
+from .smallgroup import caps_scope
 
 
 class UsageError(ValueError):
     """A bad command line or group expression: exit code 2."""
 
 
-class ParseError(UsageError):
-    def __init__(self, message, pos):
-        super().__init__(f"syntax error at byte {pos}: {message}")
-        self.pos = pos
-
-
-MAX_NESTING = 32  # prod/swapsq/semi levels around an atom; deeper is refused
-
-
-class _Parser:
-    """Recursive descent over the group-expression grammar."""
-
-    ATOMS0 = {"H3": cx.H3, "HESS": cx.Hess, "HSL23": cx.Hsl23}
-    ACTIONS = ("swap", "natperm", "evenperm", "quotperm", "linear", "inv",
-               "explicit")
-
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-
-    def error(self, message):
-        raise ParseError(message, self.pos)
-
-    def _ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def expect(self, ch):
-        self._ws()
-        if self.pos >= len(self.src) or self.src[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def ident(self):
-        self._ws()
-        start = self.pos
-        while self.pos < len(self.src) and (self.src[self.pos].isalnum()
-                                            or self.src[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a name")
-        return self.src[start:self.pos]
-
-    def integer(self):
-        self._ws()
-        start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.src[start:self.pos])
-
-    def string(self):
-        self._ws()
-        if self.peek() != '"':
-            self.error('expected a "..." cycle string')
-        self.pos += 1
-        start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos] != '"':
-            self.pos += 1
-        if self.pos >= len(self.src):
-            self.error("unterminated string")
-        out = self.src[start:self.pos]
-        self.pos += 1
-        return out
-
-    def parse(self):
-        expr = self.expr()
-        self._ws()
-        if self.pos != len(self.src):
-            self.error("trailing input")
-        return expr
-
-    def expr(self, depth=0):
-        """An expression inside depth levels of prod, swapsq or semi."""
-        if depth > MAX_NESTING:
-            self._ws()
-            self.error(f"expressions nest deeper than {MAX_NESTING} levels")
-        at = self.pos
-        name = self.ident()
-        if name in self.ATOMS0:
-            return self.ATOMS0[name]()
-        if name in ("C", "D", "S", "A"):
-            self.expect("(")
-            n = self.integer()
-            self.expect(")")
-            return self._simple_atom(name, n, at)
-        if name == "EA":
-            self.expect("(")
-            p = self.integer()
-            self.expect(",")
-            m = self.integer()
-            self.expect(")")
-            if not is_prime(p):
-                self.error(f"EA({p},{m}): {p} is not prime")
-            if m < 1 or p * m > 64:
-                self.error(f"EA({p},{m}): rank out of range")
-            return cx.ElemAb(p, m)
-        if name in ("GL", "SL", "PGL", "PSL"):
-            return self._linear(name, at)
-        if name == "WD":
-            self.expect("(")
-            n = self.integer()
-            self.expect(")")
-            if not 2 <= n <= 8:
-                self.error(f"WD({n}): n out of range 2..8")
-            return cx.WeylD(n)
-        if name == "prod":
-            self.expect("(")
-            a = self.expr(depth + 1)
-            self.expect(",")
-            b = self.expr(depth + 1)
-            self.expect(")")
-            return cx.Prod(a, b)
-        if name == "swapsq":
-            self.expect("(")
-            e = self.expr(depth + 1)
-            self.expect(")")
-            return cx.SwapSq(e)
-        if name == "semi":
-            self.expect("(")
-            n = self.expr(depth + 1)
-            self.expect(",")
-            h = self.expr(depth + 1)
-            self.expect(",")
-            act = self.action()
-            self.expect(")")
-            return cx.Semi(n, h, act)
-        if name == "pgroup":
-            self.expect("(")
-            n = self.integer()
-            cycles = []
-            while self.peek() == ",":
-                self.expect(",")
-                cycles.append(self.string())
-            self.expect(")")
-            if not 1 <= n <= 64:
-                self.error(f"pgroup degree {n} out of range 1..64")
-            return cx.PGroup(n, tuple(cycles))
-        self.pos = at
-        self.error(f"unknown atom {name!r}")
-
-    def _simple_atom(self, name, n, at):
-        limits = {"C": (1, 64), "D": (2, 32), "S": (1, 8), "A": (1, 9)}
-        lo, hi = limits[name]
-        if not lo <= n <= hi:
-            self.pos = at
-            self.error(f"{name}({n}): parameter out of range {lo}..{hi}")
-        return {"C": cx.Cyc, "D": cx.Dih, "S": cx.Sym, "A": cx.Alt}[name](n)
-
-    def _linear(self, name, at):
-        self.expect("(")
-        dim = self.integer()
-        self.expect(",")
-        q = self.integer()
-        self.expect(")")
-        if name == "PSL" and dim == 3:
-            if q != 2:
-                self.error("only PSL(3,2) is supported in dimension 3")
-            return cx.PSL32()
-        if dim != 2:
-            self.error(f"{name} supports dimension 2 only")
-        if not is_prime_power(q):
-            self.error(f"{q} is not a prime power")
-        if name in ("GL", "SL"):
-            if q > 8:
-                self.error(f"{name}(2,{q}): vector action degree exceeds 63")
-            return (cx.MatGL if name == "GL" else cx.MatSL)(q)
-        if q > 61:
-            self.error(f"{name}(2,{q}): projective degree exceeds 64")
-        return (cx.ProjGL if name == "PGL" else cx.ProjSL)(q)
-
-    def action(self):
-        at = self.pos
-        name = self.ident()
-        if name not in self.ACTIONS:
-            self.pos = at
-            self.error(f"unknown action {name!r}")
-        if name != "explicit":
-            return cx.Action(name)
-        params = []
-        if self.peek() == "[":
-            self.expect("[")
-            params.append(self.integer())
-            while self.peek() == ",":
-                self.expect(",")
-                params.append(self.integer())
-            self.expect("]")
-        return cx.Action("explicit", tuple(params))
-
-
-def parse_expr(src: str):
-    """Parse a group expression; raises ParseError with a byte offset."""
-    return _Parser(src).parse()
+MAX_P = 2**31  # -p is refused at or above this, before any primality test
 
 
 def _caps_from_args(args) -> Caps:
@@ -260,8 +67,8 @@ def _group(args):
     An expression that parses but names no group (an action that does not
     act, a malformed cycle string) is a usage error like a parse error.
     """
-    expr = parse_expr(args.expr)
     try:
+        expr = parse_expr(args.expr)
         handle = cx.build(expr)
     except ValueError as e:
         raise UsageError(str(e)) from e
@@ -269,8 +76,8 @@ def _group(args):
 
 
 def cmd_analyze(args) -> int:
-    if not is_prime(args.p):
-        raise UsageError(f"-p {args.p}: not a prime")
+    if not (args.p < MAX_P and is_prime(args.p)):  # bounded before the test
+        raise UsageError(f"-p {args.p}: not a prime below {MAX_P}")
     expr, m = _group(args)
     ja = j_analysis(m, args.p)
     witness = ja.witness

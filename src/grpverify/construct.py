@@ -1,9 +1,12 @@
-"""Builders for every named group in the catalog.
+"""Group expressions: their grammar, and a builder for every named group.
 
 Group expressions are small ASTs (cyclic, dihedral, symmetric, alternating,
 elementary abelian, Heisenberg, matrix and projective linear groups, Weyl
-group of type D, products, swap squares, semidirect products).  build()
-turns an expression into a GroupHandle: a permutation group plus cached
+group of type D, products, swap squares, semidirect products).  One table,
+GRAMMAR, gives each node its source name, the shape of its arguments, the
+limits on their values and its builder; parse_expr, to_src and build all
+read it, so the parser and build refuse the same values.  build() turns an
+expression into a GroupHandle: a permutation group plus cached
 materialization and bookkeeping about distinguished generator sets.
 """
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import perm as pm
-from .gf import Field, field_of_order, is_prime
+from .gf import Field, field_of_order, is_prime, is_prime_power
 from .lattice import Sub
 from .perm import PermGroup
 from .smallgroup import CapExceeded, MaterializedGroup, current_caps, materialize
@@ -25,6 +28,12 @@ class BuildError(ValueError):
 
 class ActionError(BuildError):
     """The requested action does not define automorphisms of N."""
+
+
+class ParseError(ValueError):
+    def __init__(self, message, pos):
+        super().__init__(f"syntax error at byte {pos}: {message}")
+        self.pos = pos
 
 
 # --------------------------------------------------------------------------
@@ -132,55 +141,6 @@ class PGroup:
     cycles: tuple
 
 
-def to_src(expr) -> str:
-    """Canonical textual form; reparses to an equal AST."""
-    match expr:
-        case Cyc(n):
-            return f"C({n})"
-        case Dih(n):
-            return f"D({n})"
-        case Sym(n):
-            return f"S({n})"
-        case Alt(n):
-            return f"A({n})"
-        case ElemAb(p, m):
-            return f"EA({p},{m})"
-        case H3():
-            return "H3"
-        case Hess():
-            return "HESS"
-        case Hsl23():
-            return "HSL23"
-        case MatGL(q):
-            return f"GL(2,{q})"
-        case MatSL(q):
-            return f"SL(2,{q})"
-        case ProjGL(q):
-            return f"PGL(2,{q})"
-        case ProjSL(q):
-            return f"PSL(2,{q})"
-        case PSL32():
-            return "PSL(3,2)"
-        case WeylD(n):
-            return f"WD({n})"
-        case Prod(a, b):
-            return f"prod({to_src(a)},{to_src(b)})"
-        case SwapSq(e):
-            return f"swapsq({to_src(e)})"
-        case Semi(n, h, act):
-            return f"semi({to_src(n)},{to_src(h)},{action_src(act)})"
-        case PGroup(n, cycles):
-            parts = ",".join(f'"{c}"' for c in cycles)
-            return f"pgroup({n},{parts})" if parts else f"pgroup({n})"
-    raise BuildError(f"unknown expression {expr!r}")
-
-
-def action_src(act: Action) -> str:
-    if act.kind == "explicit" and act.params:
-        return "explicit[" + ",".join(str(x) for x in act.params) + "]"
-    return act.kind
-
-
 # --------------------------------------------------------------------------
 # handles
 
@@ -224,10 +184,6 @@ class GroupHandle:
 # atomic builders
 
 
-def _pg(gens, degree) -> PermGroup:
-    return PermGroup(gens, degree, check_degree=False)
-
-
 def _cycle(points, degree):
     images = list(range(degree))
     for i, x in enumerate(points):
@@ -236,23 +192,19 @@ def _cycle(points, degree):
 
 
 def _build_cyclic(n):
-    if n < 1:
-        raise BuildError("C(n) needs n >= 1")
     if n == 1:
-        return _pg([], 1), {}
-    return _pg([_cycle(range(n), n)], n), {}
+        return PermGroup([], 1), {}
+    return PermGroup([_cycle(range(n), n)], n), {}
 
 
 def _build_dihedral(n):
-    if n < 2:
-        raise BuildError("D(n) needs n >= 2 (order 2n)")
     if n == 2:  # D_4 = mu_2^2, faithful on 4 points
         a = _cycle([0, 1], 4)
         b = _cycle([2, 3], 4)
-        return _pg([a, b], 4), {"rotation": a}
+        return PermGroup([a, b], 4), {"rotation": a}
     r = _cycle(range(n), n)
     s = tuple((n - i) % n for i in range(n))
-    return _pg([r, s], n), {"rotation": r}
+    return PermGroup([r, s], n), {"rotation": r}
 
 
 def _sym_gens(n):
@@ -265,23 +217,19 @@ def _sym_gens(n):
 
 
 def _build_sym(n):
-    if n < 1:
-        raise BuildError("S(n) needs n >= 1")
-    return _pg(_sym_gens(n), max(n, 1)), {}
+    return PermGroup(_sym_gens(n), n), {}
 
 
 def _build_alt(n):
-    if n < 1:
-        raise BuildError("A(n) needs n >= 1")
     if n < 3:
-        return _pg([], max(n, 1)), {}
+        return PermGroup([], n), {}
     gens = [_cycle([0, 1, 2], n)]
     if n > 3:
         if n % 2:
             gens.append(_cycle(range(n), n))
         else:
             gens.append(_cycle(range(1, n), n))
-    return _pg(gens, n), {}
+    return PermGroup(gens, n), {}
 
 
 def _ea_gens(p, m):
@@ -289,11 +237,7 @@ def _ea_gens(p, m):
 
 
 def _build_elem_ab(p, m):
-    if not is_prime(p):
-        raise BuildError(f"EA({p},{m}): {p} is not prime")
-    if m < 1 or p * m > 256:
-        raise BuildError(f"EA({p},{m}): unsupported rank")
-    return _pg(_ea_gens(p, m), p * m), {}
+    return PermGroup(_ea_gens(p, m), p * m), {}
 
 
 def _triple_perm(f):
@@ -325,7 +269,7 @@ def _build_h3():
     a = _h3_translation((1, 0, 0))
     b = _h3_translation((0, 1, 0))
     c = _h3_translation((0, 0, 1))
-    return _pg([a, b], 27), {"center": c, "translations": (a, b)}
+    return PermGroup([a, b], 27), {"center": c, "translations": (a, b)}
 
 
 # -- matrix groups over GF(q) ----------------------------------------------
@@ -378,13 +322,11 @@ def _vector_perm(F, M, vectors, index):
 
 def _build_matrix_group(q, special):
     F = field_of_order(q)
-    if F.q > 8:
-        raise BuildError(f"GL/SL(2,{q}): vector action degree {q*q-1} exceeds 63")
     vectors = _nonzero_vectors(F)
     index = {v: i for i, v in enumerate(vectors)}
     mats = _sl2_gens(F) if special else _gl2_gens(F)
     gens = [_vector_perm(F, M, vectors, index) for M in mats]
-    pg = _pg(gens, len(vectors))
+    pg = PermGroup(gens, len(vectors))
     expect = q * (q * q - 1) if special else (q * q - 1) * (q * q - q)
     if pg.order() != expect:
         raise AssertionError("matrix group generators wrong")
@@ -424,7 +366,7 @@ def _build_projective(q, special):
     else:
         gens = [matrix_to_projective_perm(F, M) for M in _gl2_gens(F)]
         expect = q * (q * q - 1)
-    pg = _pg(gens, F.q + 1)
+    pg = PermGroup(gens, F.q + 1)
     if pg.order() != expect:
         raise AssertionError(f"projective group order {pg.order()} != {expect}")
     return pg, {"field": F, "psl_gens": psl_gens}
@@ -439,7 +381,7 @@ def _build_psl32():
         ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
     ]
     gens = [_vector_perm(field_of_order(2), M, vectors, index) for M in mats]
-    pg = _pg(gens, 7)
+    pg = PermGroup(gens, 7)
     if pg.order() != 168:
         raise AssertionError("PSL(3,2) generators wrong")
     return pg, {}
@@ -456,13 +398,11 @@ def _even_sign_changes(m, perms):
         images[i + 1], images[m + i + 1] = m + i + 1, i + 1
         flips.append(tuple(images))
     lifted = [tuple(list(s) + [m + s[i] for i in range(m)]) for s in perms]
-    return _pg(flips + lifted, d), {"normal_gens": tuple(flips),
-                                    "complement_gens": tuple(lifted)}
+    return PermGroup(flips + lifted, d), {"normal_gens": tuple(flips),
+                                          "complement_gens": tuple(lifted)}
 
 
 def _build_weyl_d(n):
-    if n < 2:
-        raise BuildError("WD(n) needs n >= 2")
     pg, parts = _even_sign_changes(n, _sym_gens(n))
     import math
 
@@ -478,34 +418,34 @@ def _shift(g, offset, degree):
     return tuple(images)
 
 
-def _build_prod(ha: GroupHandle, hb: GroupHandle):
+def _build_prod(a, b):
+    ha, hb = build(a), build(b)
     da, db = ha.degree, hb.degree
     d = da + db
     gens_a = [_shift(g, 0, d) for g in ha.group.generators]
     gens_b = [_shift(g, da, d) for g in hb.group.generators]
-    pg = _pg(gens_a + gens_b, d)
+    pg = PermGroup(gens_a + gens_b, d)
     if pg.order() != ha.order * hb.order:
         raise AssertionError("product order wrong")
     # both factors are normal; the first is the F of the Section 6 claims
     return pg, {"normal_gens": tuple(gens_a), "complement_gens": tuple(gens_b)}
 
 
-def _build_swapsq(he: GroupHandle):
+def _build_swapsq(e):
+    he = build(e)
     d = he.degree
     gens1 = [_shift(g, 0, 2 * d) for g in he.group.generators]
     gens2 = [_shift(g, d, 2 * d) for g in he.group.generators]
     tau = tuple(list(range(d, 2 * d)) + list(range(d)))
-    pg = _pg(gens1 + gens2 + [tau], 2 * d)
+    pg = PermGroup(gens1 + gens2 + [tau], 2 * d)
     if pg.order() != 2 * he.order * he.order:
         raise AssertionError("swap square order wrong")
     return pg, {"inner_gens": tuple(gens1 + gens2), "swap": tau}
 
 
 def _build_pgroup(n, cycles):
-    if not 1 <= n <= pm.MAX_DEGREE:
-        raise BuildError(f"pgroup degree {n} outside 1..{pm.MAX_DEGREE}")
     gens = [pm.parse_cycles(c, n) for c in cycles]
-    return _pg(gens, n), {}
+    return PermGroup(gens, n), {}
 
 
 # --------------------------------------------------------------------------
@@ -583,7 +523,7 @@ def semidirect_by_automorphisms(n_handle: GroupHandle, h_handle: GroupHandle,
     hgens = []
     for alpha, hperm in zip(action_perms, h_handle.group.generators):
         hgens.append(tuple(list(alpha) + [dn + hperm[i] for i in range(dh)]))
-    pg = _pg(ngens + hgens, d)
+    pg = PermGroup(ngens + hgens, d)
     if pg.order() != Nmat.n * h_handle.order:
         raise ActionError("semidirect product is not faithful")
     return GroupHandle(pg, name=name, parts={
@@ -610,34 +550,82 @@ def _default_power_action(n, r):
     return best_k
 
 
-def _explicit_action_perms(n_expr, Nmat, h_expr, params):
-    if not isinstance(h_expr, Cyc):
-        raise BuildError("explicit action requires cyclic H")
-    r = h_expr.n
-    if isinstance(n_expr, Cyc):
-        n = n_expr.n
-        if len(params) > 1:
-            raise BuildError("explicit[k] takes one exponent for cyclic N")
-        k = params[0] if params else _default_power_action(n, r)
-        if gcd(k, n) != 1 or pow(k, r, n) != 1:
-            raise BuildError(f"x -> x^{k} is not an order-dividing-{r} action on C({n})")
-        # materialized C(n) indexes elements by exponent
-        return [tuple(k * x % n for x in range(n))]
-    if isinstance(n_expr, ElemAb):
-        p, m = n_expr.p, n_expr.m
-        if len(params) != m * m:
-            raise BuildError(f"explicit matrix for EA({p},{m}) needs {m*m} entries")
-        F = field_of_order(p)
-        mat = [[params[i * m + j] % p for j in range(m)] for i in range(m)]
-        return [ea_action_perm(Nmat, p, m, lambda v: _mat_vec(F, mat, v))]
-    raise BuildError("explicit action requires cyclic or elementary abelian N")
+def _semi_swap(n_expr, h_expr, act):
+    if not (isinstance(n_expr, Prod) and n_expr.a == n_expr.b
+            and h_expr == Cyc(2)):
+        raise BuildError("swap action requires semi(prod(e,e),C(2),swap)")
+    return _build_swapsq(n_expr.a)
 
 
-def _linear_action_perms(n_expr, Nmat, h_handle):
+def _semi_natperm(n_expr, h_expr, act):
+    if not isinstance(n_expr, ElemAb):
+        raise BuildError("natperm requires N = EA(p,m)")
+    h = build(h_expr)
+    p, m = n_expr.p, n_expr.m
+    if h.degree != m:
+        raise BuildError(f"natperm: H must act on {m} points")
+    d = p * m
+    ngens = _ea_gens(p, m)
+    hgens = []
+    for s in h.group.generators:
+        hgens.append(tuple(p * s[i] + x for i in range(m) for x in range(p)))
+    pg = PermGroup(ngens + hgens, d)
+    if pg.order() != p**m * h.order:
+        raise ActionError("natperm product is not faithful")
+    return pg, {"normal_gens": tuple(ngens), "complement_gens": tuple(hgens)}
+
+
+def _semi_evenperm(n_expr, h_expr, act):
+    h = build(h_expr)
+    m = h.degree
+    if n_expr != ElemAb(2, m - 1):
+        raise BuildError(f"evenperm over {m} points requires N = EA(2,{m-1})")
+    pg, parts = _even_sign_changes(m, h.group.generators)
+    if pg.order() != 2 ** (m - 1) * h.order:
+        raise ActionError("evenperm product is not faithful")
+    return pg, parts
+
+
+def _by_automorphisms(action_perms):
+    """The builder of semi(N,H,act) by semidirect_by_automorphisms, H's
+    generators acting on N's elements by
+    action_perms(N, H, act, N materialized, the handle of H)."""
+    def build_semi(n_expr, h_expr, act):
+        n, h = build(n_expr), build(h_expr)
+        perms = action_perms(n_expr, h_expr, act, n.materialized(), h)
+        built = semidirect_by_automorphisms(n, h, perms)
+        return built.group, built.parts
+
+    return build_semi
+
+
+def _quotperm_perms(n_expr, h_expr, act, Nmat, h):
+    if not isinstance(n_expr, ElemAb):
+        raise BuildError("quotperm requires N = EA(p,m)")
+    p, m1 = n_expr.p, n_expr.m
+    m = h.degree
+    if m1 != m - 1:
+        raise BuildError(f"quotperm over {m} points requires N = EA({p},{m-1})")
+    perms = []
+    for s in h.group.generators:
+        sinv = pm.inverse(s)
+
+        def apply(v, sinv=sinv):
+            # lift to F_p^m (last coordinate 0), permute, renormalize
+            full = list(v) + [0]
+            moved = [full[sinv[i]] for i in range(m)]
+            last = moved[m - 1]
+            return tuple((moved[i] - last) % p for i in range(m - 1))
+
+        perms.append(ea_action_perm(Nmat, p, m1, apply))
+    return perms
+
+
+def _linear_perms(n_expr, h_expr, act, Nmat, h):
     if not isinstance(n_expr, ElemAb):
         raise BuildError("linear action requires elementary abelian N")
-    F = h_handle.parts.get("field")
-    mats = h_handle.parts.get("matrices")
+    F = h.parts.get("field")
+    mats = h.parts.get("matrices")
     if F is None or mats is None:
         raise BuildError("linear action requires a matrix group for H")
     p, m = n_expr.p, n_expr.m
@@ -661,81 +649,53 @@ def _linear_action_perms(n_expr, Nmat, h_handle):
     return out
 
 
-def _build_semi(expr: Semi):
-    act = expr.action
-    if act.kind == "swap":
-        if not (isinstance(expr.n, Prod) and expr.n.a == expr.n.b
-                and expr.h == Cyc(2)):
-            raise BuildError("swap action requires semi(prod(e,e),C(2),swap)")
-        return _build_swapsq(build(expr.n.a))
+def _inv_perms(n_expr, h_expr, act, Nmat, h):
+    if not Nmat.is_abelian():
+        raise ActionError("inversion action requires abelian N")
+    return [tuple(Nmat.inv(x) for x in range(Nmat.n))] * len(h.group.generators)
 
-    if act.kind == "natperm":
-        if not isinstance(expr.n, ElemAb):
-            raise BuildError("natperm requires N = EA(p,m)")
-        h = build(expr.h)
-        p, m = expr.n.p, expr.n.m
-        if h.degree != m:
-            raise BuildError(f"natperm: H must act on {m} points")
-        d = p * m
-        ngens = _ea_gens(p, m)
-        hgens = []
-        for s in h.group.generators:
-            hgens.append(tuple(p * s[i] + x for i in range(m) for x in range(p)))
-        pg = _pg(ngens + hgens, d)
-        if pg.order() != p**m * h.order:
-            raise ActionError("natperm product is not faithful")
-        return pg, {"normal_gens": tuple(ngens), "complement_gens": tuple(hgens)}
 
-    if act.kind == "evenperm":
-        h = build(expr.h)
-        m = h.degree
-        if expr.n != ElemAb(2, m - 1):
-            raise BuildError(f"evenperm over {m} points requires N = EA(2,{m-1})")
-        pg, parts = _even_sign_changes(m, h.group.generators)
-        if pg.order() != 2 ** (m - 1) * h.order:
-            raise ActionError("evenperm product is not faithful")
-        return pg, parts
-
-    # remaining actions run through the generic union-carrier construction
-    n = build(expr.n)
-    h = build(expr.h)
-    Nmat = n.materialized()
-
-    if act.kind == "quotperm":
-        if not isinstance(expr.n, ElemAb):
-            raise BuildError("quotperm requires N = EA(p,m)")
-        p, m1 = expr.n.p, expr.n.m
-        m = h.degree
-        if m1 != m - 1:
-            raise BuildError(f"quotperm over {m} points requires N = EA({p},{m-1})")
-        perms = []
-        for s in h.group.generators:
-            sinv = pm.inverse(s)
-
-            def apply(v, sinv=sinv):
-                # lift to F_p^m (last coordinate 0), permute, renormalize
-                full = list(v) + [0]
-                moved = [full[sinv[i]] for i in range(m)]
-                last = moved[m - 1]
-                return tuple((moved[i] - last) % p for i in range(m - 1))
-
-            perms.append(ea_action_perm(Nmat, p, m1, apply))
-        action_perms = perms
-    elif act.kind == "linear":
-        action_perms = _linear_action_perms(expr.n, Nmat, h)
-    elif act.kind == "inv":
-        if not Nmat.is_abelian():
-            raise ActionError("inversion action requires abelian N")
-        alpha = tuple(Nmat.inv(x) for x in range(Nmat.n))
-        action_perms = [alpha] * len(h.group.generators)
-    elif act.kind == "explicit":
-        base = _explicit_action_perms(expr.n, Nmat, expr.h, act.params)
-        action_perms = base * len(h.group.generators)
+def _explicit_perms(n_expr, h_expr, act, Nmat, h):
+    if not isinstance(h_expr, Cyc):
+        raise BuildError("explicit action requires cyclic H")
+    r, params = h_expr.n, act.params
+    if isinstance(n_expr, Cyc):
+        n = n_expr.n
+        if len(params) > 1:
+            raise BuildError("explicit[k] takes one exponent for cyclic N")
+        k = params[0] if params else _default_power_action(n, r)
+        if gcd(k, n) != 1 or pow(k, r, n) != 1:
+            raise BuildError(f"x -> x^{k} is not an order-dividing-{r} action on C({n})")
+        # materialized C(n) indexes elements by exponent
+        alpha = tuple(k * x % n for x in range(n))
+    elif isinstance(n_expr, ElemAb):
+        p, m = n_expr.p, n_expr.m
+        if len(params) != m * m:
+            raise BuildError(f"explicit matrix for EA({p},{m}) needs {m*m} entries")
+        F = field_of_order(p)
+        mat = [[params[i * m + j] % p for j in range(m)] for i in range(m)]
+        alpha = ea_action_perm(Nmat, p, m, lambda v: _mat_vec(F, mat, v))
     else:
-        raise BuildError(f"unsupported action {act.kind!r}")
+        raise BuildError("explicit action requires cyclic or elementary abelian N")
+    return [alpha] * len(h.group.generators)
 
-    built = semidirect_by_automorphisms(n, h, action_perms)
-    return built.group, built.parts
+
+# the builder of semi(N,H,action) for each action, from N, H and the action
+ACTIONS = {
+    "swap": _semi_swap,
+    "natperm": _semi_natperm,
+    "evenperm": _semi_evenperm,
+    "quotperm": _by_automorphisms(_quotperm_perms),
+    "linear": _by_automorphisms(_linear_perms),
+    "inv": _by_automorphisms(_inv_perms),
+    "explicit": _by_automorphisms(_explicit_perms),
+}
+
+
+def _build_semi(n_expr, h_expr, act):
+    if act.kind not in ACTIONS:
+        raise BuildError(f"unsupported action {act.kind!r}")
+    return ACTIONS[act.kind](n_expr, h_expr, act)
 
 
 # --------------------------------------------------------------------------
@@ -747,69 +707,268 @@ def _build_hsl23():
     # transvections that generate SL_2(F_3), all on the 27 triples
     trans = [_h3_translation((1, 0, 0)), _h3_translation((0, 1, 0))]
     auts = [_h3_automorphism(1, 1, 0, 1), _h3_automorphism(1, 0, 1, 1)]
-    pg = _pg(trans + auts, 27)
+    pg = PermGroup(trans + auts, 27)
     if pg.order() != 648:
         raise AssertionError("H3 x| SL2(F3) order wrong")
     return pg, {"normal_gens": tuple(trans), "complement_gens": tuple(auts)}
 
 
 # --------------------------------------------------------------------------
-# dispatch
+# the grammar: one table for parse_expr, to_src and build
+
+MAX_NESTING = 32  # prod/swapsq/semi levels around an atom; deeper is refused
+MAX_DIGITS = 20  # longest integer literal; a longer one is refused
+
+
+def _between(lo, hi):
+    """The limits of a node whose first argument n has lo <= n <= hi."""
+    return lambda n, *_: (None if lo <= n <= hi
+                          else f"parameter out of range {lo}..{hi}")
+
+
+def _elem_ab_limits(p, m):
+    if m < 1 or p * m > 64:
+        return "rank out of range"
+    return None if is_prime(p) else f"{p} is not prime"
+
+
+def _field_limits(hi, why):
+    """The limits of a linear group over F_q: q <= hi, a prime power."""
+    return lambda q: (f"q out of range (at most {hi}): {why}" if q > hi else
+                      None if is_prime_power(q) else f"{q} is not a prime power")
+
+
+class _Node:
+    """One production: the AST class, its source name, its argument shape
+    (one letter each: n an integer, e an expression, a an action, s any
+    number of cycle strings; a leading 2 is the dimension of a linear
+    group), the limits on the arguments (a function giving the reason to
+    refuse them, or None) and the builder, from the arguments to
+    (PermGroup, parts)."""
+
+    __slots__ = ("cls", "name", "shape", "build", "limits")
+
+    def __init__(self, cls, name, shape, build, limits=None):
+        self.cls, self.name, self.shape = cls, name, shape
+        self.build, self.limits = build, limits
+
+    def refusal(self, expr, args):
+        """The reason the grammar refuses expr, with arguments args, or None.
+        Range limits come before any primality test, so that a huge
+        parameter is refused at once."""
+        why = self.limits and self.limits(*args)
+        return why and f"{to_src(expr)}: {why}"
+
+
+GRAMMAR = (
+    _Node(Cyc, "C", "n", _build_cyclic, _between(1, 64)),
+    _Node(Dih, "D", "n", _build_dihedral, _between(2, 32)),
+    _Node(Sym, "S", "n", _build_sym, _between(1, 8)),
+    _Node(Alt, "A", "n", _build_alt, _between(1, 9)),
+    _Node(ElemAb, "EA", "nn", _build_elem_ab, _elem_ab_limits),
+    _Node(H3, "H3", "", _build_h3),
+    _Node(Hess, "HESS", "",
+          lambda: _build_semi(ElemAb(3, 2), MatSL(3), Action("linear"))),
+    _Node(Hsl23, "HSL23", "", _build_hsl23),
+    _Node(MatGL, "GL", "2n", lambda q: _build_matrix_group(q, special=False),
+          _field_limits(8, "vector action degree exceeds 63")),
+    _Node(MatSL, "SL", "2n", lambda q: _build_matrix_group(q, special=True),
+          _field_limits(8, "vector action degree exceeds 63")),
+    _Node(ProjGL, "PGL", "2n", lambda q: _build_projective(q, special=False),
+          _field_limits(61, "projective degree exceeds 64")),
+    _Node(ProjSL, "PSL", "2n", lambda q: _build_projective(q, special=True),
+          _field_limits(61, "projective degree exceeds 64")),
+    _Node(PSL32, "PSL(3,2)", "", _build_psl32),  # parsed as a PSL special case
+    _Node(WeylD, "WD", "n", _build_weyl_d, _between(2, 8)),
+    _Node(Prod, "prod", "ee", _build_prod),
+    _Node(SwapSq, "swapsq", "e", _build_swapsq),
+    _Node(Semi, "semi", "eea", _build_semi),
+    _Node(PGroup, "pgroup", "ns", _build_pgroup, _between(1, 64)),
+)
+_BY_CLASS = {node.cls: node for node in GRAMMAR}
+_BY_NAME = {node.name: node for node in GRAMMAR}
+
+
+def _node(expr) -> _Node:
+    node = _BY_CLASS.get(type(expr))
+    if node is None:
+        raise BuildError(f"unknown expression {expr!r}")
+    return node
+
+
+def _args(expr) -> list:
+    return [getattr(expr, field) for field in expr.__match_args__]
+
+
+def action_src(act: Action) -> str:
+    if act.kind == "explicit" and act.params:
+        return "explicit[" + ",".join(str(x) for x in act.params) + "]"
+    return act.kind
+
+
+def to_src(expr) -> str:
+    """Canonical textual form; reparses to an equal AST."""
+    node = _node(expr)
+    if not node.shape:
+        return node.name
+    parts = ["2"] if node.shape[0] == "2" else []
+    for kind, arg in zip(node.shape.lstrip("2"), _args(expr)):
+        if kind == "s":
+            parts += [f'"{c}"' for c in arg]
+        else:
+            parts.append(to_src(arg) if kind == "e" else
+                         action_src(arg) if kind == "a" else str(arg))
+    return f"{node.name}({','.join(parts)})"
+
+
+class _Parser:
+    """Recursive descent over the group-expression grammar."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.pos = 0
+
+    def error(self, message, at=None):
+        raise ParseError(message, self.pos if at is None else at)
+
+    def _ws(self):
+        while self.pos < len(self.src) and self.src[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self._ws()
+        return self.src[self.pos] if self.pos < len(self.src) else ""
+
+    def expect(self, ch):
+        self._ws()
+        if self.pos >= len(self.src) or self.src[self.pos] != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def ident(self):
+        self._ws()
+        start = self.pos
+        while self.pos < len(self.src) and (self.src[self.pos].isalnum()
+                                            or self.src[self.pos] == "_"):
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected a name")
+        return self.src[start:self.pos]
+
+    def integer(self):
+        self._ws()
+        start = self.pos
+        while self.pos < len(self.src) and self.src[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected an integer")
+        if self.pos - start > MAX_DIGITS:
+            self.error(f"integer out of range: more than {MAX_DIGITS} digits",
+                       start)
+        return int(self.src[start:self.pos])
+
+    def string(self):
+        self._ws()
+        if self.peek() != '"':
+            self.error('expected a "..." cycle string')
+        self.pos += 1
+        start = self.pos
+        while self.pos < len(self.src) and self.src[self.pos] != '"':
+            self.pos += 1
+        if self.pos >= len(self.src):
+            self.error("unterminated string")
+        out = self.src[start:self.pos]
+        self.pos += 1
+        return out
+
+    def parse(self):
+        expr = self.expr()
+        self._ws()
+        if self.pos != len(self.src):
+            self.error("trailing input")
+        return expr
+
+    def expr(self, depth=0):
+        """An expression inside depth levels of prod, swapsq or semi."""
+        self._ws()
+        at = self.pos
+        if depth > MAX_NESTING:
+            self.error(f"expressions nest deeper than {MAX_NESTING} levels")
+        name = self.ident()
+        node = _BY_NAME.get(name)
+        if node is None:
+            self.error(f"unknown atom {name!r}", at)
+        args = []
+        if node.shape:
+            self.expect("(")
+            for i, kind in enumerate(node.shape):
+                if kind == "s":
+                    strings = []
+                    while self.peek() == ",":
+                        self.expect(",")
+                        strings.append(self.string())
+                    args.append(tuple(strings))
+                    continue
+                if i:
+                    self.expect(",")
+                args.append(self.expr(depth + 1) if kind == "e" else
+                            self.action() if kind == "a" else self.integer())
+            self.expect(")")
+        if node.shape[:1] == "2":  # GL(2,q) and the like, or PSL(3,2)
+            dim = args.pop(0)
+            if name == "PSL" and dim == 3:
+                if args != [2]:
+                    self.error("only PSL(3,2) is supported in dimension 3", at)
+                return PSL32()
+            if dim != 2:
+                self.error(f"{name} supports dimension 2 only", at)
+        expr = node.cls(*args)
+        why = node.refusal(expr, args)
+        if why:
+            self.error(why, at)
+        return expr
+
+    def action(self):
+        self._ws()
+        at = self.pos
+        name = self.ident()
+        if name not in ACTIONS:
+            self.error(f"unknown action {name!r}", at)
+        params = []
+        if name == "explicit" and self.peek() == "[":
+            self.expect("[")
+            params.append(self.integer())
+            while self.peek() == ",":
+                self.expect(",")
+                params.append(self.integer())
+            self.expect("]")
+        return Action(name, tuple(params))
+
+
+def parse_expr(src: str):
+    """Parse a group expression; raises ParseError with a byte offset."""
+    return _Parser(src).parse()
+
 
 _CACHE: dict = {}
 
 
 def build(expr) -> GroupHandle:
-    """The group of expr, cached by expr; refused above the active max_order."""
+    """The group of expr, cached by expr; refused above the active max_order.
+
+    An expression not yet cached is first checked against the grammar's
+    limits, as parse_expr checks it."""
     key = to_src(expr)
     handle = _CACHE.get(key)
     if handle is None:
-        handle = _CACHE[key] = _build(expr)
+        node, args = _node(expr), _args(expr)
+        why = node.refusal(expr, args)
+        if why:
+            raise BuildError(why)
+        pg, parts = node.build(*args)
+        handle = _CACHE[key] = GroupHandle(pg, expr=expr, parts=parts)
     max_order = current_caps().max_order
     if handle.order > max_order:
         raise CapExceeded(
             f"{handle.name}: order {handle.order} exceeds cap {max_order}")
     return handle
-
-
-def _build(expr) -> GroupHandle:
-    match expr:
-        case Cyc(n):
-            pg, parts = _build_cyclic(n)
-        case Dih(n):
-            pg, parts = _build_dihedral(n)
-        case Sym(n):
-            pg, parts = _build_sym(n)
-        case Alt(n):
-            pg, parts = _build_alt(n)
-        case ElemAb(p, m):
-            pg, parts = _build_elem_ab(p, m)
-        case H3():
-            pg, parts = _build_h3()
-        case Hess():
-            pg, parts = _build_semi(Semi(ElemAb(3, 2), MatSL(3), Action("linear")))
-        case Hsl23():
-            pg, parts = _build_hsl23()
-        case MatGL(q):
-            pg, parts = _build_matrix_group(q, special=False)
-        case MatSL(q):
-            pg, parts = _build_matrix_group(q, special=True)
-        case ProjGL(q):
-            pg, parts = _build_projective(q, special=False)
-        case ProjSL(q):
-            pg, parts = _build_projective(q, special=True)
-        case PSL32():
-            pg, parts = _build_psl32()
-        case WeylD(n):
-            pg, parts = _build_weyl_d(n)
-        case Prod(a, b):
-            pg, parts = _build_prod(build(a), build(b))
-        case SwapSq(e):
-            pg, parts = _build_swapsq(build(e))
-        case Semi():
-            pg, parts = _build_semi(expr)
-        case PGroup(n, cycles):
-            pg, parts = _build_pgroup(n, cycles)
-        case _:
-            raise BuildError(f"unknown expression {expr!r}")
-    return GroupHandle(pg, expr=expr, parts=parts)

@@ -50,6 +50,7 @@ from .smallgroup import (
     coprime,
     flags_of,
     gather,
+    mask_at,
     orbits,
     p_part,
 )
@@ -171,7 +172,7 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
             return
         # a new class: its one orbit walk serves the canonizer and N(H)
         orbit = M.conjugation_orbit(mask)
-        masks = [sum(1 << i for i in x) for x in orbit[0]]
+        masks = [mask_at(x) for x in orbit[0]]
         c = min(masks)
         canon.update(dict.fromkeys(masks, c))
         sub = Sub(c, tuple(M.gens_for_mask(c)))
@@ -230,7 +231,7 @@ def all_subgroups(M: MaterializedGroup) -> list[Sub]:
     for H in subgroup_classes(M):
         points, trans, _ = M.conjugation_orbit(H.mask)
         for x, u in zip(points, trans):
-            out.append(Sub(sum(1 << i for i in x),
+            out.append(Sub(mask_at(x),
                            tuple(M.conj(h, u) for h in H.gens)))
     out.sort(key=lambda s: (s.order, s.mask))
     return out

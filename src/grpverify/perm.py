@@ -10,8 +10,6 @@ from __future__ import annotations
 
 Perm = tuple
 
-MAX_DEGREE = 64
-
 
 class DegreeError(ValueError):
     pass
@@ -133,11 +131,9 @@ class PermGroup:
     reproducible across runs.
     """
 
-    def __init__(self, generators, degree: int, check_degree: bool = True):
+    def __init__(self, generators, degree: int):
         if degree < 1:
             raise DegreeError("empty domain")
-        if check_degree and degree > MAX_DEGREE:
-            raise DegreeError(f"degree {degree} exceeds cap {MAX_DEGREE}")
         gens = []
         for g in generators:
             g = tuple(g)

@@ -118,6 +118,11 @@ def mask_of(flags) -> int:
     return int(bytes(flags).translate(_TO_DIGITS)[::-1], 2)
 
 
+def mask_at(idx) -> int:
+    """The mask whose set bits are the indices idx."""
+    return sum(1 << i for i in idx)
+
+
 def gather(idx):
     """f(seq) = the tuple of seq[i] for i in idx, in one C-level pass: an
     itemgetter, which for a single index would return the item itself."""

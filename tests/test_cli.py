@@ -3,7 +3,8 @@ import json
 import pytest
 
 from grpverify import construct as cx
-from grpverify.cli import MAX_NESTING, ParseError, build_arg_parser, main, parse_expr
+from grpverify.cli import build_arg_parser, main, parse_expr
+from grpverify.construct import MAX_NESTING, ParseError
 from grpverify.ledger import Caps
 
 
@@ -81,6 +82,7 @@ def random_expr(rng, depth=0):
         lambda: cx.ElemAb(rng.choice([2, 3, 5, 7]), rng.randint(1, 4)),
         lambda: cx.H3(),
         lambda: cx.Hess(),
+        lambda: cx.Hsl23(),
         lambda: cx.MatGL(rng.choice([2, 3, 4, 5, 7, 8])),
         lambda: cx.MatSL(rng.choice([2, 3, 4, 5, 7, 8])),
         lambda: cx.ProjGL(rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 25])),
@@ -178,6 +180,35 @@ def test_parse_error_exit_code(capsys):
     rc = main(["analyze", "PGL(2,6)", "-p", "5"])
     assert rc == 2
     assert "not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["EA(1000000000000000003,1)", "-p", "2"], "out of range"),
+    (["PGL(2,1000000000000000003)", "-p", "2"], "out of range"),
+    (["S(3)", "-p", "1000000000000000003"], "not a prime below"),
+    (["C(" + "9" * 5000 + ")", "-p", "2"], "byte 2: integer out of range"),
+], ids=["EA", "PGL", "p", "literal"])
+def test_huge_numbers_are_refused_at_once(argv, fragment, capsys):
+    """Each range is checked before any primality test, which would trial-
+    divide for hours, and an overlong literal is a syntax error."""
+    import signal
+
+    def hang(signum, frame):  # main reports it as an internal error, exit 3
+        raise TimeoutError("still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        assert main(["analyze", *argv]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert fragment in capsys.readouterr().err
+
+
+def test_a_non_decimal_digit_is_a_syntax_error():
+    with pytest.raises(ParseError, match="byte 2: expected an integer"):
+        parse_expr("C(\u00b2)")  # a superscript 2: str.isdigit, not int
 
 
 def nested_prod(depth):

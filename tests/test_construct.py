@@ -16,6 +16,7 @@ from grpverify.construct import (
     MatSL,
     PGroup,
     PSL32,
+    ParseError,
     Prod,
     ProjGL,
     ProjSL,
@@ -25,6 +26,7 @@ from grpverify.construct import (
     WeylD,
     build,
     matrix_to_projective_perm,
+    parse_expr,
     projective_line,
     to_src,
 )
@@ -256,6 +258,51 @@ def test_unsupported_parameters():
         build(ProjGL(6))
     with pytest.raises(BuildError):
         build(MatGL(9))
+
+
+# The limits of README "Group expressions", stated here rather than read
+# from the grammar: C 1..64, D 2..32, S 1..8, A 1..9, WD 2..8, pgroup
+# degree 1..64, EA(p,m) with p prime and p*m <= 64, GL/SL(2,q) with q <= 8
+# and PGL/PSL(2,q) with q <= 61, q a prime power.
+ACCEPTED = [
+    Cyc(1), Cyc(64), Dih(2), Dih(32), Sym(1), Sym(8), Alt(1), Alt(9),
+    WeylD(2), WeylD(8), PGroup(1, ()), PGroup(64, ()),
+    ElemAb(2, 1), ElemAb(2, 32), ElemAb(61, 1),
+    MatGL(2), MatGL(8), MatSL(2), MatSL(8),
+    ProjGL(2), ProjGL(61), ProjSL(2), ProjSL(61),
+]
+REFUSED = [
+    (Cyc(0), "out of range"), (Cyc(65), "out of range"),
+    (Dih(1), "out of range"), (Dih(33), "out of range"),
+    (Sym(0), "out of range"), (Sym(9), "out of range"),
+    (Alt(0), "out of range"), (Alt(10), "out of range"),
+    (WeylD(1), "out of range"), (WeylD(9), "out of range"),
+    (PGroup(0, ()), "out of range"), (PGroup(65, ()), "out of range"),
+    (ElemAb(1, 1), "not prime"), (ElemAb(2, 0), "out of range"),
+    (ElemAb(2, 33), "out of range"), (ElemAb(64, 1), "not prime"),
+    (ElemAb(67, 1), "out of range"),
+    (MatGL(1), "not a prime power"), (MatGL(9), "out of range"),
+    (MatSL(1), "not a prime power"), (MatSL(9), "out of range"),
+    (ProjGL(1), "not a prime power"), (ProjGL(62), "out of range"),
+    (ProjSL(1), "not a prime power"), (ProjSL(62), "out of range"),
+]
+
+
+@pytest.mark.parametrize("expr", ACCEPTED, ids=to_src)
+def test_the_ends_of_each_limit_parse(expr):
+    assert parse_expr(to_src(expr)) == expr
+
+
+@pytest.mark.parametrize("expr, fragment", REFUSED,
+                         ids=[to_src(e) for e, _ in REFUSED])
+def test_one_past_each_end_is_refused_by_parse_and_build(expr, fragment):
+    src = f"prod(C(2), {to_src(expr)})"
+    with pytest.raises(ParseError) as exc:
+        parse_expr(src)
+    assert exc.value.pos == src.index(to_src(expr))  # at the node itself
+    assert fragment in str(exc.value)
+    with pytest.raises(BuildError, match=fragment):
+        build(expr)
 
 
 def test_projective_line_action_gf3():

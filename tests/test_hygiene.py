@@ -284,3 +284,74 @@ def test_an_import_inside_a_function_closes_a_cycle():
     assert import_cycles(graph) == [("autmorph", "lattice")]
     del sources["lattice"]
     assert import_cycles(import_graph(sources)) == []
+
+
+BENCH_SOURCES = sorted((ROOT / "perfbench").glob("*.py")) \
+    + sorted((ROOT / "benches").glob("*.py"))
+
+
+def engine_bindings(source):
+    """The dotted names of the package that the source uses: each name a
+    `from grpverify.<mod> import <name>` imports, each attribute chain on a
+    module bound by `from grpverify import <mod>` (perm.compose,
+    smallgroup.MaterializedGroup.mul), and each (module, attribute) of a
+    `SPANS` table."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "grpverify":
+                modules.update(alias.asname or alias.name for alias in node.names)
+            elif node.module.startswith("grpverify."):
+                yield from (f"{node.module[10:]}.{alias.name}"
+                            for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                yield ".".join([value.id, *reversed(chain)])
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and getattr(node.targets[0], "id", None) == "SPANS"):
+            yield from (f"{mod}.{attr}"
+                        for mod, attr, _ in ast.literal_eval(node.value))
+
+
+def resolves(dotted) -> bool:
+    import importlib
+
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"grpverify.{module}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_every_engine_name_the_benchmarks_use_exists():
+    """A rename in the package that perfbench/ or benches/ still uses
+    fails here, not only in a benchmark run."""
+    used = {(path.relative_to(ROOT), dotted) for path in BENCH_SOURCES
+            for dotted in engine_bindings(path.read_text())}
+    dotted = {d for _, d in used}
+    for wrapped in ("perm.compose", "smallgroup.MaterializedGroup.mul",
+                    "cli.parse_expr", "construct.build"):
+        assert wrapped in dotted  # the bindings are read at all
+    missing = sorted(f"{path}: {d}" for path, d in used if not resolves(d))
+    assert missing == [], "missing from the package: " + ", ".join(missing)
+
+
+def test_engine_bindings_read_imports_attributes_and_spans():
+    snippet = ("from grpverify import perm, smallgroup\n"
+               "from grpverify.cli import parse_expr\n"
+               "SPANS = ((\"lattice\", \"quotient\", \"lattice.quotient\"),)\n"
+               "perm.compose = f\n"
+               "x = smallgroup.MaterializedGroup.mul\n"
+               "y = other.thing\n")
+    assert sorted(set(engine_bindings(snippet))) == [
+        "cli.parse_expr", "lattice.quotient", "perm.compose",
+        "smallgroup.MaterializedGroup", "smallgroup.MaterializedGroup.mul"]
+    assert not resolves("cli.no_such_name")

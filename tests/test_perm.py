@@ -96,8 +96,3 @@ def test_random_generator_products_are_members():
 def test_empty_domain_rejected():
     with pytest.raises(DegreeError):
         PermGroup([], 0)
-
-
-def test_degree_cap():
-    with pytest.raises(DegreeError):
-        PermGroup([identity(65)], 65)
