@@ -738,6 +738,20 @@ def _field_limits(hi, why):
                       None if is_prime_power(q) else f"{q} is not a prime power")
 
 
+def _pgroup_limits(n, cycles):
+    """Degree 1..64, then each cycle string a permutation of that degree;
+    the range comes first, so that a huge degree is never parsed."""
+    why = _between(1, 64)(n)
+    if why:
+        return why
+    for c in cycles:
+        try:
+            pm.parse_cycles(c, n)
+        except ValueError as e:
+            return str(e)
+    return None
+
+
 class _Node:
     """One production: the AST class, its source name, its argument shape
     (one letter each: n an integer, e an expression, a an action, s any
@@ -783,7 +797,7 @@ GRAMMAR = (
     _Node(Prod, "prod", "ee", _build_prod),
     _Node(SwapSq, "swapsq", "e", _build_swapsq),
     _Node(Semi, "semi", "eea", _build_semi),
-    _Node(PGroup, "pgroup", "ns", _build_pgroup, _between(1, 64)),
+    _Node(PGroup, "pgroup", "ns", _build_pgroup, _pgroup_limits),
 )
 _BY_CLASS = {node.cls: node for node in GRAMMAR}
 _BY_NAME = {node.name: node for node in GRAMMAR}

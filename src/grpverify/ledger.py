@@ -4,33 +4,30 @@ A claim couples hard-coded expected values (exact rationals and integers,
 stored as strings) with a runner that recomputes them from scratch.  The
 engine compares expected against actual key by key; claims fail with a
 concrete witness, are skipped with a reason on cap or timeout, and are
-otherwise independent of each other.
+otherwise independent of each other: `run` gives every claim a forked
+process of its own, and kills one that outlives its timeout.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from fnmatch import fnmatch
 
 from . import construct
 from .smallgroup import CapExceeded, Caps  # Caps: re-exported for callers
 
 REPORT_VERSION = 1
 
-# above about 9.2e9 s the claim timer cannot be set at all (Python keeps
-# times as 64-bit nanoseconds); a billion seconds is over 31 years
+# a billion seconds is over 31 years; a longer timeout, inf or nan is
+# refused, so that every claim's deadline is a finite time
 MAX_TIMEOUT_S = 1e9
 
 
 class SkipClaim(Exception):
     """Raised by a runner to record a skip with a mandatory reason."""
-
-
-class _ClaimTimeout(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -59,20 +56,11 @@ class ClaimResult:
     runtime_ms: int
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "paper_ref": self.paper_ref,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "witness": self.witness,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
 
 def result_from_json(d: dict) -> ClaimResult:
-    return ClaimResult(d["id"], d["paper_ref"], d["status"], d["expected"],
-                       d["actual"], d["witness"], d["runtime_ms"])
+    return ClaimResult(**d)
 
 
 def _canon(d: dict) -> str:
@@ -92,7 +80,8 @@ def compare(expected: dict, actual: dict):
 
 
 def check_timeout(timeout: float | None) -> None:
-    """Refuse a per-claim timeout the claim timer cannot be set to."""
+    """Refuse a per-claim timeout that is negative or not a finite number
+    of seconds up to MAX_TIMEOUT_S."""
     if timeout is None:
         return
     if timeout < 0:
@@ -102,128 +91,115 @@ def check_timeout(timeout: float | None) -> None:
                          f"seconds up to {MAX_TIMEOUT_S:g}")
 
 
-def run_claim(record: ClaimRecord, timeout: float | None = None) -> ClaimResult:
-    """Run one claim under the active caps, from an empty group cache, so
-    that nothing run before it changes its result or runtime_ms."""
-    check_timeout(timeout)
+def _result(record, status, actual, witness, t0) -> ClaimResult:
+    """The result of record, with runtime_ms counted from t0."""
+    return ClaimResult(record.id, record.paper_ref, status,
+                       _canon(record.expected), _canon(actual), witness,
+                       int((time.monotonic() - t0) * 1000))
+
+
+def run_claim(record: ClaimRecord) -> ClaimResult:
+    """Run one claim in this process under the active caps, from an empty
+    group cache, so that nothing run before it changes its result or
+    runtime_ms."""
     construct._CACHE.clear()
     t0 = time.monotonic()
-
-    def done(status, actual, witness):
-        ms = int((time.monotonic() - t0) * 1000)
-        return ClaimResult(record.id, record.paper_ref, status,
-                           _canon(record.expected), _canon(actual), witness, ms)
-
-    def _on_alarm(signum, frame):
-        raise _ClaimTimeout
-
-    old_handler = None
-    installed = False
     try:
-        if timeout:
-            # raises ValueError off the main thread: then nothing is installed
-            old_handler = signal.signal(signal.SIGALRM, _on_alarm)
-            installed = True
-            signal.setitimer(signal.ITIMER_REAL, timeout)
         actual, witness = record.fn()
     except SkipClaim as e:
-        return done("skip", {}, f"skipped: {e}")
+        return _result(record, "skip", {}, f"skipped: {e}", t0)
     except CapExceeded as e:
-        return done("skip", {}, f"skipped (cap): {e}")
-    except _ClaimTimeout:
-        return done("skip", {}, f"skipped (timeout after {timeout}s)")
+        return _result(record, "skip", {}, f"skipped (cap): {e}", t0)
     except Exception as e:  # engine errors are data, not crashes
-        return done("fail", {}, f"error: {type(e).__name__}: {e}")
-    finally:
-        if installed:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old_handler)
+        return _result(record, "fail", {}, f"error: {type(e).__name__}: {e}", t0)
     status, mism = compare(record.expected, actual)
     if status == "pass":
-        return done("pass", actual, witness or None)
+        return _result(record, "pass", actual, witness or None, t0)
     full = mism + (f" [{witness}]" if witness else "")
-    return done("fail", actual, full)
+    return _result(record, "fail", actual, full, t0)
 
 
-def _claim_process(record, timeout, conn):
+def _claim_process(record, conn):
     """Run one claim in its own forked process and send back its result."""
-    conn.send(run_claim(record, timeout=timeout).to_json())
+    conn.send(run_claim(record))
     conn.close()
 
 
 def select_claims(records, ids=None, pattern: str | None = None):
     """Filter by explicit ids and/or a glob pattern on the claim id."""
-    out = []
-    for r in records:
-        if ids and r.id not in ids:
-            continue
-        if pattern is not None:
-            from fnmatch import fnmatch
-
-            if not fnmatch(r.id, pattern):
-                continue
-        out.append(r)
-    return sorted(out, key=lambda r: r.id)
+    return sorted((r for r in records if (not ids or r.id in ids)
+                   and (pattern is None or fnmatch(r.id, pattern))),
+                  key=lambda r: r.id)
 
 
 def run(records, jobs: int = 1, timeout: float | None = None) -> list[ClaimResult]:
-    """Execute claims (in parallel if jobs > 1); results in claim-id order.
+    """Run each claim in a forked process of its own, at most jobs at a
+    time; results in claim-id order.
 
-    Claims run under the active caps.  In parallel each claim runs in its
-    own process, at most jobs at a time, and inherits the caps.  A process
+    A claim's process inherits the active caps and runs it with run_claim.
+    With a timeout, a process still running timeout seconds after it
+    started is killed and its claim skipped with that reason.  A process
     that dies before it reports (killed by a signal, say) makes its claim a
     fail; the other claims still run.
     """
     check_timeout(timeout)
-    records = sorted(records, key=lambda r: r.id)
-    if jobs <= 1 or len(records) <= 1:
-        return [run_claim(r, timeout=timeout) for r in records]
-    # imported here: a serial run and the CLI's start-up do without them
+    # imported here: the CLI's start-up does without them
     from multiprocessing import get_context
     from multiprocessing.connection import wait
 
     # fork: a child starts from the parent's imports and needs no pickling
     # of the record, whose runner may be any function
     ctx = get_context("fork")
-    pending = records[::-1]
+    pending = sorted(records, key=lambda r: r.id, reverse=True)
     running = {}  # result pipe -> (process, record, start time)
     results = []
     try:
         while pending or running:
-            while pending and len(running) < jobs:
+            while pending and len(running) < max(jobs, 1):
                 record = pending.pop()
                 reader, writer = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_claim_process,
-                                   args=(record, timeout, writer))
+                proc = ctx.Process(target=_claim_process, args=(record, writer))
                 proc.start()
                 writer.close()
                 running[reader] = (proc, record, time.monotonic())
-            for reader in wait(list(running)):
+            left = None
+            if timeout:
+                first = min(t0 for _, _, t0 in running.values())
+                # poll() waits at most 2**31 - 1 ms: a longer wait is cut
+                # short and taken up again on the next pass
+                left = min(max(first + timeout - time.monotonic(), 0), 1e6)
+            for reader in wait(list(running), left):
                 proc, record, t0 = running.pop(reader)
                 try:
-                    results.append(result_from_json(reader.recv()))
+                    results.append(reader.recv())
                 except EOFError:  # the process ended without a result
                     proc.join()
                     results.append(_died(record, proc.exitcode, t0))
                 reader.close()
                 proc.join()
+            for reader, (proc, record, t0) in list(running.items()):
+                if timeout and time.monotonic() - t0 >= timeout:
+                    results.append(_result(
+                        record, "skip", {},
+                        f"skipped (timeout after {timeout}s)", t0))
+                    del running[reader]
+                    _stop(proc, reader)
     finally:  # interrupted: leave no claim process behind
         for reader, (proc, _, _) in running.items():
-            proc.kill()
-            proc.join()
-            reader.close()
+            _stop(proc, reader)
     return sorted(results, key=lambda r: r.id)
 
 
+def _stop(proc, reader):
+    """Kill proc if it still runs, reap it and close its result pipe."""
+    proc.kill()
+    proc.join()
+    reader.close()
+
+
 def _died(record, exitcode, t0) -> ClaimResult:
-    if exitcode < 0:
-        cause = f"signal {-exitcode}"
-    else:
-        cause = f"exit code {exitcode}"
-    return ClaimResult(record.id, record.paper_ref, "fail",
-                       _canon(record.expected), _canon({}),
-                       f"worker died: {cause}",
-                       int((time.monotonic() - t0) * 1000))
+    cause = f"signal {-exitcode}" if exitcode < 0 else f"exit code {exitcode}"
+    return _result(record, "fail", {}, f"worker died: {cause}", t0)
 
 
 def summary(results) -> dict:
@@ -242,25 +218,18 @@ def report_json(results) -> dict:
 
 
 def report_text(results) -> str:
-    widths = {
-        "id": max([len("claim")] + [len(r.id) for r in results]),
-        "status": 6,
-    }
-    lines = []
-    head = (f"{'claim':<{widths['id']}}  {'status':<6}  {'ms':>8}  "
-            f"expected / actual")
-    lines.append(head)
-    lines.append("-" * len(head))
+    w = max([len("claim")] + [len(r.id) for r in results])
+    head = f"{'claim':<{w}}  {'status':<6}  {'ms':>8}  expected / actual"
+    lines = [head, "-" * len(head)]
     for r in results:
         detail = r.expected if r.status == "pass" else f"{r.expected} / {r.actual}"
         if r.status == "skip":
             detail = r.witness or "skipped"
         if len(detail) > 100:
             detail = detail[:97] + "..."
-        lines.append(f"{r.id:<{widths['id']}}  {r.status:<6}  "
-                     f"{r.runtime_ms:>8}  {detail}")
+        lines.append(f"{r.id:<{w}}  {r.status:<6}  {r.runtime_ms:>8}  {detail}")
         if r.status == "fail" and r.witness:
-            lines.append(f"{'':<{widths['id']}}  witness: {r.witness[:160]}")
+            lines.append(f"{'':<{w}}  witness: {r.witness[:160]}")
     s = summary(results)
     lines.append("-" * len(head))
     lines.append(f"pass {s['pass']}  fail {s['fail']}  skip {s['skip']}")

@@ -8,6 +8,8 @@ externally ("(1 2 3)(4 5)", "()" for identity) and 0-based internally.
 
 from __future__ import annotations
 
+import sys
+
 Perm = tuple
 
 
@@ -89,10 +91,12 @@ def parse_cycles(src: str, degree: int | None = None) -> Perm:
                 pos += 1
                 break
             start = pos
-            while pos < n and src[pos].isdigit():
+            while pos < n and src[pos].isdecimal():
                 pos += 1
             if pos == start:
                 raise ValueError(f"expected point at offset {pos} in {src!r}")
+            if pos - start > len(str(sys.maxsize)):  # longer than any index
+                raise ValueError(f"point at offset {start} is too long")
             pt = int(src[start:pos]) - 1
             if pt < 0:
                 raise ValueError(f"points are 1-based in {src!r}")

@@ -335,11 +335,12 @@ class MaterializedGroup:
         if self._orders is None:
             with self.table_scope():  # the classes' maps read by lookup
                 classes = self.conjugacy_classes()
-            orders = self._orders = [0] * self.n
+            orders = [0] * self.n  # kept only once every class is in
             for cls in classes:
                 o = pm.perm_order(self.perms[cls[0]])
                 for x in cls:
                     orders[x] = o
+            self._orders = orders
         return self._orders[i]
 
     @property

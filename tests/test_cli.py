@@ -89,7 +89,7 @@ def random_expr(rng, depth=0):
         lambda: cx.ProjSL(rng.choice([2, 3, 4, 5, 7, 8, 9, 27])),
         lambda: cx.PSL32(),
         lambda: cx.WeylD(rng.randint(2, 8)),
-        lambda: cx.PGroup(rng.randint(1, 64), ("(1 2)", "(2 3)")[: rng.randint(0, 2)]),
+        lambda: cx.PGroup(rng.randint(3, 64), ("(1 2)", "(2 3)")[: rng.randint(0, 2)]),
     ]
     calls = [
         lambda: cx.Prod(random_expr(rng, depth + 1), random_expr(rng, depth + 1)),

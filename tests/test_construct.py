@@ -305,6 +305,28 @@ def test_one_past_each_end_is_refused_by_parse_and_build(expr, fragment):
         build(expr)
 
 
+BAD_CYCLES = [
+    ("(1 \u00b2)", "expected point at offset 3"),  # a digit, but not decimal
+    ("(1 " + "9" * 5000 + ")", "point at offset 3 is too long"),
+    ("(1 2", "unclosed cycle"),
+    ("(1 4)", "point 4 exceeds degree 3"),
+]
+
+
+@pytest.mark.parametrize("cycle, fragment", BAD_CYCLES,
+                         ids=["superscript", "5000-digits", "unclosed",
+                              "past-degree"])
+def test_bad_cycle_strings_are_refused_by_parse_and_build(cycle, fragment):
+    expr = PGroup(3, ("(1 2)", cycle))
+    src = f"prod(C(2), {to_src(expr)})"
+    with pytest.raises(ParseError) as exc:
+        parse_expr(src)
+    assert exc.value.pos == src.index("pgroup")  # at the node itself
+    assert fragment in str(exc.value)
+    with pytest.raises(BuildError, match=fragment):
+        build(expr)
+
+
 def test_projective_line_action_gf3():
     F = gf.field_new(3, 1)
     assert len(projective_line(F)) == 4

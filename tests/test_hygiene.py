@@ -18,6 +18,9 @@ should be required.  A call is matched by the name it calls (`f(...)` or
 
 The modules of the package import one another without a cycle, imports
 inside functions included.
+
+No module installs a signal handler or sets a signal timer: the parent
+process enforces each claim's deadline by killing the claim's process.
 """
 
 import ast
@@ -284,6 +287,47 @@ def test_an_import_inside_a_function_closes_a_cycle():
     assert import_cycles(graph) == [("autmorph", "lattice")]
     del sources["lattice"]
     assert import_cycles(import_graph(sources)) == []
+
+
+SIGNAL_SETTERS = {"signal", "setitimer", "alarm"}
+
+
+def signal_setters(source):
+    """The names of the calls in the source that set a signal handler or
+    timer: signal.signal(...), signal.setitimer(...), signal.alarm(...), or
+    one of those imported from signal by name."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "signal"
+                for alias in node.names if alias.name in SIGNAL_SETTERS}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr in SIGNAL_SETTERS
+                and getattr(f.value, "id", None) == "signal"):
+            yield f"signal.{f.attr}"
+        elif isinstance(f, ast.Name) and f.id in imported:
+            yield f.id
+
+
+def test_no_module_sets_a_signal_handler_or_timer():
+    found = sorted(f"{path.name}: {call}"
+                   for path in PACKAGE.glob("*.py")
+                   for call in signal_setters(path.read_text()))
+    assert found == []
+
+
+def test_signal_setters_read_module_and_imported_calls():
+    snippet = ("import signal\n"
+               "from signal import alarm as later, getsignal\n"
+               "old = signal.signal(signal.SIGALRM, h)\n"
+               "signal.setitimer(signal.ITIMER_REAL, 0)\n"
+               "later(5)\n"
+               "getsignal(signal.SIGALRM)\n"
+               "os.kill(pid, signal.SIGKILL)\n")
+    assert list(signal_setters(snippet)) == [
+        "signal.signal", "signal.setitimer", "later"]
 
 
 BENCH_SOURCES = sorted((ROOT / "perfbench").glob("*.py")) \

@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -153,37 +154,59 @@ def test_registry_subset_rerun_identical():
 
 
 def test_timeout_records_skip():
-    res = run_claim(get_claim("LEM-3.8-II"), timeout=0.05)
+    (res,) = run([get_claim("LEM-3.8-II")], timeout=0.05)
     assert res.status == "skip"
-    assert "timeout" in res.witness
+    assert res.witness == "skipped (timeout after 0.05s)"
+    assert res.runtime_ms >= 50
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0], ids=str)
 def test_bad_timeout_raises_before_any_handler(timeout):
     before = signal.getsignal(signal.SIGALRM)
     record = get_claim("SHARP-D10")
-    with pytest.raises(ValueError, match="timeout"):
-        run_claim(record, timeout=timeout)
-    with pytest.raises(ValueError, match="timeout"):
-        run([record, record], jobs=2, timeout=timeout)
-    assert signal.getsignal(signal.SIGALRM) is before
-    assert run_claim(record, timeout=60).status == "pass"
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="timeout"):
+            run([record, record], jobs=jobs, timeout=timeout)
+    assert [r.status for r in run([record], timeout=60)] == ["pass"]
     assert signal.getsignal(signal.SIGALRM) is before
 
 
-def test_timeout_off_the_main_thread_fails_with_reason():
-    # SIGALRM can only be set from the main thread: the claim must come
-    # back as a fail naming why, and leave the handler as it was
-    before = signal.getsignal(signal.SIGALRM)
+# one call into C that holds the interpreter for minutes: no signal
+# handler would run until it returned
+STUCK = ClaimRecord("STUCK", "", "test", {"x": "0"},
+                    lambda: ({"x": sum(range(10**10))}, ""))
+
+
+def test_a_claim_stuck_in_one_call_is_killed_at_its_timeout():
+    t0 = time.monotonic()
+    (res,) = run([STUCK], timeout=0.1)
+    assert time.monotonic() - t0 < 1.1
+    assert res.status == "skip"
+    assert res.witness == "skipped (timeout after 0.1s)"
+    assert 100 <= res.runtime_ms < 1100
+    # the next claim still runs, one at a time
+    results = run([STUCK, replace(get_claim("EX-2.8"), id="TAIL")],
+                  jobs=1, timeout=0.1)
+    assert [r.status for r in results] == ["skip", "pass"]
+
+
+def test_timeout_off_the_main_thread_works():
+    # the parent enforces the timeout, so run needs no signal handler and
+    # no main thread
     results = []
-    worker = threading.Thread(target=lambda: results.append(
-        run_claim(get_claim("SHARP-D10"), timeout=5)))
+    worker = threading.Thread(target=lambda: results.extend(
+        run([get_claim("SHARP-D10")], timeout=5) + run([STUCK], timeout=0.1)))
     worker.start()
-    worker.join()
-    (res,) = results
-    assert res.status == "fail"
-    assert "ValueError" in res.witness and "main thread" in res.witness
-    assert signal.getsignal(signal.SIGALRM) is before
+    worker.join(60)
+    assert not worker.is_alive()
+    assert [(r.id, r.status) for r in results] == [("SHARP-D10", "pass"),
+                                                   ("STUCK", "skip")]
+
+
+def test_the_longest_timeout_is_kept():
+    # a wait longer than poll() takes is cut into slices
+    fast = ClaimRecord("FAST", "", "test", {"x": "1"}, lambda: ({"x": 1}, ""))
+    assert [r.status for r in run([fast], timeout=1e9)] == ["pass"]
 
 
 def test_caps_do_not_outlive_their_run():
@@ -213,7 +236,7 @@ def test_claim_process_starts_cold(monkeypatch):
     results = run([probe, replace(probe, id="PROBE-2")], jobs=2)
     assert [r.status for r in results] == ["pass", "pass"]
     assert cache  # the parent's groups stay
-    # a serial run starts each claim from an empty cache as well
+    # one job at a time forks a process per claim as well
     results = run([probe, replace(probe, id="PROBE-2")], jobs=1)
     assert [r.status for r in results] == ["pass", "pass"]
 
@@ -249,7 +272,8 @@ def test_query_caps_bound_every_claim(cid, field, label):
     assert res.witness.endswith(f"exceeds {label} cap 10")
 
 
-def test_dead_worker_fails_its_claim_and_the_run_finishes():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_dead_worker_fails_its_claim_and_the_run_finishes(jobs):
     def die():
         os.kill(os.getpid(), signal.SIGKILL)
 
@@ -262,7 +286,7 @@ def test_dead_worker_fails_its_claim_and_the_run_finishes():
     old = signal.signal(signal.SIGALRM, hung)
     signal.setitimer(signal.ITIMER_REAL, 60)
     try:
-        results = run(records, jobs=2)
+        results = run(records, jobs=jobs)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)

@@ -30,6 +30,26 @@ def test_materialize_cap():
             materialize(g.group)
 
 
+def test_element_orders_survive_an_interrupted_first_call(monkeypatch):
+    from grpverify import perm
+
+    m = materialize(build(Sym(4)).group)  # a fresh group: no orders yet
+    real, calls = perm.perm_order, []
+
+    def interrupted(p):
+        calls.append(p)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(p)
+
+    monkeypatch.setattr(perm, "perm_order", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        m.element_order(0)
+    monkeypatch.setattr(perm, "perm_order", real)
+    assert [m.element_order(i) for i in range(m.n)] == \
+        [real(p) for p in m.perms]
+
+
 def test_caps_scope_restores_the_caps_when_its_body_raises():
     before = current_caps()
     with pytest.raises(CapExceeded):
