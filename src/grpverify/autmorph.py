@@ -30,6 +30,7 @@ from .smallgroup import (
     cached_query,
     coprime,
     current_caps,
+    gather,
 )
 
 
@@ -245,9 +246,9 @@ class AutGroup:
         base = M.gens
         full = {tuple(map(a.__getitem__, base)): a for a in maps}
 
-        def step(x, s):  # the key of full[x] o full[s]
-            return tuple(map(full[x].__getitem__,
-                             map(full[s].__getitem__, base)))
+        def step_of(s):  # x -> the key of full[x] o full[s]
+            take = gather(s)  # s is full[s]'s images of base
+            return lambda x: take(full[x])
 
         def inverse(x):
             return tuple(map(full[x].index, base))
@@ -256,22 +257,25 @@ class AutGroup:
         # conjugacy machinery linear in the group order
         one = tuple(base)
         gens = []
+        steps = []
         closed = {one}
         for key in full:
             if key in closed:
                 continue
             gens.append(key)
+            steps.append(step_of(key))
             queue = list(closed)
             for x in queue:  # queue grows while it is walked
-                for g in gens:
-                    y = step(x, g)
+                for step in steps:
+                    y = step(x)
                     if y not in closed:
                         closed.add(y)
                         queue.append(y)
             if len(closed) == len(full):
                 break
         out = MaterializedGroup.enumerated(
-            one, gens, step, full.__getitem__, inverse, M.n, cap=self.order + 1)
+            one, gens, step_of, full.__getitem__, inverse, M.n,
+            cap=self.order + 1)
         if out.n != self.order:
             raise AssertionError("automorphism closure mismatch")
         return out

@@ -718,6 +718,12 @@ def _build_hsl23():
 
 MAX_NESTING = 32  # prod/swapsq/semi levels around an atom; deeper is refused
 MAX_DIGITS = 20  # longest integer literal; a longer one is refused
+MAX_ECHO = 60  # longest piece of the source an error message repeats
+
+
+def _excerpt(text: str) -> str:
+    """text, cut to MAX_ECHO characters with an ellipsis if it is longer."""
+    return text if len(text) <= MAX_ECHO else text[:MAX_ECHO - 3] + "..."
 
 
 def _between(lo, hi):
@@ -771,7 +777,7 @@ class _Node:
         Range limits come before any primality test, so that a huge
         parameter is refused at once."""
         why = self.limits and self.limits(*args)
-        return why and f"{to_src(expr)}: {why}"
+        return why and f"{_excerpt(to_src(expr))}: {_excerpt(why)}"
 
 
 GRAMMAR = (
@@ -911,7 +917,7 @@ class _Parser:
         name = self.ident()
         node = _BY_NAME.get(name)
         if node is None:
-            self.error(f"unknown atom {name!r}", at)
+            self.error(f"unknown atom {_excerpt(repr(name))}", at)
         args = []
         if node.shape:
             self.expect("(")
@@ -947,7 +953,7 @@ class _Parser:
         at = self.pos
         name = self.ident()
         if name not in ACTIONS:
-            self.error(f"unknown action {name!r}", at)
+            self.error(f"unknown action {_excerpt(repr(name))}", at)
         params = []
         if name == "explicit" and self.peek() == "[":
             self.expect("[")

@@ -2,8 +2,11 @@
 
 A permutation of degree d is a tuple `images` of length d with
 images[i] = image of point i.  Composition applies the RIGHT factor
-first: compose(a, b) maps i to a[b[i]].  Cycle notation is 1-based
-externally ("(1 2 3)(4 5)", "()" for identity) and 0-based internally.
+first: compose(a, b) maps i to a[b[i]].  `compose` is for products of two
+arbitrary permutations; a walk that multiplies many elements by one fixed
+permutation s steps by a gather at the points of s instead
+(`smallgroup.gather`).  Cycle notation is 1-based externally
+("(1 2 3)(4 5)", "()" for identity) and 0-based internally.
 """
 
 from __future__ import annotations
@@ -171,14 +174,18 @@ class PermGroup:
                 self._levels.append(_Level(moved))
             lvl = self._levels[i]
             lvl.gens.append(g)
-            # recompute the orbit closure and sift all Schreier generators
+            # extend the orbit and sift only the Schreier generators not
+            # sifted before: g's on the old points, every generator's on
+            # the new ones.  The others already lie in the group the next
+            # level generates, which only grows.
             orbit = list(lvl.transversal)
+            old = len(orbit)
             qi = 0
             while qi < len(orbit):
                 x = orbit[qi]
                 qi += 1
                 ux = self._rep(lvl, x)
-                for s in lvl.gens:
+                for s in (g,) if qi <= old else lvl.gens:
                     y = s[x]
                     if y not in lvl.transversal:
                         lvl.transversal[y] = compose(s, ux)

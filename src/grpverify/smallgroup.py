@@ -6,11 +6,13 @@ identity).  Subgroups and other element sets are integer bitmasks over
 element indices.
 
 Every group is enumerated by one breadth-first routine, `breadth_first`,
-over a step function x -> x*s.  A group given by permutations composes
-them; a subgroup steps with its parent's products and Aut(G) with the
-images of G's generators (`MaterializedGroup.enumerated`), so neither
-composes a permutation.  For a group of order at most TABLE_MAX_ORDER the
-products x*s by each generator s are kept as that generator's column.
+over one step function x -> x*s per generator s.  A group given by
+permutations steps by a gather per generator, x*s = gather(s)(x); a
+subgroup steps by its parent's columns and Aut(G) by a gather over the
+images of G's generators (`MaterializedGroup.enumerated`), so none of them
+composes a permutation.  Inverses are found in pairs.  For a group of
+order at most TABLE_MAX_ORDER the products x*s by each generator s are
+kept as that generator's column.
 
 Every product is read from `mul(i, j)` or from the column of j,
 `column(j)[i] = i*j`, and each reader is written once over them.  Outside
@@ -201,27 +203,34 @@ class _ComposedColumn:
 class MaterializedGroup:
     def __init__(self, generators, degree, cap: int = Caps.max_order,
                  name: str = ""):
-        self._enumerate(pm.identity(degree), map(tuple, generators), pm.compose,
-                        None, pm.inverse, degree, cap, name)
+        gens = [tuple(g) for g in generators]
+        if any(len(g) != degree for g in gens):
+            raise pm.DegreeError("generator degree mismatch")
+        # x*s = compose(x, s) is x gathered at the points of s
+        self._enumerate(pm.identity(degree), gens, gather, None, pm.inverse,
+                        degree, cap, name)
 
     @classmethod
-    def enumerated(cls, one, gens, step, perm_of, inverse, degree: int,
+    def enumerated(cls, one, gens, step_of, perm_of, inverse, degree: int,
                    cap: int) -> "MaterializedGroup":
         """The group generated by gens, with elements in any hashable form.
 
-        one is the identity, step(x, s) = x*s, perm_of(x) is the permutation
-        of degree that x stands for and inverse(x) = x^-1.  The elements and
-        their order are those of MaterializedGroup(map(perm_of, gens), ...).
+        one is the identity, step_of(s) is the map x -> x*s, perm_of(x) is
+        the permutation of degree that x stands for and inverse(x) = x^-1.
+        The elements and their order are those of
+        MaterializedGroup(map(perm_of, gens), ...).
         """
         self = cls.__new__(cls)
-        self._enumerate(one, gens, step, perm_of, inverse, degree, cap, "")
+        self._enumerate(one, gens, step_of, perm_of, inverse, degree, cap, "")
         return self
 
-    def _enumerate(self, one, gens, step, perm_of, inverse, degree, cap, name):
+    def _enumerate(self, one, gens, step_of, perm_of, inverse, degree, cap,
+                   name):
         self.degree = degree
         self.name = name
         gens = list(dict.fromkeys(g for g in gens if g != one))
-        elems, where, parent, prods = breadth_first(one, gens, step, cap, name)
+        elems, where, parent, prods = breadth_first(
+            one, [step_of(g) for g in gens], cap, name)
         n = self.n = len(elems)
         if perm_of is None:
             self.perms, self.index = elems, where
@@ -229,7 +238,14 @@ class MaterializedGroup:
             self.perms = list(map(perm_of, elems))
             self.index = dict(zip(self.perms, range(n)))
         self.gens = [where[g] for g in gens]
-        self._inv = [where[inverse(x)] for x in elems]
+        inv = self._inv = [-1] * n
+        # inverses come in pairs; i and j are where's own ints, so the list
+        # shares them instead of holding n/2 new ones
+        for x, i in where.items():
+            if inv[i] < 0:
+                j = where[inverse(x)]
+                inv[i] = j
+                inv[j] = i
         # decided once: only small groups ever open a table
         if n <= TABLE_MAX_ORDER:
             k = len(gens)
@@ -636,13 +652,14 @@ def coprime(n: int, p: int) -> bool:
     return gcd(n, p) == 1
 
 
-def breadth_first(one, gens, step, cap: int, name: str):
-    """Enumerate the closure of one under x -> step(x, s) for s in gens.
+def breadth_first(one, steps, cap: int, name: str):
+    """Enumerate the closure of one under the maps in steps, x -> x*s for
+    each generator s.
 
     Returns the elements in discovery order, a dict from element to
-    position, the breadth-first parent of each element (y = parent[y]*s for
-    some s) and the positions of the products, len(gens) per element in
-    discovery order; for a group above TABLE_MAX_ORDER, None.
+    position, the breadth-first parent of each element (y = step(parent[y])
+    for some step) and the positions of the products, len(steps) per
+    element in discovery order; for a group above TABLE_MAX_ORDER, None.
     """
     elems = [one]
     where = {one: 0}
@@ -665,15 +682,15 @@ def breadth_first(one, gens, step, cap: int, name: str):
     for qi, x in enumerate(elems):  # elems grows while it is walked
         if len(elems) > TABLE_MAX_ORDER:
             break
-        for s in gens:
-            y = step(x, s)
+        for step in steps:
+            y = step(x)
             j = get(y)
             prods.append(add(y, qi) if j is None else j)
     else:
         return elems, where, parent, prods
     for qi, x in enumerate(islice(elems, qi, None), qi):
-        for s in gens:
-            y = step(x, s)
+        for step in steps:
+            y = step(x)
             if y not in where:
                 add(y, qi)
     return elems, where, parent, None

@@ -206,6 +206,22 @@ def test_huge_numbers_are_refused_at_once(argv, fragment, capsys):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("src, fragment", [
+    ('pgroup(6,"(1 ' + "9" * 5000 + ')")', "byte 0: pgroup(6,"),
+    ('pgroup(6,"(1 2' + " " * 5000 + ' 1)")', "point 1 repeated"),
+    ("Q" * 5000 + "(3)", "byte 0: unknown atom 'QQQ"),
+    ("semi(C(7),C(3)," + "e" * 5000 + ")", "byte 15: unknown action"),
+], ids=["long-point", "long-cycle", "long-atom", "long-action"])
+def test_a_refused_source_is_echoed_in_short(src, fragment, capsys):
+    """The error names the node at its byte offset but repeats at most
+    MAX_ECHO characters of each piece of the source it quotes."""
+    assert main(["aut", src]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "..." in err
+    assert len(err.splitlines()) == 1
+    assert len(err) < 2 * cx.MAX_ECHO + 80
+
+
 def test_a_non_decimal_digit_is_a_syntax_error():
     with pytest.raises(ParseError, match="byte 2: expected an integer"):
         parse_expr("C(\u00b2)")  # a superscript 2: str.isdigit, not int

@@ -15,7 +15,9 @@ import pytest
 
 from grpverify import perm as pm
 from grpverify.autmorph import automorphism_group
-from grpverify.construct import Alt, MatGL, ProjGL, ProjSL, Sym, build
+from grpverify.construct import (
+    Alt, ElemAb, MatGL, Prod, ProjGL, ProjSL, SwapSq, Sym, WeylD, build,
+)
 from grpverify.lattice import Sub, sub_materialized
 from grpverify.smallgroup import TABLE_MAX_ORDER, MaterializedGroup
 from test_autmorph import generated
@@ -79,6 +81,11 @@ def test_enumerations_match_compose_path(expr):
         [pm.perm_order(p) for p in M.perms]
 
 
+def test_generators_of_another_degree_are_refused():
+    with pytest.raises(pm.DegreeError):
+        MaterializedGroup([(1, 0), (0, 2, 1)], 2)
+
+
 @pytest.mark.parametrize("expr", [ProjGL(23), Alt(8)], ids=str)
 def test_enumeration_above_threshold_matches_compose_path(expr):
     h = build(expr)
@@ -87,6 +94,34 @@ def test_enumeration_above_threshold_matches_compose_path(expr):
     perms, index, inv, gens, _ = reference(h.group.generators, h.degree)
     assert (M.perms, M.index, M._inv, M.gens) == (perms, index, inv, gens)
     assert M._parent is None and M._gen_cols is None
+
+
+# sha256 of repr(perms) of the breadth-first enumeration from the built
+# generators, as the enumeration that composes permutations listed them
+PERMS_DIGESTS = {
+    Sym(5): "84216821125c01b08b2117b176181ec90dd6e6ee0289bfe799bcf55e7702e868",
+    SwapSq(Sym(4)):
+        "9f8280771423dafae4949bce480be8d088b14b6aa70cabb4029b7e29dcd80372",
+    WeylD(6): "489ba59d706e1505e142a1717baceb26685f55da1ef501981bb0107b3f1647af",
+}
+
+
+@pytest.mark.parametrize("expr", PERMS_DIGESTS, ids=str)
+def test_element_order_is_pinned(expr):
+    M = fresh(expr)
+    digest = hashlib.sha256(repr(M.perms).encode()).hexdigest()
+    assert digest == PERMS_DIGESTS[expr]
+
+
+@pytest.mark.parametrize("expr", [ElemAb(2, 4), Prod(Alt(5), Alt(5)),
+                                  ProjGL(23)], ids=str)
+def test_inverses_found_in_pairs_are_inverses(expr):
+    """Every element times its inverse, either way round, is the identity,
+    by composing permutations; EA(2,4) is all involutions, and PGL(2,23)
+    is above TABLE_MAX_ORDER."""
+    M = fresh(expr)
+    assert all(M.mul(i, M.inv(i)) == 0 == M.mul(M.inv(i), i)
+               for i in range(M.n))
 
 
 def greedy_generators(every):
@@ -164,4 +199,6 @@ def test_known_products_compose_nothing(compose_calls):
     aut.as_materialized()
     assert compose_calls == []
     assert MaterializedGroup(M.perms[1:3], M.degree).n > 1
+    assert compose_calls == []  # a permutation group steps by gathers
+    M.mul(1, 2)  # outside a table scope
     assert compose_calls  # the guard does count the compose path

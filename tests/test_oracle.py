@@ -3,8 +3,9 @@
 sympy and hypothesis are used by tests only; the engine is stdlib-only.
 Hypothesis draws permutations of S6 and S7 from a fixed seed, with a
 bounded number of examples, so the module runs in a few seconds.  The
-conjugacy classes and element orders of seven catalog groups are checked
-against sympy's too.
+conjugacy classes and element orders of seven catalog groups, and the
+orders of seeded random permutation groups of degree at most 8, are
+checked against sympy's too.
 """
 
 from contextlib import nullcontext
@@ -18,7 +19,9 @@ st = hypothesis.strategies
 from grpverify.construct import (  # noqa: E402
     Alt, MatGL, ProjGL, ProjSL, SwapSq, Sym, WeylD, build, to_src,
 )
+from grpverify.perm import PermGroup  # noqa: E402
 from grpverify.smallgroup import materialize  # noqa: E402
+from test_perm import random_generator_sets  # noqa: E402
 
 
 def moving(n):
@@ -58,6 +61,12 @@ def test_extender_order_matches_sympy(case):
                 assert H & ~ext == 0 and ext >> x & 1
                 got.append(ext.bit_count())
         assert got == want
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_schreier_sims_order_matches_sympy(seed):
+    for gens, n in random_generator_sets(seed):
+        assert PermGroup(gens, n).order() == sympy_order(gens), (gens, n)
 
 
 CLASS_GROUPS = [Sym(5), ProjSL(7), MatGL(3), WeylD(4), ProjGL(7),

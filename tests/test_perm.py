@@ -78,6 +78,46 @@ def test_order_matches_exhaustive_closure():
         assert materialize(g).n == g.order()
 
 
+def random_generator_sets(seed, count=100):
+    """Seeded (generators, degree) in S_n, n <= 8: one to three permutations,
+    each moving a random set of points, so that small subgroups come up as
+    often as S_n and A_n."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            pts = rng.sample(range(n), rng.randint(min(2, n), n))
+            img = pts[:]
+            rng.shuffle(img)
+            moved = dict(zip(pts, img))
+            gens.append(tuple(moved.get(i, i) for i in range(n)))
+        out.append((gens, n))
+    return out
+
+
+def closure_size(gens, n):
+    """|<gens>| by composing every element found with every generator."""
+    seen = {identity(n)}
+    queue = list(seen)
+    for x in queue:  # queue grows while it is walked
+        for g in gens:
+            y = compose(x, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_order_matches_brute_force_closure_on_random_generators(seed):
+    for gens, n in random_generator_sets(seed):
+        assert PermGroup(gens, n).order() == closure_size(gens, n), (gens, n)
+
+
 def test_random_generator_products_are_members():
     import random
 
