@@ -1,5 +1,7 @@
 """Micro-benchmarks of the automorphism search and of what is read from
-its result: the full listing of Aut(G) and the stabilizer of a subgroup.
+its result: the full listing of Aut(G) and the stabilizer of a subgroup;
+of the isomorphism search, and of a centralizer read outside any table
+scope.
 
     PYTHONPATH=src python -m pytest benches/bench_aut.py
 
@@ -8,10 +10,13 @@ suite's `testpaths`.  Every round works on a freshly enumerated group, so
 no memo or table column carries over from the round before.
 """
 
+import functools
+
 import pytest
 
-from grpverify.autmorph import automorphism_group
+from grpverify.autmorph import automorphism_group, find_isomorphism
 from grpverify.construct import Alt, ElemAb, ProjGL, ProjSL, build
+from grpverify.lattice import normal_subgroups, sub_materialized
 from grpverify.smallgroup import MaterializedGroup
 
 # COR-4.5 and PROP-4.4 read these orders; abelian EA(2,3) has one class
@@ -53,3 +58,33 @@ def test_preserving(benchmark):
 
     benchmark.pedantic(lambda aut, v4: aut.preserving(v4), setup=setup,
                        rounds=3)
+
+
+@functools.cache
+def pgl_in_aut_psl():
+    """Aut(PSL2(F9)) listed as a group, and its index-2 subgroup that is
+    PGL2(F9), as PROP-4.4-STRUCT tells its three index-2 subgroups apart."""
+    autm = automorphism_group(fresh(ProjSL(9))).as_materialized()
+    for sub in normal_subgroups(autm):
+        if sub.order == 720 and find_isomorphism(
+                sub_materialized(autm, sub), fresh(ProjGL(9))) is not None:
+            return autm, sub
+    raise AssertionError("no index-2 subgroup of Aut(PSL2(F9)) is PGL2(F9)")
+
+
+def test_find_isomorphism(benchmark):
+    """PROP-4.4-STRUCT's index-2 subgroup of Aut(PSL2(F9)) against
+    PGL2(F9): the product screen rejects most candidates here."""
+
+    def setup():
+        autm, sub = pgl_in_aut_psl()
+        return (sub_materialized(autm, sub), fresh(ProjGL(9))), {}
+
+    benchmark.pedantic(find_isomorphism, setup=setup, rounds=3)
+
+
+def test_centralizer_outside_scope(benchmark):
+    """centralizer(G's generators) of PGL2(F13), called outside any table
+    scope: it opens one of its own."""
+    benchmark.pedantic(lambda M: M.centralizer(M.gens),
+                       setup=lambda: ((fresh(ProjGL(13)),), {}), rounds=5)

@@ -2,7 +2,18 @@
 
 Automorphisms are found by backtracking over images of a fixed generating
 sequence, pruning by element order and conjugacy-class size; every map
-the search finds has been verified multiplicative on the whole group.  It
+the search finds has been verified multiplicative on the whole group.
+Before a candidate image c of g_l is grown into a map, a product screen
+checks that a_i c and a_i^-1 c have the order and class size of g_i g_l
+and g_i^-1 g_l for every earlier pair g_i -> a_i, one lookup each in the
+column of a_i or a_i^-1 (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, chapter 4).  An isomorphism keeps both,
+so the screen drops only candidates that no isomorphism extends; on
+PGL2(F9) it leaves 22 of the 290 candidates the search used to grow, and
+COR-4.5 took 43 -> 22 ms of CPU, PROP-4.4-STRUCT 165 -> 124 ms (medians of
+10 runs on a 2-core host).  An elementary abelian group has one order and
+class size for every element but the identity, and there the screen is
+not built.  The search
 runs modulo inner automorphisms: the first generator's image is one
 representative r per conjugacy class, and every automorphism is c_x . a
 for exactly one map a found with a(g1) = r and one x per conjugate of r.
@@ -45,8 +56,8 @@ def generating_sequence(M: MaterializedGroup) -> tuple[list[int], list[int]]:
     for c in cands:
         if mask >> c & 1:
             continue
+        mask = M.extender(mask, gens)(c)
         gens.append(c)
-        mask = M.close(gens)
         spans.append(mask.bit_count())
         if mask == M.full_mask:
             break
@@ -120,10 +131,24 @@ def _search(M1, M2, find_all):
     if not gens:  # trivial group
         return {0: [[0]]}
     found = []
+    # one key for every element but 1: G is elementary abelian, and the
+    # screen could only reject c = a_i^+-1, which _extend_map rejects
+    # within its first products
+    screened = len(by_key) > 2
 
     def dfs(level, pairs, cands):
+        g = gens[level]
+        # an isomorphism keeps the invariants of g_i g and g_i^-1 g, so a
+        # candidate c needs a_i c and a_i^-1 c to match them; c a is
+        # conjugate to a c, so both are read off the columns of a_i, a_i^-1
+        screen = []
+        for gi, a in (pairs if screened else ()):
+            screen.append((M2.column(a), inv1[M1.mul(gi, g)]))
+            screen.append((M2.column(M2.inv(a)), inv1[M1.mul(M1.inv(gi), g)]))
         for cand in cands:
-            attempt = pairs + [(gens[level], cand)]
+            if screen and any(inv2[col[cand]] != key for col, key in screen):
+                continue
+            attempt = pairs + [(g, cand)]
             img = _extend_map(M1, M2, attempt, spans[level])
             if img is None:
                 continue
@@ -237,9 +262,10 @@ class AutGroup:
         maps = []
         with M.table_scope():
             for r, found in self.found.items():
+                takes = [gather(a) for a in found]  # take(inner) = inner o a
                 for x in M.conjugation_orbit(1 << r)[1]:
                     inner = M.conj_map(x)
-                    maps.extend(tuple(map(inner.__getitem__, a)) for a in found)
+                    maps.extend(take(inner) for take in takes)
         maps.sort()
         # an automorphism is fixed by its images of G's generators, so a
         # product is looked up by that short key instead of composed

@@ -53,6 +53,7 @@ from .smallgroup import (
     mask_at,
     orbits,
     p_part,
+    table_scoped,
 )
 
 
@@ -307,6 +308,7 @@ def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction) -> SweepReport:
     return SweepReport(len(classes), tuple(order_viol), tuple(bound_viol))
 
 
+@table_scoped
 def quotient(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
     """Quotient by a normal subgroup, as its regular action on cosets.
 

@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
+from grpverify import autmorph
 from grpverify.autmorph import (
     _invariant_table,
     automorphism_group,
@@ -14,11 +15,14 @@ from grpverify.autmorph import (
 )
 from grpverify.cli import parse_expr
 from grpverify.construct import (
-    Action, Alt, Cyc, Dih, ElemAb, H3, Prod, ProjSL, Semi, Sym, build, to_src,
+    Action, Alt, Cyc, Dih, ElemAb, H3, Prod, ProjGL, ProjSL, Semi, Sym, build,
+    to_src,
 )
 from grpverify.lattice import all_subgroups, normal_subgroups
 from grpverify.perm import PermGroup, compose
-from grpverify.smallgroup import CapExceeded, Caps, bits, caps_scope
+from grpverify.smallgroup import (
+    CapExceeded, Caps, MaterializedGroup, bits, caps_scope,
+)
 
 
 def mat(expr):
@@ -325,7 +329,8 @@ def brute_aut(m):
 
 
 @pytest.mark.parametrize("src", ["S(4)", "A(5)", "D(12)", "GL(2,3)", "H3",
-                                 "EA(2,3)", "C(24)", "semi(C(3),C(4),explicit)"])
+                                 "EA(2,3)", "C(24)", "semi(C(3),C(4),explicit)",
+                                 "SL(2,3)", "PSL(2,7)"])
 def test_aut_maps_match_brute_force(src):
     m = mat(parse_expr(src))
     aut = automorphism_group(m)
@@ -353,6 +358,32 @@ def test_aut_generators_have_the_counted_order(src):
     assert PermGroup(aut.gens, m.n).order() == aut.order
     assert tuple(range(m.n)) not in aut.gens
     assert len(set(aut.gens)) == len(aut.gens)
+
+
+def test_every_extended_candidate_passes_the_product_screen(monkeypatch):
+    """An isomorphism keeps the order and class size of g_i g and of
+    g_i^-1 g for earlier generators g_i, so a candidate image c of g is
+    extended only when a_i c and a_i^-1 c have those of g_i g and g_i^-1 g;
+    the products are composed here, after the search."""
+    h = build(ProjGL(9))
+    m = MaterializedGroup(h.group.generators, h.degree)  # nothing memoized
+    attempts = []
+
+    def recording(M1, M2, gen_pairs, subgroup_size):
+        attempts.append(list(gen_pairs))
+        return extend_map(M1, M2, gen_pairs, subgroup_size)
+
+    extend_map = autmorph._extend_map
+    monkeypatch.setattr(autmorph, "_extend_map", recording)
+    aut = automorphism_group(m)
+    assert aut.order == 1440
+    assert attempts
+    key = _invariant_table(m)
+    for *pairs, (g, c) in attempts:
+        for gi, a in pairs:
+            assert key[m.mul(a, c)] == key[m.mul(gi, g)]
+            assert key[m.mul(m.inv(a), c)] == key[m.mul(m.inv(gi), g)]
+    assert automorphism_group(mat(ProjSL(9))).order == 1440
 
 
 def _is_isomorphism(img, m1, m2):

@@ -18,10 +18,13 @@ from grpverify.autmorph import automorphism_group
 from grpverify.construct import (
     Alt, ElemAb, MatGL, Prod, ProjGL, ProjSL, SwapSq, Sym, WeylD, build,
 )
-from grpverify.lattice import Sub, sub_materialized
+from grpverify.lattice import Sub, quotient, sub_materialized
 from grpverify.smallgroup import TABLE_MAX_ORDER, MaterializedGroup
 from test_autmorph import generated
-from test_table import GROUPS, fresh
+from test_table import (
+    GROUPS, compose_centralizer, compose_close, compose_commutator,
+    compose_conj, compose_mul, fresh,
+)
 
 
 def reference(generators, degree):
@@ -202,3 +205,61 @@ def test_known_products_compose_nothing(compose_calls):
     assert compose_calls == []  # a permutation group steps by gathers
     M.mul(1, 2)  # outside a table scope
     assert compose_calls  # the guard does count the compose path
+
+
+def scoped_readers(M, x):
+    """What the readers that open their own table scope return on M."""
+    derived, gens = M.derived_subgroup()
+    Q = quotient(M, Sub(derived, tuple(gens)))
+    return (M.centralizer(M.gens), M.centralizer([x]), M.normal_closure([x]),
+            (derived, gens), (Q.perms, Q.gens))
+
+
+def test_scoped_readers_compose_nothing(compose_calls):
+    """centralizer, normal_closure, derived_subgroup and lattice.quotient
+    open a table scope on a table-sized group: called outside any scope
+    they compose nothing, return what they return inside one, and leave
+    no table behind."""
+    M = fresh(ProjGL(13))
+    assert M.n <= TABLE_MAX_ORDER
+    compose_calls.clear()
+    got = scoped_readers(M, 5)
+    assert compose_calls == []
+    assert M._cols is None
+    with M.table_scope():
+        assert scoped_readers(M, 5) == got
+    assert M._cols is None
+
+
+def test_scoped_readers_above_threshold_match_compose_path():
+    """Above TABLE_MAX_ORDER the same readers keep the compose path, and
+    agree with definitions written over compose_mul; derived_subgroup is
+    the normal closure of the generators' commutators."""
+    M = fresh(ProjGL(23))
+    assert M.n > TABLE_MAX_ORDER
+    assert M.centralizer([5]) == compose_centralizer(M, [5])
+    derived, gens = M.derived_subgroup()
+    assert derived.bit_count() == M.n // 2  # PSL2(F23) in PGL2(F23)
+    # the least normal subgroup holding the commutators: normal, generated
+    # by gens, and gens are conjugates of commutators
+    assert compose_close(M, gens) == derived
+    assert all(derived >> compose_conj(M, h, g) & 1
+               for h in gens for g in M.gens)
+    comms = {compose_commutator(M, a, b) for a in M.gens for b in M.gens}
+    conjugates = sorted(comms - {0})
+    seen = set(conjugates)
+    for y in conjugates:  # conjugates grows while it is walked
+        for g in M.gens:
+            z = compose_conj(M, y, g)
+            if z not in seen:
+                seen.add(z)
+                conjugates.append(z)
+    assert all(derived >> c & 1 for c in comms) and set(gens) <= seen
+    # the two cosets, each numbered by its least element
+    reps = [0, next(x for x in range(M.n) if not derived >> x & 1)]
+    coset = [0 if derived >> x & 1 else 1 for x in range(M.n)]
+    action = [tuple(coset[compose_mul(M, r, g)] for r in reps)
+              for g in M.gens]
+    Q = quotient(M, Sub(derived, tuple(gens)))
+    assert Q.perms == MaterializedGroup(action, 2).perms
+    assert M._cols is None
