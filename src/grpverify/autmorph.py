@@ -13,8 +13,12 @@ PGL2(F9) it leaves 22 of the 290 candidates the search used to grow, and
 COR-4.5 took 43 -> 22 ms of CPU, PROP-4.4-STRUCT 165 -> 124 ms (medians of
 10 runs on a 2-core host).  An elementary abelian group has one order and
 class size for every element but the identity, and there the screen is
-not built.  The search
-runs modulo inner automorphisms: the first generator's image is one
+not built.  Nor is a candidate grown that lies in the image of
+<g_1..g_{l-1}>, which `_extend_map` flags as it grows the earlier map: g_l
+lies outside that span, so no injective map sends it there.  On EA(2,4),
+whose 20160 automorphisms are all found one by one, this took the search
+from 0.42-0.47 to 0.31-0.37 s of CPU (medians of 7, on a 2-core host).
+The search runs modulo inner automorphisms: the first generator's image is one
 representative r per conjugacy class, and every automorphism is c_x . a
 for exactly one map a found with a(g1) = r and one x per conjugate of r.
 So Aut(G) is kept as generators, the conjugations by G's generators and
@@ -77,8 +81,9 @@ def _invariant_table(M: MaterializedGroup):
 def _extend_map(M1, M2, gen_pairs, subgroup_size):
     """Grow the hom determined by generator images over <gens>.
 
-    Returns the image list indexed by M1-element (-1 outside the span),
-    or None on any multiplicativity or injectivity conflict.
+    Returns (img, used): the image list indexed by M1-element (-1 outside
+    the span) and the flags of the image's elements in M2, or None on any
+    multiplicativity or injectivity conflict.
     """
     img = [-1] * M1.n
     img[0] = 0
@@ -102,7 +107,7 @@ def _extend_map(M1, M2, gen_pairs, subgroup_size):
                 return None
     if len(queue) != subgroup_size:
         raise AssertionError("generator span mismatch")
-    return img
+    return img, used
 
 
 def _search_isomorphisms(M1, M2, find_all):
@@ -132,11 +137,10 @@ def _search(M1, M2, find_all):
         return {0: [[0]]}
     found = []
     # one key for every element but 1: G is elementary abelian, and the
-    # screen could only reject c = a_i^+-1, which _extend_map rejects
-    # within its first products
+    # screen could only reject c = a_i^+-1, which the span test skips
     screened = len(by_key) > 2
 
-    def dfs(level, pairs, cands):
+    def dfs(level, pairs, cands, span):
         g = gens[level]
         # an isomorphism keeps the invariants of g_i g and g_i^-1 g, so a
         # candidate c needs a_i c and a_i^-1 c to match them; c a is
@@ -146,27 +150,33 @@ def _search(M1, M2, find_all):
             screen.append((M2.column(a), inv1[M1.mul(gi, g)]))
             screen.append((M2.column(M2.inv(a)), inv1[M1.mul(M1.inv(gi), g)]))
         for cand in cands:
+            # g lies outside <g_1..g_{l-1}>, so an injective map sends it
+            # outside that span's image, whose flags are span
+            if span[cand]:
+                continue
             if screen and any(inv2[col[cand]] != key for col, key in screen):
                 continue
             attempt = pairs + [(g, cand)]
-            img = _extend_map(M1, M2, attempt, spans[level])
-            if img is None:
+            grown = _extend_map(M1, M2, attempt, spans[level])
+            if grown is None:
                 continue
+            img, used = grown
             if level + 1 == len(gens):
                 found.append(img)
                 if not find_all:
                     return True
-            elif dfs(level + 1, attempt, by_key[inv1[gens[level + 1]]]):
+            elif dfs(level + 1, attempt, by_key[inv1[gens[level + 1]]], used):
                 return True
         return False
 
     results = {}
+    trivial = bytes(M2.n)  # the image of <> is {1}, and r is not 1
     key = inv1[gens[0]]
     for cls in M2.conjugacy_classes():
         r = cls[0]
         if inv2[r] != key:
             continue
-        done = dfs(0, [], [r])
+        done = dfs(0, [], [r], trivial)
         if found:
             results[r] = found[:]
             found.clear()

@@ -14,16 +14,18 @@ composes a permutation.  Inverses are found in pairs.  For a group of
 order at most TABLE_MAX_ORDER the products x*s by each generator s are
 kept as that generator's column.
 
-Every product is read from `mul(i, j)` or from the column of j,
-`column(j)[i] = i*j`, and each reader is written once over them.  Outside
-a table scope a column is a view that composes two permutation tuples
-and looks the result up by hash on each read.  Inside one (`table_scope`,
+Every product is read from the column of j, `column(j)[i] = i*j`: `mul(i,
+j)` is one such read, and each reader is written once over columns.
+Outside a table scope a column is a `_ComposedColumn`, which composes two
+permutation tuples and looks the result up by hash on each read; it is
+the one place that composes group elements.  Inside a scope (`table_scope`,
 `cached_query`), a group of order at most TABLE_MAX_ORDER multiplies by
 table lookup instead: right-multiplication columns, each its own 16-bit
 array, built on first use of j from the column of j's parent in the
-breadth-first tree and a generator column.  The columns are dropped when
-the outermost scope on that group exits, so a query that builds k
-columns holds about 2kn bytes, and only while it runs.
+breadth-first tree and a generator column.  The outermost scope on a
+group is the one that finds no table open: it allocates the table and
+drops it when it exits, and nested scopes pass through.  So a query that
+builds k columns holds about 2kn bytes, and only while it runs.
 
 The readers that read a product for every element open a table scope on
 their own group (`table_scoped`): `centralizer`, one conjugation map per
@@ -35,7 +37,9 @@ TABLE_MAX_ORDER, goes straight through.  The others compose outside a
 scope: `mul`, `conj`, `commutator` and the `is_*` tests read a few products
 each; `close` and `gens_for_mask` may close a small subgroup of a big
 group, which should not pay for whole columns; and `conj_maps`, which
-`conjugacy_classes` reads before any query opens a scope.  Scoped, it
+`conjugacy_classes` reads before any query opens a scope.  `close` reads
+its generators' columns once and walks them in both cases; outside a
+scope it keeps the elements found in an int mask.  Scoped, `conj_maps`
 builds the columns of each generator's inverse and of its path in the
 breadth-first tree, and the peak memory of listing the classes and normal
 subgroups of four groups of order 1152 to 23040 rose from 34.9 to 37.9 MB.
@@ -72,7 +76,6 @@ import functools
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd
 from operator import eq, itemgetter
 
@@ -217,7 +220,8 @@ def table_scoped(fn):
 
 
 class _ComposedColumn:
-    """col[i] = i*j, composed on each read: a column outside a table scope."""
+    """col[i] = i*j, composed on each read: a column outside a table scope,
+    and the one place the engine composes two group elements."""
 
     __slots__ = ("index", "perms", "p")
 
@@ -279,15 +283,14 @@ class MaterializedGroup:
                 j = where[inverse(x)]
                 inv[i] = j
                 inv[j] = i
-        # decided once: only small groups ever open a table
-        if n <= TABLE_MAX_ORDER:
+        # decided once, by breadth_first: only small groups ever open a table
+        if prods is not None:
             k = len(gens)
             self._parent = parent
             # _gen_cols[t][i] = i * gens[t], read off the enumeration
             self._gen_cols = [array("H", prods[t::k]) for t in range(k)]
         else:
             self._parent = self._gen_cols = None
-        self._scopes = 0
         self._cols = None  # per-element columns while a scope is open
         self._orders = None
         self._classes = None
@@ -300,22 +303,20 @@ class MaterializedGroup:
     def table_scope(self):
         """Multiply by table lookup until the outermost scope exits.
 
-        Nested scopes share one table.  Nothing is built until the first
-        product; groups above TABLE_MAX_ORDER keep the compose path.
+        The outermost scope is the one that finds no table: it allocates the
+        columns and drops them on exit.  A nested scope, or one on a group
+        above TABLE_MAX_ORDER, passes through.  Nothing is built until the
+        first product.
         """
-        if self._parent is None:
+        if self._cols is not None or self._parent is None:
             yield
             return
-        self._scopes += 1
-        if self._scopes == 1:
-            self._cols = [None] * self.n
-            self._cols[0] = range(self.n)  # the identity column, never built
+        self._cols = [None] * self.n
+        self._cols[0] = range(self.n)  # the identity column, never built
         try:
             yield
         finally:
-            self._scopes -= 1
-            if not self._scopes:
-                self._cols = None
+            self._cols = None
 
     def column(self, j: int):
         """col[i] = i*j for every element i.
@@ -346,13 +347,7 @@ class MaterializedGroup:
     # -- basic arithmetic ----------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        cols = self._cols
-        if cols is None:
-            return self.index[pm.compose(self.perms[i], self.perms[j])]
-        c = cols[j]
-        if c is None:
-            c = self.column(j)
-        return c[i]
+        return self.column(j)[i]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
@@ -419,9 +414,8 @@ class MaterializedGroup:
 
     def close(self, gen_indices) -> int:
         """Bitmask of the subgroup generated by the given element indices."""
-        gens = [g for g in gen_indices if g != 0]
+        steps = [self.column(g) for g in gen_indices if g != 0]
         if self._cols is not None:
-            steps = [self.column(g) for g in gens]
             seen = bytearray(self.n)
             seen[0] = 1
             elems = [0]
@@ -438,8 +432,8 @@ class MaterializedGroup:
         while qi < len(elems):
             x = elems[qi]
             qi += 1
-            for g in gens:
-                y = self.mul(x, g)
+            for c in steps:
+                y = c[x]
                 if not mask >> y & 1:
                     mask |= 1 << y
                     elems.append(y)
@@ -609,12 +603,6 @@ class MaterializedGroup:
     def is_abelian(self) -> bool:
         return self.is_abelian_set(self.gens)
 
-    def is_subgroup_mask(self, mask: int) -> bool:
-        if not mask & 1:
-            return False
-        idx = list(bits(mask))
-        return all(mask >> self.mul(a, b) & 1 for a in idx for b in idx)
-
     def is_normal_mask(self, mask: int, sub_gens=None) -> bool:
         gl = list(sub_gens) if sub_gens is not None else list(bits(mask))
         return all(mask >> self.conj(h, g) & 1 for h in gl for g in self.gens)
@@ -695,7 +683,8 @@ def breadth_first(one, steps, cap: int, name: str):
     Returns the elements in discovery order, a dict from element to
     position, the breadth-first parent of each element (y = step(parent[y])
     for some step) and the positions of the products, len(steps) per
-    element in discovery order; for a group above TABLE_MAX_ORDER, None.
+    element in discovery order; for a group above TABLE_MAX_ORDER, None in
+    their place.  This is the one place that threshold is read.
     """
     elems = [one]
     where = {one: 0}
@@ -712,24 +701,16 @@ def breadth_first(one, steps, cap: int, name: str):
         parent.append(qi)
         return j
 
-    # products are kept only while the group may still fit a table
     prods = array("i")
     get = where.get
     for qi, x in enumerate(elems):  # elems grows while it is walked
-        if len(elems) > TABLE_MAX_ORDER:
-            break
         for step in steps:
             y = step(x)
             j = get(y)
             prods.append(add(y, qi) if j is None else j)
-    else:
-        return elems, where, parent, prods
-    for qi, x in enumerate(islice(elems, qi, None), qi):
-        for step in steps:
-            y = step(x)
-            if y not in where:
-                add(y, qi)
-    return elems, where, parent, None
+    if len(elems) > TABLE_MAX_ORDER:
+        prods = None
+    return elems, where, parent, prods
 
 
 def materialize(group: pm.PermGroup, name: str = "") -> MaterializedGroup:

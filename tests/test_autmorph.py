@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -384,6 +385,40 @@ def test_every_extended_candidate_passes_the_product_screen(monkeypatch):
             assert key[m.mul(a, c)] == key[m.mul(gi, g)]
             assert key[m.mul(m.inv(a), c)] == key[m.mul(m.inv(gi), g)]
     assert automorphism_group(mat(ProjSL(9))).order == 1440
+
+
+# sha256 of repr((perms, gens)) of Aut(EA(2,4)).as_materialized(), as the
+# search that also grew candidates inside the earlier generators' span built it
+EA24_AUT_DIGEST = \
+    "442870dab854808d91fc897c93e53672a56708a16b40c02d29c9cf134995689a"
+
+
+def test_no_candidate_inside_the_span_is_grown(monkeypatch):
+    """g_l lies outside <g_1..g_{l-1}>, so no injective map sends it into
+    <a_1..a_{l-1}>; the search grows no such candidate.  On EA(2,4) every
+    automorphism is found one by one, and the maps found are unchanged."""
+    h = build(ElemAb(2, 4))
+    m = MaterializedGroup(h.group.generators, h.degree)  # nothing memoized
+    attempts = []
+
+    def recording(M1, M2, gen_pairs, subgroup_size):
+        attempts.append(list(gen_pairs))
+        return extend_map(M1, M2, gen_pairs, subgroup_size)
+
+    extend_map = autmorph._extend_map
+    monkeypatch.setattr(autmorph, "_extend_map", recording)
+    aut = automorphism_group(m)
+    assert aut.order == 20160
+    assert attempts
+    spans = {}  # <a_1..a_{l-1}> by its generators
+    for *pairs, (_, c) in attempts:
+        images = tuple(a for _, a in pairs)
+        if images not in spans:
+            spans[images] = m.close(images)
+        assert not spans[images] >> c & 1
+    A = aut.as_materialized()
+    digest = hashlib.sha256(repr((A.perms, A.gens)).encode()).hexdigest()
+    assert digest == EA24_AUT_DIGEST
 
 
 def _is_isomorphism(img, m1, m2):

@@ -21,6 +21,10 @@ inside functions included.
 
 No module installs a signal handler or sets a signal timer: the parent
 process enforces each claim's deadline by killing the claim's process.
+
+In the group modules (smallgroup, lattice, autmorph) a permutation
+`compose` is called only inside `_ComposedColumn`: every product is read
+from a column.
 """
 
 import ast
@@ -399,3 +403,53 @@ def test_engine_bindings_read_imports_attributes_and_spans():
         "cli.parse_expr", "lattice.quotient", "perm.compose",
         "smallgroup.MaterializedGroup", "smallgroup.MaterializedGroup.mul"]
     assert not resolves("cli.no_such_name")
+
+
+COMPOSING_CLASS = "_ComposedColumn"
+GROUP_MODULES = ("smallgroup.py", "lattice.py", "autmorph.py")
+
+
+def compose_calls(source):
+    """(line, enclosing class or None) of each call in the source of a
+    function named compose: compose(...), pm.compose(...), or a name that
+    `from ... import compose as name` binds."""
+    tree = ast.parse(source)
+    names = {"compose"} | {alias.asname for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom)
+                           for alias in node.names
+                           if alias.name == "compose" and alias.asname}
+    owner = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                owner.setdefault(node, cls.name)  # walked outermost first
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", None) in names or getattr(f, "attr", None) \
+                    == "compose":
+                yield node.lineno, owner.get(node)
+
+
+def test_only_the_composed_column_composes():
+    found = sorted(f"{name}:{line} in {cls}"
+                   for name in GROUP_MODULES
+                   for line, cls in compose_calls((PACKAGE / name).read_text())
+                   if cls != COMPOSING_CLASS)
+    assert found == [], "compose outside " + COMPOSING_CLASS + ": " \
+        + ", ".join(found)
+
+
+def test_compose_calls_read_methods_aliases_and_the_column():
+    snippet = ("from . import perm as pm\n"
+               "from .perm import compose as cmp, inverse\n"
+               "class _ComposedColumn:\n"
+               "    def __getitem__(self, i):\n"
+               "        return self.index[pm.compose(self.perms[i], self.p)]\n"
+               "class MaterializedGroup:\n"
+               "    def mul(self, i, j):\n"
+               "        return self.index[pm.compose(i, j)]\n"
+               "def f(a, b):\n"
+               "    return cmp(a, inverse(b)), pm.composed(a)\n")
+    assert dict(compose_calls(snippet)) == {
+        5: "_ComposedColumn", 8: "MaterializedGroup", 10: None}

@@ -294,15 +294,26 @@ def test_cached_query_checks_its_cap_on_every_call(query, field, message):
 
 
 def test_groups_above_threshold_never_open_a_table():
+    """Above TABLE_MAX_ORDER a scope opens no table: every column composes,
+    and `mul` and `close` read those columns."""
     M = fresh(ProjGL(23))
     assert M.n > TABLE_MAX_ORDER
     every = range(M.n)
+    rng = random.Random(M.n)
+    pairs = [(rng.randrange(M.n), rng.randrange(M.n)) for _ in range(200)]
+    gen_sets = [[rng.randrange(M.n)] for _ in range(4)] \
+        + sample_sets(M, rng, 2, 3)
+    closes = [compose_close(M, s) for s in gen_sets]
+    assert any(c != M.full_mask for c in closes)
     with M.table_scope():
         assert M._cols is None
-        for j in random.Random(M.n).sample(every, 3):
+        for j in rng.sample(every, 3):
             col = M.column(j)
             assert [col[i] for i in every] == \
                 [compose_mul(M, i, j) for i in every]
+        assert [M.mul(i, j) for i, j in pairs] == \
+            [compose_mul(M, i, j) for i, j in pairs]
+        assert [M.close(s) for s in gen_sets] == closes
     assert M._cols is None
     subs = normal_subgroups(M)
     assert sorted(s.order for s in subs) == [1, M.n // 2, M.n]
