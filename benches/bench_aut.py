@@ -1,7 +1,6 @@
 """Micro-benchmarks of the automorphism search and of what is read from
 its result: the full listing of Aut(G) and the stabilizer of a subgroup;
-of the isomorphism search, and of a centralizer read outside any table
-scope.
+of the isomorphism search, and of a centralizer read on a fresh group.
 
     PYTHONPATH=src python -m pytest benches/bench_aut.py
 
@@ -83,8 +82,9 @@ def test_find_isomorphism(benchmark):
     benchmark.pedantic(find_isomorphism, setup=setup, rounds=3)
 
 
-def test_centralizer_outside_scope(benchmark):
-    """centralizer(G's generators) of PGL2(F13), called outside any table
-    scope: it opens one of its own."""
+def test_centralizer_of_fresh_group(benchmark):
+    """centralizer(G's generators) of a freshly enumerated PGL2(F13): it
+    builds the columns its conjugation maps read, beside the generators'
+    columns the enumeration left."""
     benchmark.pedantic(lambda M: M.centralizer(M.gens),
                        setup=lambda: ((fresh(ProjGL(13)),), {}), rounds=5)

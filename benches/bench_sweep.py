@@ -53,11 +53,10 @@ def test_extender(benchmark, swept):
 
     def extend_all(M):
         step = max(1, M.n // EXTENSIONS)
-        with M.table_scope():
-            for sub in classes:
-                extend = M.extender(sub.mask, sub.gens)
-                for g in range(0, M.n, step):
-                    extend(g)
+        for sub in classes:
+            extend = M.extender(sub.mask, sub.gens)
+            for g in range(0, M.n, step):
+                extend(g)
 
     benchmark.pedantic(extend_all, setup=lambda: ((fresh(expr),), {}),
                        rounds=3)
@@ -81,9 +80,8 @@ def test_normalizer(benchmark, swept):
     expr, classes = swept
 
     def normalize_all(M):
-        with M.table_scope():
-            for sub in classes:
-                M.normalizer(sub.mask, sub.gens)
+        for sub in classes:
+            M.normalizer(sub.mask, sub.gens)
 
     benchmark.pedantic(normalize_all, setup=lambda: ((fresh(expr),), {}),
                        rounds=3)
@@ -93,9 +91,7 @@ def representatives(expr, classes):
     """pytest-benchmark set-up: every representative as a group of its own,
     enumerated afresh, as the Lemma 3.8 sweeps take it for j-analysis."""
     M = fresh(expr)
-    with M.table_scope():
-        subs = [sub_materialized(M, s) for s in classes]
-    return (subs,), {}
+    return ([sub_materialized(M, s) for s in classes],), {}
 
 
 def test_normal_subgroups(benchmark, swept):

@@ -111,13 +111,6 @@ def _extend_map(M1, M2, gen_pairs, subgroup_size):
 
 
 def _search_isomorphisms(M1, M2, find_all):
-    if M1.n != M2.n:
-        return {}
-    with M1.table_scope(), M2.table_scope():
-        return _search(M1, M2, find_all)
-
-
-def _search(M1, M2, find_all):
     """The isomorphisms found, as {r: maps a with a(g1) = r}.
 
     c_x . a moves the image of the first generator g1 anywhere in its
@@ -125,6 +118,8 @@ def _search(M1, M2, find_all):
     isomorphism is then c_x . a for exactly one map a found and one x per
     conjugate of r.  Unless find_all, the search stops at the first map.
     """
+    if M1.n != M2.n:
+        return {}
     inv1 = _invariant_table(M1)
     inv2 = _invariant_table(M2)
     if sorted(inv1) != sorted(inv2):
@@ -270,12 +265,11 @@ class AutGroup:
         """
         M = self.base
         maps = []
-        with M.table_scope():
-            for r, found in self.found.items():
-                takes = [gather(a) for a in found]  # take(inner) = inner o a
-                for x in M.conjugation_orbit(1 << r)[1]:
-                    inner = M.conj_map(x)
-                    maps.extend(take(inner) for take in takes)
+        for r, found in self.found.items():
+            takes = [gather(a) for a in found]  # take(inner) = inner o a
+            for x in M.conjugation_orbit(1 << r)[1]:
+                inner = M.conj_map(x)
+                maps.extend(take(inner) for take in takes)
         maps.sort()
         # an automorphism is fixed by its images of G's generators, so a
         # product is looked up by that short key instead of composed

@@ -863,25 +863,24 @@ def _prop_4_4_struct():
     F = pgl.parts["field"]
     frob_pts = tuple([F.pow(a, F.p) for a in range(F.q)] + [F.q])
     frob = conj_map(frob_pts)
-    with autm.table_scope():  # one table for every query on Aut(PSL2(F9))
-        actual = {
-            "pgl_conjugations": autm.close(idx_pgl).bit_count(),
-            "with_frobenius":
-                autm.close(idx_pgl + [autm.index[frob]]).bit_count(),
-        }
-        index2 = [s for s in normal_subgroups(autm) if s.order == 720]
-        actual["index2_normal_subgroups"] = len(index2)
-        types = []
-        s6 = M(Sym(6))
-        pglm = pgl.materialized()
-        for s in index2:
-            sm = sub_materialized(autm, s)
-            if is_isomorphic(sm, pglm):
-                types.append("pgl2f9")
-            elif is_isomorphic(sm, s6):
-                types.append("s6")
-            else:
-                types.append("m10")
+    actual = {
+        "pgl_conjugations": autm.close(idx_pgl).bit_count(),
+        "with_frobenius":
+            autm.close(idx_pgl + [autm.index[frob]]).bit_count(),
+    }
+    index2 = [s for s in normal_subgroups(autm) if s.order == 720]
+    actual["index2_normal_subgroups"] = len(index2)
+    types = []
+    s6 = M(Sym(6))
+    pglm = pgl.materialized()
+    for s in index2:
+        sm = sub_materialized(autm, s)
+        if is_isomorphic(sm, pglm):
+            types.append("pgl2f9")
+        elif is_isomorphic(sm, s6):
+            types.append("s6")
+        else:
+            types.append("m10")
     actual["index2_types"] = ",".join(sorted(types))
     return actual, ("the Frobenius acts on P^1(F_9) by (a:1) -> (a^3:1); "
                     "M_10 is the subgroup that is neither PGL_2(F_9) nor S_6")

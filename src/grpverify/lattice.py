@@ -53,7 +53,6 @@ from .smallgroup import (
     mask_at,
     orbits,
     p_part,
-    table_scoped,
 )
 
 
@@ -259,10 +258,9 @@ def sub_materialized(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
     column, so it matches
     MaterializedGroup([M.perms[g] for g in sub.gens], M.degree).
     """
-    with M.table_scope():
-        out = MaterializedGroup.enumerated(
-            0, sub.gens, lambda g: M.column(g).__getitem__,
-            M.perms.__getitem__, M.inv, M.degree, cap=M.n + 1)
+    out = MaterializedGroup.enumerated(
+        0, sub.gens, lambda g: M.column(g).__getitem__,
+        M.perms.__getitem__, M.inv, M.degree, cap=M.n + 1)
     if out.n != sub.order:
         raise AssertionError("subgroup closure mismatch")
     return out
@@ -292,23 +290,21 @@ def sweep_bound(M: MaterializedGroup, p: int, bound: Fraction) -> SweepReport:
     classes = subgroup_classes(M)
     order_viol = []
     bound_viol = []
-    with M.table_scope():  # one table for every violator's enumeration
-        for sub in classes:
-            o = sub.order
-            pp = p_part(o, p)
-            limit = bound * pp**3
-            if o <= limit:
-                continue  # trivial subgroup witnesses min_index <= |H| <= limit
-            sm = sub_materialized(M, sub)
-            ja = j_analysis(sm, p)
-            entry = SweepEntry(sub, o, ja.min_index)
-            order_viol.append(entry)
-            if entry.min_index > limit:
-                bound_viol.append(entry)
+    for sub in classes:
+        o = sub.order
+        pp = p_part(o, p)
+        limit = bound * pp**3
+        if o <= limit:
+            continue  # trivial subgroup witnesses min_index <= |H| <= limit
+        sm = sub_materialized(M, sub)
+        ja = j_analysis(sm, p)
+        entry = SweepEntry(sub, o, ja.min_index)
+        order_viol.append(entry)
+        if entry.min_index > limit:
+            bound_viol.append(entry)
     return SweepReport(len(classes), tuple(order_viol), tuple(bound_viol))
 
 
-@table_scoped
 def quotient(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
     """Quotient by a normal subgroup, as its regular action on cosets.
 

@@ -15,34 +15,19 @@ order at most TABLE_MAX_ORDER the products x*s by each generator s are
 kept as that generator's column.
 
 Every product is read from the column of j, `column(j)[i] = i*j`: `mul(i,
-j)` is one such read, and each reader is written once over columns.
-Outside a table scope a column is a `_ComposedColumn`, which composes two
+j)` is one such read, and each reader is written once over columns.  A
+group of order at most TABLE_MAX_ORDER holds its columns for as long as
+it lives: each its own 16-bit array, the identity's and the generators'
+from the enumeration, any other built on first use of j from the column
+of j's parent in the breadth-first tree and a generator column.  A group
+that reads k columns holds about 2kn bytes of them; `ledger.run_claim`
+clears the group cache before each claim, so no claim inherits another's.
+Above the threshold a column is a `_ComposedColumn`, which composes two
 permutation tuples and looks the result up by hash on each read; it is
-the one place that composes group elements.  Inside a scope (`table_scope`,
-`cached_query`), a group of order at most TABLE_MAX_ORDER multiplies by
-table lookup instead: right-multiplication columns, each its own 16-bit
-array, built on first use of j from the column of j's parent in the
-breadth-first tree and a generator column.  The outermost scope on a
-group is the one that finds no table open: it allocates the table and
-drops it when it exits, and nested scopes pass through.  So a query that
-builds k columns holds about 2kn bytes, and only while it runs.
-
-The readers that read a product for every element open a table scope on
-their own group (`table_scoped`): `centralizer`, one conjugation map per
-listed element; `normal_closure`, and `derived_subgroup` through it, which
-close a subgroup of G after each conjugate they add; and
-`lattice.quotient`, a coset partition and one product per coset and
-generator.  A call inside an open scope, or on a group above
-TABLE_MAX_ORDER, goes straight through.  The others compose outside a
-scope: `mul`, `conj`, `commutator` and the `is_*` tests read a few products
-each; `close` and `gens_for_mask` may close a small subgroup of a big
-group, which should not pay for whole columns; and `conj_maps`, which
-`conjugacy_classes` reads before any query opens a scope.  `close` reads
-its generators' columns once and walks them in both cases; outside a
-scope it keeps the elements found in an int mask.  Scoped, `conj_maps`
-builds the columns of each generator's inverse and of its path in the
-breadth-first tree, and the peak memory of listing the classes and normal
-subgroups of four groups of order 1152 to 23040 rose from 34.9 to 37.9 MB.
+the one place that composes group elements, and there `close` keeps the
+elements it finds in an int mask.  The conjugation maps that
+`conjugacy_classes` walks are kept as arrays too: a map read from a
+16-bit column holds a fresh int object per entry.
 
 A subgroup is closed from its generators by `close`, which walks from
 the identity, or grown by one element from a known subgroup H by
@@ -180,8 +165,7 @@ def cached_query(label: str, field: str):
     """Make fn(M) a query computed once per group, bounded by a Caps field.
 
     The active cap of that field is checked on every call, memo hits
-    included, so a call is refused the same way whatever ran before it; a
-    result that is not yet known is computed inside a table scope.
+    included, so a call is refused the same way whatever ran before it.
     """
 
     def decorate(fn):
@@ -192,8 +176,7 @@ def cached_query(label: str, field: str):
                 raise CapExceeded(f"order {M.n} exceeds {label} cap {cap}")
             memo = M._memo
             if fn not in memo:
-                with M.table_scope():
-                    memo[fn] = fn(M)
+                memo[fn] = fn(M)
             return memo[fn]
 
         return query
@@ -201,27 +184,10 @@ def cached_query(label: str, field: str):
     return decorate
 
 
-def table_scoped(fn):
-    """Run fn(M, ...) inside a table scope on M, a reader that reads a
-    product for every element.
-
-    A scope already open on M, or M above TABLE_MAX_ORDER, calls fn
-    directly: the check is two attribute reads.
-    """
-
-    @functools.wraps(fn)
-    def reader(M, *args):
-        if M._cols is not None or M._parent is None:
-            return fn(M, *args)
-        with M.table_scope():
-            return fn(M, *args)
-
-    return reader
-
-
 class _ComposedColumn:
-    """col[i] = i*j, composed on each read: a column outside a table scope,
-    and the one place the engine composes two group elements."""
+    """col[i] = i*j, composed on each read: a column of a group above
+    TABLE_MAX_ORDER, and the one place the engine composes two group
+    elements."""
 
     __slots__ = ("index", "perms", "p")
 
@@ -283,46 +249,29 @@ class MaterializedGroup:
                 j = where[inverse(x)]
                 inv[i] = j
                 inv[j] = i
-        # decided once, by breadth_first: only small groups ever open a table
+        # decided once, by breadth_first: only small groups hold columns
         if prods is not None:
             k = len(gens)
             self._parent = parent
-            # _gen_cols[t][i] = i * gens[t], read off the enumeration
-            self._gen_cols = [array("H", prods[t::k]) for t in range(k)]
+            cols = self._cols = [None] * n
+            cols[0] = range(n)  # the identity column, never built
+            for t, g in enumerate(self.gens):
+                # i * gens[t], read off the enumeration
+                cols[g] = array("H", prods[t::k])
         else:
-            self._parent = self._gen_cols = None
-        self._cols = None  # per-element columns while a scope is open
+            self._parent = self._cols = None
         self._orders = None
         self._classes = None
         self._conj_maps = None
         self._memo = {}  # query results, kept by cached_query
 
-    # -- table scope -----------------------------------------------------------
-
-    @contextmanager
-    def table_scope(self):
-        """Multiply by table lookup until the outermost scope exits.
-
-        The outermost scope is the one that finds no table: it allocates the
-        columns and drops them on exit.  A nested scope, or one on a group
-        above TABLE_MAX_ORDER, passes through.  Nothing is built until the
-        first product.
-        """
-        if self._cols is not None or self._parent is None:
-            yield
-            return
-        self._cols = [None] * self.n
-        self._cols[0] = range(self.n)  # the identity column, never built
-        try:
-            yield
-        finally:
-            self._cols = None
+    # -- basic arithmetic ----------------------------------------------------
 
     def column(self, j: int):
         """col[i] = i*j for every element i.
 
-        Inside a table scope, the stored column; otherwise a view that
-        composes on each read and stores nothing.
+        Up to TABLE_MAX_ORDER, the stored column, built on first use;
+        above it, a view that composes on each read and stores nothing.
         """
         cols = self._cols
         if cols is None:
@@ -340,11 +289,10 @@ class MaterializedGroup:
             x = parent[y]
             # i*y = (i*x)*s for the tree edge y = x*s; one itemgetter
             # gathers the whole column in C (n >= 2 here)
-            step = next(s for s in self._gen_cols if s[x] == y)
+            step = next(c for c in map(cols.__getitem__, self.gens)
+                        if c[x] == y)
             cols[y] = array("H", itemgetter(*cols[x])(step))
         return cols[j]
-
-    # -- basic arithmetic ----------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
         return self.column(j)[i]
@@ -377,8 +325,7 @@ class MaterializedGroup:
     def element_order(self, i: int) -> int:
         """A class function: one cycle decomposition per conjugacy class."""
         if self._orders is None:
-            with self.table_scope():  # the classes' maps read by lookup
-                classes = self.conjugacy_classes()
+            classes = self.conjugacy_classes()
             orders = [0] * self.n  # kept only once every class is in
             for cls in classes:
                 o = pm.perm_order(self.perms[cls[0]])
@@ -394,13 +341,12 @@ class MaterializedGroup:
     # -- conjugacy machinery ---------------------------------------------------
 
     def conj_maps(self):
-        """Per-generator conjugation tables i -> g^-1 i g (and inverses)."""
+        """Per-generator conjugation tables i -> g^-1 i g (and inverses),
+        each an array of the least item size that holds an index."""
         if self._conj_maps is None:
-            maps = []
-            for g in self.gens:
-                for h in (g, self._inv[g]):
-                    maps.append(self.conj_map(h))
-            self._conj_maps = maps
+            code = "H" if self.n <= 1 << 16 else "I"
+            self._conj_maps = [array(code, self.conj_map(h))
+                               for g in self.gens for h in (g, self._inv[g])]
         return self._conj_maps
 
     def conjugacy_classes(self):
@@ -480,7 +426,6 @@ class MaterializedGroup:
 
         return extend
 
-    @table_scoped
     def normal_closure(self, seed) -> tuple[int, list[int]]:
         """Smallest normal subgroup containing the seed elements.
 
@@ -499,7 +444,6 @@ class MaterializedGroup:
                     mask = self.close(gens)
         return mask, gens
 
-    @table_scoped
     def centralizer(self, gen_indices) -> int:
         """Mask of elements commuting with every listed element."""
         mask = self.full_mask
@@ -583,7 +527,6 @@ class MaterializedGroup:
                     break
         return mask, gens
 
-    @table_scoped
     def derived_subgroup(self) -> tuple[int, list[int]]:
         comms = set()
         for a in self.gens:
@@ -634,23 +577,22 @@ class MaterializedGroup:
             if o > best_order and p_part(o, p) == o:
                 best, best_order = i, o
         gens = [best]
-        with self.table_scope():  # one table for the normalizers' products
-            mask = self.close(gens)
-            while mask.bit_count() < target:
-                nrm, _ = self.normalizer(mask, gens)
-                grown = False
-                for y in bits(nrm):
-                    if mask >> y & 1:
-                        continue
-                    o = self.element_order(y)
-                    if p_part(o, p) != o:
-                        continue
-                    gens.append(y)
-                    mask = self.close(gens)
-                    grown = True
-                    break
-                if not grown:  # cannot happen below the p-part
-                    raise AssertionError("Sylow growth stalled")
+        mask = self.close(gens)
+        while mask.bit_count() < target:
+            nrm, _ = self.normalizer(mask, gens)
+            grown = False
+            for y in bits(nrm):
+                if mask >> y & 1:
+                    continue
+                o = self.element_order(y)
+                if p_part(o, p) != o:
+                    continue
+                gens.append(y)
+                mask = self.close(gens)
+                grown = True
+                break
+            if not grown:  # cannot happen below the p-part
+                raise AssertionError("Sylow growth stalled")
         return mask, gens
 
     def __len__(self):

@@ -23,7 +23,7 @@ from grpverify.smallgroup import TABLE_MAX_ORDER, MaterializedGroup
 from test_autmorph import generated
 from test_table import (
     GROUPS, compose_centralizer, compose_close, compose_commutator,
-    compose_conj, compose_mul, fresh,
+    compose_conj, compose_mul, composing, fresh,
 )
 
 
@@ -56,8 +56,9 @@ def assert_enumerated_as(M, generators, degree):
     assert M._inv == inv
     assert M.gens == gens
     assert list(M._parent) == parent
-    for g, col in zip(gens, M._gen_cols, strict=True):
-        assert list(col) == [index[pm.compose(p, perms[g])] for p in perms]
+    for g in gens:
+        assert list(M._cols[g]) == \
+            [index[pm.compose(p, perms[g])] for p in perms]
 
 
 def sample_subgroups(M, rng, count=6):
@@ -96,7 +97,7 @@ def test_enumeration_above_threshold_matches_compose_path(expr):
     assert M.n > TABLE_MAX_ORDER
     perms, index, inv, gens, _ = reference(h.group.generators, h.degree)
     assert (M.perms, M.index, M._inv, M.gens) == (perms, index, inv, gens)
-    assert M._parent is None and M._gen_cols is None
+    assert M._parent is None and M._cols is None
 
 
 # sha256 of repr(perms) of the breadth-first enumeration from the built
@@ -194,47 +195,50 @@ def test_known_products_compose_nothing(compose_calls):
     M = fresh(ProjSL(9))
     aut = automorphism_group(M)
     sub = Sub(M.close([5, 9]), (5, 9))
+    L = fresh(ProjGL(23))
+    assert L.n > TABLE_MAX_ORDER
     compose_calls.clear()
-    with M.table_scope():
-        for g in M.gens:
-            M.column(g)
     sub_materialized(M, sub)
     aut.as_materialized()
     assert compose_calls == []
     assert MaterializedGroup(M.perms[1:3], M.degree).n > 1
     assert compose_calls == []  # a permutation group steps by gathers
-    M.mul(1, 2)  # outside a table scope
+    L.mul(1, 2)  # above the threshold
     assert compose_calls  # the guard does count the compose path
 
 
-def scoped_readers(M, x):
-    """What the readers that open their own table scope return on M."""
+def readers(M, x, y):
+    """What every reader of products returns on M, for elements x and y."""
     derived, gens = M.derived_subgroup()
+    H = M.close([x, y])
     Q = quotient(M, Sub(derived, tuple(gens)))
-    return (M.centralizer(M.gens), M.centralizer([x]), M.normal_closure([x]),
-            (derived, gens), (Q.perms, Q.gens))
+    return (M.mul(x, y), M.conj(x, y), M.commutator(x, y),
+            M.is_abelian_set([x, y]), M.is_normal_mask(derived, gens),
+            H, M.gens_for_mask(H), M.conjugacy_classes(),
+            M.normalizer(H, [x, y]), M.centralizer(M.gens),
+            M.centralizer([x]), M.normal_closure([x]), (derived, gens),
+            (Q.perms, Q.gens))
 
 
-def test_scoped_readers_compose_nothing(compose_calls):
-    """centralizer, normal_closure, derived_subgroup and lattice.quotient
-    open a table scope on a table-sized group: called outside any scope
-    they compose nothing, return what they return inside one, and leave
-    no table behind."""
+def test_readers_compose_nothing(compose_calls):
+    """On a group of order at most TABLE_MAX_ORDER every reader reads
+    stored columns: it composes nothing, and returns what the compose path
+    returns."""
     M = fresh(ProjGL(13))
     assert M.n <= TABLE_MAX_ORDER
+    N = composing(ProjGL(13))
     compose_calls.clear()
-    got = scoped_readers(M, 5)
+    got = readers(M, 5, 9)
     assert compose_calls == []
-    assert M._cols is None
-    with M.table_scope():
-        assert scoped_readers(M, 5) == got
-    assert M._cols is None
+    assert readers(N, 5, 9) == got
+    assert compose_calls  # the guard does count the compose path
 
 
 def test_scoped_readers_above_threshold_match_compose_path():
-    """Above TABLE_MAX_ORDER the same readers keep the compose path, and
-    agree with definitions written over compose_mul; derived_subgroup is
-    the normal closure of the generators' commutators."""
+    """Above TABLE_MAX_ORDER centralizer, derived_subgroup and quotient
+    compose, and agree with definitions written over compose_mul;
+    derived_subgroup is the normal closure of the generators'
+    commutators."""
     M = fresh(ProjGL(23))
     assert M.n > TABLE_MAX_ORDER
     assert M.centralizer([5]) == compose_centralizer(M, [5])

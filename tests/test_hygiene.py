@@ -24,7 +24,8 @@ process enforces each claim's deadline by killing the claim's process.
 
 In the group modules (smallgroup, lattice, autmorph) a permutation
 `compose` is called only inside `_ComposedColumn`: every product is read
-from a column.
+from a column.  No module but smallgroup touches a group's stored columns
+or its breadth-first tree: the rest read products through `column`.
 """
 
 import ast
@@ -453,3 +454,33 @@ def test_compose_calls_read_methods_aliases_and_the_column():
                "    return cmp(a, inverse(b)), pm.composed(a)\n")
     assert dict(compose_calls(snippet)) == {
         5: "_ComposedColumn", 8: "MaterializedGroup", 10: None}
+
+
+TABLE_ATTRS = {"_cols", "_parent"}  # a group's columns and tree
+
+
+def table_touches(source):
+    """(line, attribute) of each read, write or del of a TABLE_ATTRS
+    attribute in the source, on any object."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in TABLE_ATTRS:
+            yield node.lineno, node.attr
+
+
+def test_only_smallgroup_touches_the_columns():
+    found = sorted(f"{path.name}:{line} {attr}"
+                   for path in PACKAGE.glob("*.py")
+                   if path.name != "smallgroup.py"
+                   for line, attr in table_touches(path.read_text()))
+    assert found == [], "columns touched outside smallgroup: " \
+        + ", ".join(found)
+
+
+def test_table_touches_find_reads_writes_and_deletes():
+    snippet = ("def f(M, N):\n"
+               "    c = M._cols[3]\n"
+               "    N._cols = None\n"
+               "    del M._parent\n"
+               "    return M.column(3), M.parent, M.cols, c\n")
+    assert sorted(table_touches(snippet)) == [
+        (2, "_cols"), (3, "_cols"), (4, "_parent")]

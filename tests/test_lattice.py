@@ -213,11 +213,9 @@ def test_every_subgroup_is_a_subgroup(expr):
     """Each mask is closed under products, and each conjugate's generators
     h^u close to its mask."""
     m = mat(expr)
-    subs = all_subgroups(m)
-    with m.table_scope():
-        for sub in subs:
-            assert m.close(list(bits(sub.mask))) == sub.mask
-            assert m.close(list(sub.gens) or [0]) == sub.mask
+    for sub in all_subgroups(m):
+        assert m.close(list(bits(sub.mask))) == sub.mask
+        assert m.close(list(sub.gens) or [0]) == sub.mask
 
 
 # -- normal subgroups ----------------------------------------------------------
@@ -290,8 +288,7 @@ JOIN_GROUPS = [Sym(4), Sym(5), MatSL(3), Hsl23(), MU24A5,
 @pytest.mark.parametrize("expr", JOIN_GROUPS, ids=str)
 def test_normal_joins_by_lookup_match_rejoining(expr):
     M = fresh(expr)
-    with M.table_scope():
-        want = rejoining_normal_subgroups(M)
+    want = rejoining_normal_subgroups(M)
     assert normal_subgroups(M) == want
 
 
@@ -337,8 +334,7 @@ def test_normalizer_matches_brute_force(expr):
     """N(H) = {x : H^x = H} for every class representative H, from a walk
     of H's orbit started at H and at another conjugate of H."""
     m = mat(expr)
-    with m.table_scope():
-        conj = [m.conj_map(x) for x in range(m.n)]
+    conj = [m.conj_map(x) for x in range(m.n)]
     for sub in subgroup_classes(m):
         elems = list(bits(sub.mask))
         members = set(elems)
@@ -423,10 +419,9 @@ def test_coset_walk_extends_by_the_element_walks_elements(expr):
     # the first extender grows the trivial subgroup to the cyclic seeds
     assert walks[0][0] == 1
     walks = dict(walks[1:])
-    with M.table_scope():
-        want = {H.mask: element_walk_extensions(
-                    M, H, M.normalizer(H.mask, H.gens)[1])
-                for H in classes if H.mask != M.full_mask}
+    want = {H.mask: element_walk_extensions(
+                M, H, M.normalizer(H.mask, H.gens)[1])
+            for H in classes if H.mask != M.full_mask}
     assert len(walks) == len(classes) - 1
     assert walks == want
 

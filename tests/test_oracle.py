@@ -8,7 +8,7 @@ orders of seeded random permutation groups of degree at most 8, are
 checked against sympy's too.
 """
 
-from contextlib import nullcontext
+import functools
 
 import pytest
 
@@ -22,6 +22,7 @@ from grpverify.construct import (  # noqa: E402
 from grpverify.perm import PermGroup  # noqa: E402
 from grpverify.smallgroup import materialize  # noqa: E402
 from test_perm import random_generator_sets  # noqa: E402
+from test_table import composing  # noqa: E402
 
 
 def moving(n):
@@ -37,6 +38,12 @@ def three_permutations(n):
     return st.tuples(st.just(n), moving(n), moving(n), moving(n))
 
 
+@functools.cache
+def symmetric(n):
+    """S_n with its columns, and S_n on the compose path."""
+    return build(Sym(n)).materialized(), composing(Sym(n))
+
+
 def sympy_order(perms):
     return combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(p)) for p in perms]).order()
@@ -49,17 +56,16 @@ def test_extender_order_matches_sympy(case):
     """|<H, g>| from extender equals sympy's order, for H = <a> and g = b,
     and for H = <a, b> and a third element g."""
     n, *perms = case
-    M = build(Sym(n)).materialized()
-    a, b, g = (M.index[tuple(p)] for p in perms)
+    groups = symmetric(n)
+    a, b, g = (groups[0].index[tuple(p)] for p in perms)
     want = [sympy_order(perms[:2]), sympy_order(perms)]
-    for table in (False, True):
-        with M.table_scope() if table else nullcontext():
-            got = []
-            for gens, x in (([a], b), ([a, b], g)):
-                H = M.close(gens)
-                ext = M.extender(H, gens)(x)
-                assert H & ~ext == 0 and ext >> x & 1
-                got.append(ext.bit_count())
+    for M in groups:
+        got = []
+        for gens, x in (([a], b), ([a, b], g)):
+            H = M.close(gens)
+            ext = M.extender(H, gens)(x)
+            assert H & ~ext == 0 and ext >> x & 1
+            got.append(ext.bit_count())
         assert got == want
 
 

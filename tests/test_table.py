@@ -1,17 +1,16 @@
 """Every reader of the products against definitions built on `compose_mul`.
 
-A product i*j is read from `mul` or from the column of j.  Inside a table
-scope, groups of order <= TABLE_MAX_ORDER read stored right-multiplication
-columns; outside one, a column composes permutations on each read.  Both
-are compared here with `compose_mul`, which composes the two permutation
-tuples itself, and with closures, centralizers, normalizers and maps
-written from their definitions over it, on seeded samples of elements and
-generating sets.
+A product i*j is read from `mul` or from the column of j.  Groups of order
+<= TABLE_MAX_ORDER read stored right-multiplication columns; above it, a
+column composes permutations on each read, and a group with its columns
+taken away (`composing`) takes that path too.  Both are compared here with
+`compose_mul`, which composes the two permutation tuples itself, and with
+closures, centralizers, normalizers and maps written from their
+definitions over it, on seeded samples of elements and generating sets.
 """
 
 import random
 import re
-from contextlib import nullcontext
 
 import pytest
 
@@ -90,6 +89,19 @@ def compose_normalizer(M, gens):
                if all(H >> compose_conj(M, h, x) & 1 for h in gens))
 
 
+def fresh(expr):
+    h = build(expr)
+    return MaterializedGroup(h.group.generators, h.degree)
+
+
+def composing(expr):
+    """A fresh group of expr on the compose path, as if above the
+    threshold: it holds no columns."""
+    N = fresh(expr)
+    N._cols = None
+    return N
+
+
 def sample_sets(M, rng, count, size):
     return [[rng.randrange(M.n) for _ in range(rng.randint(1, size))]
             for _ in range(count)]
@@ -105,26 +117,24 @@ def test_table_matches_compose_path(expr):
     closes = [compose_close(M, s) for s in gen_sets]
     cents = [compose_centralizer(M, s) for s in gen_sets]
     norms = [compose_normalizer(M, s) for s in gen_sets]
-    for table in (False, True):
-        with M.table_scope() if table else nullcontext():
-            assert (M._cols is not None) == table
-            for i, j in pairs:
-                assert M.mul(i, j) == compose_mul(M, i, j)
-                assert M.conj(i, j) == compose_conj(M, i, j)
-                assert M.commutator(i, j) == compose_commutator(M, i, j)
-            for _, j in pairs[:5]:
-                col = M.column(j)
-                assert [col[i] for i in every] == \
-                    [compose_mul(M, i, j) for i in every]
-                assert M.right_map(j) == [compose_mul(M, i, j) for i in every]
-                assert M.conj_map(j) == [compose_conj(M, i, j) for i in every]
-            assert [M.close(s) for s in gen_sets] == closes
-            assert [M.centralizer(s) for s in gen_sets] == cents
-            for s, want in zip(gen_sets, norms):
-                mask, gens = M.normalizer(M.close(s), s)
-                assert mask == want
-                assert M.close(gens) == mask
-    assert M._cols is None
+    assert M._cols is not None
+    for G in (M, composing(expr)):
+        for i, j in pairs:
+            assert G.mul(i, j) == compose_mul(M, i, j)
+            assert G.conj(i, j) == compose_conj(M, i, j)
+            assert G.commutator(i, j) == compose_commutator(M, i, j)
+        for _, j in pairs[:5]:
+            col = G.column(j)
+            assert [col[i] for i in every] == \
+                [compose_mul(M, i, j) for i in every]
+            assert G.right_map(j) == [compose_mul(M, i, j) for i in every]
+            assert G.conj_map(j) == [compose_conj(M, i, j) for i in every]
+        assert [G.close(s) for s in gen_sets] == closes
+        assert [G.centralizer(s) for s in gen_sets] == cents
+        for s, want in zip(gen_sets, norms):
+            mask, gens = G.normalizer(G.close(s), s)
+            assert mask == want
+            assert G.close(gens) == mask
 
 
 @pytest.mark.parametrize("expr", [Sym(4), MatSL(3), Alt(5), ProjGL(7)],
@@ -155,20 +165,17 @@ def test_extender_matches_compose_closure(expr):
     assert any(mask != full and want[mask, g] == full for mask, g in want)
     assert any(1 < want[mask, g].bit_count() < M.n and mask != want[mask, g]
                for mask, g in want)
-    for table in (False, True):
-        with M.table_scope() if table else nullcontext():
-            assert (M._cols is not None) == table
-            for mask, gens in subs:
-                extend = M.extender(mask, gens)
-                assert [extend(g) for g in range(M.n)] == \
-                    [want[mask, g] for g in range(M.n)]
-    assert M._cols is None
+    for G in (M, composing(expr)):
+        for mask, gens in subs:
+            extend = G.extender(mask, gens)
+            assert [extend(g) for g in range(M.n)] == \
+                [want[mask, g] for g in range(M.n)]
 
 
 @pytest.mark.parametrize("expr", [Sym(4), MatSL(3), Alt(5)], ids=str)
 def test_extender_reads_only_generator_columns(expr, monkeypatch):
-    """Inside a scope, extender(H, gens)(g) asks for no column but those of
-    gens and g: each coset is gathered over a generator's column."""
+    """extender(H, gens)(g) asks for no column but those of gens and g:
+    each coset is gathered over a generator's column."""
     M = build(expr).materialized()
     subs = subgroup_classes(M)
     asked = []
@@ -179,68 +186,15 @@ def test_extender_reads_only_generator_columns(expr, monkeypatch):
         return column(self, j)
 
     monkeypatch.setattr(MaterializedGroup, "column", spy)
-    with M.table_scope():
-        for sub in subs:
+    for sub in subs:
+        asked.clear()
+        extend = M.extender(sub.mask, sub.gens)
+        assert set(asked) <= set(sub.gens)
+        for g in range(M.n):
             asked.clear()
-            extend = M.extender(sub.mask, sub.gens)
-            assert set(asked) <= set(sub.gens)
-            for g in range(M.n):
-                asked.clear()
-                extend(g)
-                assert set(asked) <= {*sub.gens, g}
+            extend(g)
+            assert set(asked) <= {*sub.gens, g}
     assert any(len(sub.gens) > 1 for sub in subs)
-
-
-def fresh(expr):
-    h = build(expr)
-    return MaterializedGroup(h.group.generators, h.degree)
-
-
-def test_columns_dropped_when_outermost_scope_exits():
-    M = fresh(Alt(5))
-    with M.table_scope():
-        with M.table_scope():
-            M.mul(5, 7)
-        assert M._cols[7] is not None
-    assert M._cols is None
-    assert "mul" not in vars(M)
-    assert M.mul(5, 7) == compose_mul(M, 5, 7)
-
-
-def test_columns_dropped_when_scope_raises():
-    M = fresh(Alt(5))
-    with pytest.raises(KeyError):
-        with M.table_scope():
-            M.close([1, 2])
-            raise KeyError("interrupted query")
-    assert M._cols is None
-
-
-def test_interrupted_scope_keeps_its_exception():
-    M = fresh(Alt(5))
-    # j = x*s with x a generator: building j's column builds x's first
-    j = next(y for y in range(M.n) if M._parent[y] in M.gens)
-    gen_cols = M._gen_cols
-
-    class Interrupting(list):
-        """The generator columns; the second column built is interrupted."""
-        reads = 0
-
-        def __iter__(self):
-            self.reads += 1
-            if self.reads == 2:
-                raise KeyError("interrupted while building a column")
-            return super().__iter__()
-
-    M._gen_cols = Interrupting(gen_cols)
-    with pytest.raises(KeyError, match="interrupted while building"):
-        with M.table_scope():
-            M.column(j)  # builds the column of j's parent, then j's
-    assert M._cols is None
-    assert "mul" not in vars(M)
-    M._gen_cols = gen_cols
-    with M.table_scope():
-        assert list(M.column(j)) == [compose_mul(M, i, j) for i in range(M.n)]
 
 
 def counting(monkeypatch, name):
@@ -258,14 +212,12 @@ def counting(monkeypatch, name):
 
 def test_cached_query_builds_no_column(monkeypatch):
     M = fresh(Sym(4))
-    scopes = counting(monkeypatch, "table_scope")
     columns = counting(monkeypatch, "column")
     first = subgroup_classes(M)
-    assert scopes and columns
-    scopes.clear()
+    assert columns
     columns.clear()
     assert subgroup_classes(M) is first
-    assert scopes == [] and columns == []
+    assert columns == []
 
 
 @pytest.mark.parametrize("query, field, message", [
@@ -294,8 +246,8 @@ def test_cached_query_checks_its_cap_on_every_call(query, field, message):
 
 
 def test_groups_above_threshold_never_open_a_table():
-    """Above TABLE_MAX_ORDER a scope opens no table: every column composes,
-    and `mul` and `close` read those columns."""
+    """Above TABLE_MAX_ORDER a group holds no columns: every column
+    composes, and `mul` and `close` read those columns."""
     M = fresh(ProjGL(23))
     assert M.n > TABLE_MAX_ORDER
     every = range(M.n)
@@ -305,15 +257,14 @@ def test_groups_above_threshold_never_open_a_table():
         + sample_sets(M, rng, 2, 3)
     closes = [compose_close(M, s) for s in gen_sets]
     assert any(c != M.full_mask for c in closes)
-    with M.table_scope():
-        assert M._cols is None
-        for j in rng.sample(every, 3):
-            col = M.column(j)
-            assert [col[i] for i in every] == \
-                [compose_mul(M, i, j) for i in every]
-        assert [M.mul(i, j) for i, j in pairs] == \
-            [compose_mul(M, i, j) for i, j in pairs]
-        assert [M.close(s) for s in gen_sets] == closes
+    assert M._cols is None
+    for j in rng.sample(every, 3):
+        col = M.column(j)
+        assert [col[i] for i in every] == \
+            [compose_mul(M, i, j) for i in every]
+    assert [M.mul(i, j) for i, j in pairs] == \
+        [compose_mul(M, i, j) for i, j in pairs]
+    assert [M.close(s) for s in gen_sets] == closes
     assert M._cols is None
     subs = normal_subgroups(M)
     assert sorted(s.order for s in subs) == [1, M.n // 2, M.n]
@@ -324,11 +275,9 @@ def test_arithmetic_is_never_an_instance_attribute(expr):
     M = fresh(expr)
     methods = {"mul", "conj", "commutator"}
     assert not methods & vars(M).keys()
-    with M.table_scope():
-        assert (M.mul(5, 7), M.conj(5, 7), M.commutator(5, 7)) == \
-            (compose_mul(M, 5, 7), compose_conj(M, 5, 7),
-             compose_commutator(M, 5, 7))
-        assert not methods & vars(M).keys()
+    assert (M.mul(5, 7), M.conj(5, 7), M.commutator(5, 7)) == \
+        (compose_mul(M, 5, 7), compose_conj(M, 5, 7),
+         compose_commutator(M, 5, 7))
     assert not methods & vars(M).keys()
 
 
@@ -349,44 +298,41 @@ def test_only_the_columns_used_are_built():
     M = fresh(SwapSq(Alt(5)))
     n = M.n
     rng = random.Random(n)
-    with M.table_scope():
-        used = set()
-        for _ in range(40):
-            j = rng.randrange(n)
-            M.mul(rng.randrange(n), j)
-            used.add(j)
-        # a column is built from its parent's in the breadth-first tree
-        want = set()
-        for j in used:
-            while j and j not in want:
-                want.add(j)
-                j = M._parent[j]
-        built = {j for j in range(1, n) if M._cols[j] is not None}
-        assert built == want
-        for j in sorted(built):
-            assert list(M._cols[j]) == [compose_mul(M, i, j) for i in range(n)]
-    assert M._cols is None
+
+    def built():
+        return {j for j in range(1, n) if M._cols[j] is not None}
+
+    # the generators' columns come with the enumeration
+    assert built() == set(M.gens)
+    used = set()
+    for _ in range(40):
+        j = rng.randrange(n)
+        M.mul(rng.randrange(n), j)
+        used.add(j)
+    # a column is built from its parent's in the breadth-first tree
+    want = set(M.gens)
+    for j in used:
+        while j and j not in want:
+            want.add(j)
+            j = M._parent[j]
+    assert built() == want
+    for j in sorted(want):
+        assert list(M._cols[j]) == [compose_mul(M, i, j) for i in range(n)]
 
 
 def test_sharpness_witness_queries_match_compose_path():
     # SHARP-A5A5: (A5 x A5):2, order 7200, with and without its table
     M = fresh(SwapSq(Alt(5)))
-    N = fresh(SwapSq(Alt(5)))
-    N._parent = None
+    N = composing(SwapSq(Alt(5)))
     assert M.n == 7200
     assert QUERIES["normal_subgroups"](M) == QUERIES["normal_subgroups"](N)
     for p in (7, 11):
         a, b = j_analysis(M, p), j_analysis(N, p)
         assert (a.min_index, a.witness, a.j_ratio) == \
             (b.min_index, b.witness, b.j_ratio) == (7200, Sub(1, ()), 7200)
-    assert M._cols is None
 
 
 @pytest.mark.parametrize("query", sorted(QUERIES))
 @pytest.mark.parametrize("expr", [SwapSq(Sym(3)), Sym(4), ProjGL(5)], ids=str)
 def test_heavy_queries_match_compose_path(expr, query):
-    M = fresh(expr)
-    N = fresh(expr)
-    N._parent = None  # the compose path, as for a group above the threshold
-    assert QUERIES[query](M) == QUERIES[query](N)
-    assert M._cols is None
+    assert QUERIES[query](fresh(expr)) == QUERIES[query](composing(expr))
