@@ -47,15 +47,23 @@ def test_as_materialized(benchmark):
                        setup=lambda: searched(ProjSL(9)), rounds=3)
 
 
-def test_preserving(benchmark):
-    """Generators of the stabilizer of V4 in Aut(A4), as EXT-6.1 reads it."""
+# V4 is characteristic in A4, an Aut-orbit of one point, as EXT-6.1 reads
+# it; a Sylow 2-subgroup of PSL2(F7) has 21 images, so the orbit walk and
+# its Schreier elements run
+PRESERVED = {"V4<A4": (Alt(4), lambda M: M.derived_subgroup()[0]),
+             "Syl2<PSL2(F7)": (ProjSL(7), lambda M: M.sylow_subgroup(2)[0])}
+
+
+@pytest.mark.parametrize("case", PRESERVED.values(), ids=PRESERVED)
+def test_preserving(benchmark, case):
+    """Generators of the stabilizer of a subgroup in Aut(G)."""
+    expr, subgroup = case
 
     def setup():
-        (aut,), _ = searched(Alt(4))
-        v4, _ = aut.base.derived_subgroup()
-        return (aut, v4), {}
+        (aut,), _ = searched(expr)
+        return (aut, subgroup(aut.base)), {}
 
-    benchmark.pedantic(lambda aut, v4: aut.preserving(v4), setup=setup,
+    benchmark.pedantic(lambda aut, mask: aut.preserving(mask), setup=setup,
                        rounds=3)
 
 

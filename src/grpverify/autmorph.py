@@ -24,9 +24,9 @@ for exactly one map a found with a(g1) = r and one x per conjugate of r.
 So Aut(G) is kept as generators, the conjugations by G's generators and
 the maps found, and its order is counted from the search, not listed.  A
 subgroup is invariant under Aut(G) iff it is invariant under each
-generator, and the stabilizer of a subgroup is read off its orbit by
-Schreier generators.  Only `AutGroup.as_materialized` lists every
-automorphism.
+generator, and its stabilizer is read off its orbit by smallgroup's
+`set_orbit` and `schreier_steps`, the walk that gives N(H) there.  Only
+`AutGroup.as_materialized` lists every automorphism.
 
 The same search, stopped at its first map, finds an isomorphism between
 two groups: `find_isomorphism`, and `is_isomorphic`, which refuses groups
@@ -46,6 +46,8 @@ from .smallgroup import (
     coprime,
     current_caps,
     gather,
+    schreier_steps,
+    set_orbit,
 )
 
 
@@ -219,56 +221,47 @@ class AutGroup:
     def preserving(self, mask: int) -> list:
         """Generators of the automorphisms mapping the subgroup H onto itself.
 
-        H's orbit under Aut(G) is walked under `gens`, each image a(K) of
-        a point K gathered from K's elements, and u_K is an automorphism
-        with u_K(H) = K: u_L = a . u_K on the tree step a(K) = L.  By
-        Schreier's lemma the stabilizer is generated by u_L^-1 . a . u_K
-        over every step a(K) = L (Holt, Eick and O'Brien, Handbook of
-        Computational Group Theory, 2005, section 4.1); the identity and
-        repeats are dropped.
+        H's orbit under `gens` is walked by `set_orbit`, carrying an
+        automorphism u_K with u_K(H) = K: u_L = a . u_K on the tree step
+        a(K) = L.  The stabilizer is generated by the Schreier elements
+        u_L^-1 . a . u_K of the steps off the tree (`schreier_steps`),
+        repeats dropped.
         """
+        gens = self.gens
+
+        def times(u, t):  # a_t . u
+            return gather(u)(gens[t])
+
         n = self.base.n
-        one = tuple(range(n))
-        start = tuple(bits(mask))
-        where = {start: 0}
-        points = [start]
-        trans = [one]
-        inverses = {}
+        _, trans, to = set_orbit(bits(mask), gens, tuple(range(n)), times)
+        inverses = {}  # y -> u_L^-1 for L = points[y], as a list
         out = {}
-        for k, point in enumerate(points):  # points grows while it is walked
-            u = trans[k]
-            for a in self.gens:
-                au = tuple(map(a.__getitem__, u))
-                image = tuple(sorted(map(a.__getitem__, point)))
-                j = where.get(image)
-                if j is None:
-                    where[image] = len(points)
-                    points.append(image)
-                    trans.append(au)
-                    continue
-                if j not in inverses:  # position v holds u_L^-1(v)
-                    inverses[j] = sorted(range(n), key=trans[j].__getitem__)
-                s = tuple(map(inverses[j].__getitem__, au))
-                if s != one:
-                    out[s] = None
+        for a, y in schreier_steps(to, trans, len(gens), times):
+            if y not in inverses:
+                inverses[y] = sorted(range(n), key=trans[y].__getitem__)
+            out[gather(a)(inverses[y])] = None
         return list(out)
 
     def as_materialized(self) -> MaterializedGroup:
         """Aut(G) as a concrete group acting on the |G| element indices.
 
         The one place every automorphism is listed: each map a found with
-        a(g1) = r is composed with the conjugation by x, for the x of the
-        transversal of r's conjugation orbit, one per conjugate of r.  Any
-        such x gives the same maps, as the search found every a with
-        a(g1) = r.  The elements are then enumerated from a greedy
-        generating subset of the sorted list.
+        a(g1) = r is composed with the conjugation by x for one x per
+        conjugate of r, the conjugation maps carried along r's orbit walk
+        (`set_orbit`).  Any such x gives the same maps, as the search found
+        every a with a(g1) = r.  The elements are then enumerated from a
+        greedy generating subset of the sorted list.
         """
         M = self.base
+        conj = M.conj_maps()[::2]  # g, then g^-1, per generator
+
+        def step(inner, t):  # inner of x -> inner of x g
+            return gather(inner)(conj[t])
+
         maps = []
         for r, found in self.found.items():
             takes = [gather(a) for a in found]  # take(inner) = inner o a
-            for x in M.conjugation_orbit(1 << r)[1]:
-                inner = M.conj_map(x)
+            for inner in set_orbit((r,), conj, tuple(range(M.n)), step)[1]:
                 maps.extend(take(inner) for take in takes)
         maps.sort()
         # an automorphism is fixed by its images of G's generators, so a

@@ -1,17 +1,12 @@
 """Subgroup lattices, normal subgroups, and minimal coprime abelian indices.
 
 `subgroup_classes` grows each class representative H by one element g at
-a time, reading <H, g> from `MaterializedGroup.extender`, which closes
-coset by coset from H.  It walks the conjugation orbit of each new class
-once: the walk names the class's least mask and gives N(H), by
-orbit-stabilizer.  The elements g that need no extension, because <H, g>
-is conjugate to one already known, are skipped right coset by right coset
-of H: the walk steps Hx to Hxh and to (Hx)^u = Hx^u for u generating
-N(H), and a u in H (Hx^u = Hxu) or in the centre (Hx^u = Hx) adds no
-step; each coset's image is one `gather` of its elements.
-`all_subgroups` has no search of its own: it is those classes, each
-expanded by a walk of its orbit, where the conjugate H^u for the walk's
-transversal element u is generated by the elements h^u.
+a time, reading <H, g> from `MaterializedGroup.extender`.  It walks the
+conjugation orbit of each new class once: the walk names the class's
+least mask and gives N(H).  It skips, by smallgroup's `walk_cosets`, the
+elements g whose <H, g> is conjugate to one already known.
+`all_subgroups` has no search of its own: those classes, each expanded by
+smallgroup's `set_orbit`, which carries each conjugate's generators.
 
 The normal lattice is built from the normal closures of single classes by
 joins (`normal_joins`).  A join AB of normal subgroups is closed only when
@@ -53,6 +48,8 @@ from .smallgroup import (
     mask_at,
     orbits,
     p_part,
+    set_orbit,
+    walk_cosets,
 )
 
 
@@ -158,11 +155,11 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
     deduplicate by the minimal conjugate bitmask.  The one orbit walk that
     finds a new class's minimal mask also gives its normalizer.
 
-    The skipped elements are walked by right cosets of H, each gathered
-    whole from the coset before it: by the columns of H's generators, and
-    by the conjugation maps of the generators of N(H) outside H and the
-    centre, as conjugation by u in H moves Hx as right multiplication by
-    u does and a central u fixes it.
+    The skipped set of g is its orbit under x -> xh and x -> x^u, for h in
+    H and u generating N(H); it holds hx = (x^(h^-1))h, so it is a union of
+    right cosets, walked by `walk_cosets` from Hg over H's generators'
+    columns and the maps Hx -> (Hx)^u = Hx^u.  A u in H gives Hxu, already
+    a step, and a central u gives Hx, so neither gets a map.
     """
     canon = {}  # subgroup mask -> least mask of its conjugation orbit
     queue = []  # (representative, generators of its normalizer)
@@ -194,10 +191,6 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
             continue
         hgens = list(H.gens)
         extend = M.extender(H.mask, hgens)
-        # the skipped set of g is its orbit under x -> xh and x -> x^u;
-        # it holds hx = (x^(h^-1))h too, so it is a union of right cosets
-        # Hx, walked as Hx -> Hxh and Hx -> (Hx)^u = Hx^u.  For u in H
-        # that is Hxu, already a step, and for a central u it is Hx.
         steps = [M.column(h) for h in hgens]
         skip = H.mask | center
         steps += [M.conj_map(u) for u in ngens if not skip >> u & 1]
@@ -207,32 +200,28 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
             if covered[g]:
                 continue
             register(extend(g))
-            # skip g's orbit, from Hg; covered is a union of right cosets,
-            # so a coset's first element tells whether it is covered
-            cosets = [gather(h_elems)(M.column(g))]
-            for y in cosets[0]:
+            # skip g's orbit, walked from Hg
+            coset = gather(h_elems)(M.column(g))
+            for y in coset:
                 covered[y] = 1
-            for coset in cosets:  # cosets grows while it is walked
-                x = coset[0]
-                for t in steps:
-                    if not covered[t[x]]:
-                        new = gather(coset)(t)
-                        for y in new:
-                            covered[y] = 1
-                        cosets.append(new)
+            walk_cosets([coset], steps, covered, M.n)
     return sorted((H for H, _ in queue), key=lambda s: (s.order, s.mask))
 
 
 @cached_query("subgroup-sweep", "max_subgroup_order")
 def all_subgroups(M: MaterializedGroup) -> list[Sub]:
     """Every subgroup: each class of `subgroup_classes` expanded by its
-    conjugation orbit, the conjugate H^u generated by the elements h^u."""
+    conjugation orbit (`set_orbit`), each conjugate H^u generated by the
+    elements h^u, carried along the walk's tree."""
+    maps = M.conj_maps()[::2]  # g, then g^-1, per generator
+
+    def step(hs, t):  # the elements h^(ug) = (h^u)^g
+        return gather(hs)(maps[t])
+
     out = []
     for H in subgroup_classes(M):
-        points, trans, _ = M.conjugation_orbit(H.mask)
-        for x, u in zip(points, trans):
-            out.append(Sub(mask_at(x),
-                           tuple(M.conj(h, u) for h in H.gens)))
+        points, gens, _ = set_orbit(bits(H.mask), maps, H.gens, step)
+        out.extend(map(Sub, map(mask_at, points), gens))
     out.sort(key=lambda s: (s.order, s.mask))
     return out
 

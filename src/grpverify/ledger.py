@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fnmatch import fnmatch
 
 from . import construct
@@ -60,7 +60,8 @@ class ClaimResult:
 
 
 def result_from_json(d: dict) -> ClaimResult:
-    return ClaimResult(**d)
+    """An entry's result; unknown keys are ignored, a missing one raises."""
+    return ClaimResult(**{f.name: d[f.name] for f in fields(ClaimResult)})
 
 
 def _canon(d: dict) -> str:

@@ -29,24 +29,15 @@ elements it finds in an int mask.  The conjugation maps that
 `conjugacy_classes` walks are kept as arrays too: a map read from a
 16-bit column holds a fresh int object per entry.
 
-A subgroup is closed from its generators by `close`, which walks from
-the identity, or grown by one element from a known subgroup H by
-`extender`, which walks <H, g> by right cosets of H, each gathered from
-an earlier one over a generator's column, and stops at more than n/2
-elements, where the answer can only be G.
-
-Orbits of points are partitioned by one walk, `orbits`: the conjugacy
-classes are the orbits under the generators' conjugation maps, and the
-cosets xN of a subgroup the orbits under its generators' columns.  The
-walks over cosets and conjugates carry a set of elements to its image
-under a column or map by `gather`, one C-level pass.
-
-The conjugates of a subgroup H are walked once, by `conjugation_orbit`,
-which records for each conjugate an element that conjugates H to it.
-`normalizer` reads N(H) off that walk by orbit-stabilizer: |N(H)| is n
-over the orbit's length, and N(H) grows from H by the walk's Schreier
-elements, through `extender`, until it has that order (Holt, Eick and
-O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+Each walk is written once, and moves a set of elements by `gather`, one
+C-level pass.  `orbits` partitions points: the conjugacy classes are the
+orbits under the generators' conjugation maps, the cosets xN of a
+subgroup the orbits under its generators' columns.  `set_orbit` walks the
+orbit of one set, carrying a value along its tree, and `schreier_steps`
+reads its Schreier elements (orbit-stabilizer): N(H) (`normalizer`) and
+stabilizers in Aut(G).  `walk_cosets` walks right cosets of a subgroup,
+for `extender`, which grows <H, g> from H, and for lattice's subgroup
+sweep; `close` closes a subgroup from the identity.
 
 The heavy queries of the lattice and autmorph modules are `cached_query`
 functions: their results are kept per group in one memo, owned here.
@@ -159,6 +150,78 @@ def orbits(n: int, maps) -> tuple[list, list]:
                     orbit.append(y)
         out.append(orbit)
     return label, out
+
+
+def set_orbit(start, maps, first, step) -> tuple[list, list, list]:
+    """The orbit of the set start under the index maps, walked breadth-first
+    (maps generating a finite group suffice): points, values, to.
+
+    points[i] is the i-th image found, the tuple of its elements in
+    descending order (points[0] is start; sets of one size compare as masks
+    the way these tuples compare).  to[x*k + t] is the index of the image
+    of points[x] under maps[t], for the k maps.  values[0] is first, and
+    values[y] = step(values[x], t) on the tree step where points[y] is
+    first found, as the image of points[x] under maps[t].
+    """
+    start = tuple(sorted(start, reverse=True))
+    where = {start: 0}
+    points = [start]
+    values = [first]
+    to = []
+    for x, point in enumerate(points):  # points grows while it is walked
+        take = gather(point)
+        for t, m in enumerate(maps):
+            y = tuple(sorted(take(m), reverse=True))
+            j = where.get(y)
+            if j is None:
+                j = where[y] = len(points)
+                points.append(y)
+                values.append(step(values[x], t))
+            to.append(j)
+    return points, values, to
+
+
+def schreier_steps(to, trans, k, times):
+    """(a, y) for each step of a `set_orbit` walk off its tree.
+
+    trans[x] takes the start to points[x] and times(u, t) is u followed by
+    the group element of the t-th of the k maps.  On the step from points[x]
+    by map t to points[y], a = times(trans[x], t) takes the start to
+    points[y] too, and is yielded unless it is trans[y].  By Schreier's
+    lemma the elements a followed by trans[y]^-1 generate the start's
+    stabilizer (orbit-stabilizer: Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, section 4.1).
+    """
+    for e, y in enumerate(to):
+        x, t = divmod(e, k)
+        a = times(trans[x], t)
+        if a != trans[y]:
+            yield a, y
+
+
+def walk_cosets(cosets, steps, seen, most: int) -> bool:
+    """Walk right cosets of a subgroup H, each gathered from one before it.
+
+    cosets holds the cosets to start from, each the tuple of its elements;
+    seen flags their elements and any others covered, a union of right
+    cosets.  A step s, a column or the conjugation map of an element of
+    N(H), takes Hx to Hx.s: covered if s(x) is flagged, else gathered over
+    s, appended and flagged.  Returns False, stopping, before the walk
+    would hold more than most cosets; True once no step finds a new one.
+    """
+    room = most - len(cosets)
+    for coset in cosets:  # cosets grows while it is walked
+        x = coset[0]
+        for s in steps:
+            if not seen[s[x]]:
+                if room <= 0:
+                    return False
+                room -= 1
+                new = gather(coset)(s)
+                cosets.append(new)
+                for y in new:
+                    seen[y] = 1
+    return True
 
 
 def cached_query(label: str, field: str):
@@ -388,41 +451,23 @@ class MaterializedGroup:
     def extender(self, mask: int, gens):
         """g -> mask of <H, g>, for the subgroup H = <gens> with this mask.
 
-        Dimino's closure: <H, g> is walked right coset by right coset of H
-        instead of element by element from the identity.  For each coset
-        Ht found so far and each generator s of H or g, Hts either is a
-        known coset (ts has been seen) or is new, and then it is Ht
-        multiplied by s: one gather of Ht's elements over the column of s.
-        No column but the generators' is read.  Once the cosets found hold
-        more than n/2 elements the answer is G, by Lagrange.
+        Dimino's closure: <H, g> is walked from H by `walk_cosets` over the
+        columns of H's generators and of g, and no other column is read.
+        Once the cosets found would hold more than n/2 elements the answer
+        is G, by Lagrange.
         """
-        n = self.n
-        full = self.full_mask
-        order = mask.bit_count()
-        flags = flags_of(mask, n)
-        # a coset Ht is the tuple of its elements; any of them serves as t
+        flags = flags_of(mask, self.n)
         h_elems = tuple(bits(mask))
         steps_h = [self.column(s) for s in gens]
+        most = self.n // (2 * len(h_elems))
 
         def extend(g: int) -> int:
             if mask >> g & 1:
                 return mask
             seen = bytearray(flags)
-            steps = steps_h + [self.column(g)]
-            size = order
-            cosets = [h_elems]
-            for coset in cosets:  # cosets grows while it is walked
-                t = coset[0]
-                for c in steps:
-                    if not seen[c[t]]:
-                        size += order
-                        if 2 * size > n:
-                            return full
-                        new = gather(coset)(c)
-                        cosets.append(new)
-                        for y in new:
-                            seen[y] = 1
-            return mask_of(seen)
+            if walk_cosets([h_elems], steps_h + [self.column(g)], seen, most):
+                return mask_of(seen)
+            return self.full_mask
 
         return extend
 
@@ -455,50 +500,26 @@ class MaterializedGroup:
         return self.centralizer(self.gens)
 
     def conjugation_orbit(self, mask: int):
-        """The conjugates of the set H with this mask: points, trans, to.
+        """The conjugates of the set H with this mask: points, trans, to, as
+        `set_orbit` walks them under the generators' conjugation maps.
 
         H is a subgroup, or any set of elements, such as one element 1 << r.
-
-        The orbit is walked breadth-first under the generators' conjugation
-        maps only: an orbit of a finite group is closed under its
-        generators' inverses too.  points[i] is the i-th conjugate found,
-        as the tuple of its elements in descending order (points[0] is H;
-        sets of one size compare as masks the way these tuples compare),
-        gathered by one `gather` per map.  trans[i] is an element u with
-        H^u = points[i]: u_y = u_x g for the tree step points[x]^g =
-        points[y], read off the column of the generator g.  to[x*k + t] is
-        the index of points[x]^g_t, for the k generators g_t.
+        trans[i] is an element u with H^u = points[i], carried as u_y = u_x g
+        on the tree step points[x]^g = points[y], read off g's column.
         """
-        maps = self.conj_maps()[::2]  # g, then g^-1, per generator
         cols = [self.column(g) for g in self.gens]
-        start = tuple(sorted(bits(mask), reverse=True))
-        where = {start: 0}
-        points = [start]
-        trans = [0]
-        to = []
-        for i, x in enumerate(points):  # points grows while it is walked
-            take = gather(x)
-            u = trans[i]
-            for t, m in enumerate(maps):
-                y = tuple(sorted(take(m), reverse=True))
-                j = where.get(y)
-                if j is None:
-                    j = where[y] = len(points)
-                    points.append(y)
-                    trans.append(cols[t][u])
-                to.append(j)
-        return points, trans, to
+        maps = self.conj_maps()[::2]  # g, then g^-1, per generator
+        return set_orbit(bits(mask), maps, 0, lambda u, t: cols[t][u])
 
     def normalizer(self, mask: int, gens, orbit=None) -> tuple[int, list[int]]:
         """N(H) for the subgroup H = <gens> with this mask: (mask, generators).
 
-        By orbit-stabilizer |N(H)| = n/|orbit| for H's conjugation orbit,
-        and by Schreier's lemma N(H) is generated by the elements
-        u_x g u_y^-1 of the orbit walk's steps points[x]^g = points[y],
-        conjugated by u_H^-1 when the walk started at another conjugate.
-        N(H) grows from H by one of them at a time, through `extender`, and
-        stops once it has that order; a normal H (an orbit of one point)
-        gets G's generators after its own.  orbit is H's orbit as returned by
+        By orbit-stabilizer |N(H)| = n/|orbit| for H's conjugation orbit.
+        N(H) grows from H by the orbit walk's Schreier elements
+        (`schreier_steps`), conjugated by u_H^-1 when the walk started at
+        another conjugate, one at a time through `extender`, and stops once
+        it has that order; a normal H (an orbit of one point) gets G's
+        generators after its own.  orbit is H's orbit as returned by
         `conjugation_orbit`, walked from H or from any conjugate of H.
         """
         if orbit is None:
@@ -512,13 +533,9 @@ class MaterializedGroup:
             return self.full_mask, gens + self.gens
         u = trans[points.index(tuple(sorted(bits(mask), reverse=True)))]
         cols = [self.column(g) for g in self.gens]
-        k = len(cols)
         inv = self._inv
-        for e, y in enumerate(to):
-            x, t = divmod(e, k)
-            a = cols[t][trans[x]]  # u_x g
-            if a == trans[y]:
-                continue  # a tree step: u_x g u_y^-1 is the identity
+        for a, y in schreier_steps(to, trans, len(cols),
+                                   lambda v, t: cols[t][v]):  # u_x g
             s = self.conj(self.mul(a, inv[trans[y]]), u)
             if not mask >> s & 1:
                 mask = self.extender(mask, gens)(s)

@@ -218,6 +218,22 @@ def test_every_subgroup_is_a_subgroup(expr):
         assert m.close(list(sub.gens) or [0]) == sub.mask
 
 
+@pytest.mark.parametrize("expr", [e for e, order in CATALOG if order <= 720],
+                         ids=str)
+def test_all_subgroups_carries_the_conjugated_generators(expr):
+    """Each conjugate H^u is generated by the elements h^u, for the element
+    u that H's orbit walk records, as conj reads them one by one."""
+    m = mat(expr)
+    want = []
+    for H in subgroup_classes(m):
+        points, trans, _ = m.conjugation_orbit(H.mask)
+        for x, u in zip(points, trans):
+            want.append(Sub(sum(1 << i for i in x),
+                            tuple(m.conj(h, u) for h in H.gens)))
+    want.sort(key=lambda s: (s.order, s.mask))
+    assert all_subgroups(m) == want
+
+
 # -- normal subgroups ----------------------------------------------------------
 
 

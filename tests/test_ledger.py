@@ -317,6 +317,19 @@ def test_json_report_round_trip(tmp_path):
     assert loaded == doc
 
 
+def test_result_from_json_ignores_keys_a_later_version_adds():
+    res = ClaimResult("A", "Lemma 1", "pass", "{}", "{}", None, 3)
+    entry = dict(res.to_json(), stats={"closures": 7, "vmhwm_kb": 21000})
+    assert result_from_json(entry) == res
+
+
+def test_result_from_json_refuses_an_entry_missing_a_field():
+    entry = ClaimResult("A", "Lemma 1", "pass", "{}", "{}", None, 3).to_json()
+    del entry["runtime_ms"]
+    with pytest.raises(KeyError, match="runtime_ms"):
+        result_from_json(entry)
+
+
 def test_report_text_table():
     results = run([get_claim("SHARP-CHAR2")])
     text = report_text(results)

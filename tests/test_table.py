@@ -15,13 +15,15 @@ import re
 import pytest
 
 from grpverify import perm as pm
-from grpverify.claims import CD_CORPUS
+from grpverify import smallgroup
+from grpverify.claims import CD_CORPUS, MU24A5
 from grpverify.construct import (
     Alt,
     Hess,
     Hsl23,
     MatSL,
     ProjGL,
+    ProjSL,
     SwapSq,
     Sym,
     build,
@@ -137,10 +139,14 @@ def test_table_matches_compose_path(expr):
             assert G.close(gens) == mask
 
 
-@pytest.mark.parametrize("expr", [Sym(4), MatSL(3), Alt(5), ProjGL(7)],
-                         ids=str)
-def test_extender_matches_compose_closure(expr):
-    """extender(H)(g) == <H, g> for every class representative H, every g."""
+EXTENDED = [Sym(4), MatSL(3), Alt(5), ProjGL(7)]
+
+
+@pytest.mark.parametrize("expr", EXTENDED, ids=str)
+def test_extender_matches_compose_closure(expr, monkeypatch):
+    """extender(H)(g) == <H, g> for every class representative H, every g;
+    no coset walk holds more than n/2 elements, and one that stops would
+    pass n/2 with one more coset."""
     M = build(expr).materialized()
     full = M.full_mask
     subs = [(compose_close(M, s.gens), s.gens) for s in subgroup_classes(M)]
@@ -165,11 +171,34 @@ def test_extender_matches_compose_closure(expr):
     assert any(mask != full and want[mask, g] == full for mask, g in want)
     assert any(1 < want[mask, g].bit_count() < M.n and mask != want[mask, g]
                for mask, g in want)
+    walk = smallgroup.walk_cosets
+    held = []  # (elements held, |H|, whether the walk ran to its end)
+
+    def spy(cosets, steps, seen, most):
+        done = walk(cosets, steps, seen, most)
+        held.append((sum(map(len, cosets)), len(cosets[0]), done))
+        return done
+
+    monkeypatch.setattr(smallgroup, "walk_cosets", spy)
     for G in (M, composing(expr)):
         for mask, gens in subs:
             extend = G.extender(mask, gens)
             assert [extend(g) for g in range(M.n)] == \
                 [want[mask, g] for g in range(M.n)]
+    assert any(not done for _, _, done in held)
+    for size, order, done in held:
+        assert 2 * size <= M.n
+        assert done or 2 * (size + order) > M.n
+
+
+def test_extender_comparison_reaches_index_two_and_three():
+    """Below a subgroup of index 2 or 3 one coset fits under n/2: the
+    comparison above meets the walk's stop at its boundary there."""
+    index = set()
+    for expr in EXTENDED:
+        M = build(expr).materialized()
+        index.update(M.n // s.order for s in subgroup_classes(M))
+    assert {2, 3} <= index
 
 
 @pytest.mark.parametrize("expr", [Sym(4), MatSL(3), Alt(5)], ids=str)
@@ -318,6 +347,34 @@ def test_only_the_columns_used_are_built():
     assert built() == want
     for j in sorted(want):
         assert list(M._cols[j]) == [compose_mul(M, i, j) for i in range(n)]
+
+
+def stored(M):
+    """The elements whose column the group holds."""
+    return {j for j, c in enumerate(M._cols) if c is not None}
+
+
+@pytest.mark.parametrize("expr", [Sym(6), MU24A5], ids=str)
+def test_all_subgroups_builds_no_column(expr):
+    """Each conjugate's generators are carried along the orbit walk by the
+    generators' conjugation maps: no transversal element's column."""
+    M = fresh(expr)
+    subgroup_classes(M)
+    M.conj_maps()
+    held = stored(M)
+    all_subgroups(M)
+    assert stored(M) == held
+
+
+def test_as_materialized_builds_no_column():
+    """The inner automorphisms are carried along each orbit walk by the
+    generators' conjugation maps: no transversal element's column."""
+    M = fresh(ProjSL(9))
+    aut = automorphism_group(M)
+    M.conj_maps()
+    held = stored(M)
+    aut.as_materialized()
+    assert stored(M) == held
 
 
 def test_sharpness_witness_queries_match_compose_path():
