@@ -65,7 +65,7 @@ from .lattice import (
     sweep_bound,
 )
 from .ledger import ClaimRecord, SkipClaim
-from .smallgroup import bits, coprime, current_caps, p_part
+from .smallgroup import bits, coprime, current_caps, materialize, p_part
 
 _REGISTRY: dict[str, ClaimRecord] = {}
 
@@ -852,21 +852,23 @@ def _prop_4_4_struct():
     m = psl.materialized()
     aut = automorphism_group(m)
     autm = aut.as_materialized()
-
-    def conj_map(g):
-        gi = pm.inverse(g)
-        return tuple(m.index[pm.compose(pm.compose(gi, m.perms[x]), g)]
-                     for x in range(m.n))
-
     pgl = build(ProjGL(9))
-    idx_pgl = [autm.index[conj_map(g)] for g in pgl.group.generators]
     F = pgl.parts["field"]
     frob_pts = tuple([F.pow(a, F.p) for a in range(F.q)] + [F.q])
-    frob = conj_map(frob_pts)
+    # PGammaL_2(F_9) on the 10 points; it conjugates PSL_2(F_9) into itself
+    pgam = materialize(pm.PermGroup(pgl.group.generators + [frob_pts], 10))
+    psl_in_pgam = [pgam.index[p] for p in m.perms]
+
+    def conj_by(g):
+        """The automorphism x -> g^-1 x g of PSL_2(F_9), as an index of autm."""
+        gi = pgam.index[g]
+        return autm.index[tuple(m.index[pgam.perms[pgam.conj(x, gi)]]
+                                for x in psl_in_pgam)]
+
+    idx_pgl = list(map(conj_by, pgl.group.generators))
     actual = {
         "pgl_conjugations": autm.close(idx_pgl).bit_count(),
-        "with_frobenius":
-            autm.close(idx_pgl + [autm.index[frob]]).bit_count(),
+        "with_frobenius": autm.close(idx_pgl + [conj_by(frob_pts)]).bit_count(),
     }
     index2 = [s for s in normal_subgroups(autm) if s.order == 720]
     actual["index2_normal_subgroups"] = len(index2)

@@ -463,41 +463,13 @@ def ea_action_perm(Nmat: MaterializedGroup, p: int, m: int, f):
     return tuple(enc[f(_ea_vector(Nmat, x, p, m))] for x in range(Nmat.n))
 
 
-def _verify_action(Nmat: MaterializedGroup, h_handle: GroupHandle, action_perms):
-    """Check every action perm is an automorphism of N and that generator
-    images extend to a homomorphism H -> Aut(N) (materialized word check)."""
-    n = Nmat.n
-    for alpha in action_perms:
-        if alpha[0] != 0:
-            raise ActionError("action does not fix the identity")
-        for g in Nmat.gens:
-            ag = alpha[g]
-            for x in range(n):
-                if alpha[Nmat.mul(x, g)] != Nmat.mul(alpha[x], ag):
-                    raise ActionError("action perm is not an automorphism")
-    genmap = {}
-    for hperm, alpha in zip(h_handle.group.generators, action_perms):
-        if genmap.setdefault(hperm, alpha) != alpha:
-            raise ActionError("conflicting images for equal generators")
-    Hm = h_handle.materialized()
-    ident = tuple(range(n))
-    img = {0: ident}
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        ax = img[x]
-        for gidx in Hm.gens:
-            alpha = genmap[Hm.perms[gidx]]
-            y = Hm.mul(x, gidx)
-            ay = pm.compose(ax, alpha)
-            if y in img:
-                if img[y] != ay:
-                    raise ActionError("action is not a homomorphism on H")
-            else:
-                img[y] = ay
-                queue.append(y)
+def _regular_n(n_handle: GroupHandle) -> MaterializedGroup:
+    """N materialized, for N x| H to act on N's elements: N's order is that
+    permutation degree, refused above MAX_DEGREE before N is materialized."""
+    if n_handle.order > MAX_DEGREE:
+        raise BuildError(f"N of order {n_handle.order} would act on more "
+                         f"than {MAX_DEGREE} points")
+    return n_handle.materialized()
 
 
 def semidirect_by_automorphisms(n_handle: GroupHandle, h_handle: GroupHandle,
@@ -505,27 +477,44 @@ def semidirect_by_automorphisms(n_handle: GroupHandle, h_handle: GroupHandle,
     """N x| H on the disjoint union of N's elements and H's domain.
 
     action_perms[i] is the permutation of N's materialized element indices
-    by which the i-th generator of H acts.
+    by which the i-th generator of H acts.  Each is checked to be an
+    automorphism of N: it fixes the identity, is a bijection and is
+    multiplicative on N's generators.  The lifts of H's generators then
+    normalize N's right regular copy R, and the group K they generate
+    fixes N's identity, so K meets R trivially.  K maps onto H with a
+    kernel of automorphisms of N, and <R, K> = RK has order
+    |N| |H| |kernel|: it has order |N||H| exactly when every relator of H
+    acts trivially, that is, when the images extend to a homomorphism
+    H -> Aut(N).  That order test is the one proof of the homomorphism; H
+    is neither materialized nor walked.
     """
-    Nmat = n_handle.materialized()
+    Nmat = _regular_n(n_handle)
+    n = Nmat.n
     max_order = current_caps().max_order
-    if Nmat.n * h_handle.order > max_order:
+    if n * h_handle.order > max_order:
         raise CapExceeded(
-            f"semidirect order {Nmat.n * h_handle.order} exceeds cap {max_order}")
+            f"semidirect order {n * h_handle.order} exceeds cap {max_order}")
     action_perms = [tuple(a) for a in action_perms]
     if len(action_perms) != len(h_handle.group.generators):
         raise ActionError("one action perm per H generator required")
-    _verify_action(Nmat, h_handle, action_perms)
-    dn, dh = Nmat.n, h_handle.degree
-    d = dn + dh
-    idpart = list(range(dn, d))
-    ngens = [tuple(Nmat.right_map(g) + idpart) for g in Nmat.gens]
-    hgens = []
-    for alpha, hperm in zip(action_perms, h_handle.group.generators):
-        hgens.append(tuple(list(alpha) + [dn + hperm[i] for i in range(dh)]))
-    pg = PermGroup(ngens + hgens, d)
-    if pg.order() != Nmat.n * h_handle.order:
-        raise ActionError("semidirect product is not faithful")
+    every = list(range(n))
+    for alpha in action_perms:
+        if alpha[0] != 0:
+            raise ActionError("action does not fix the identity")
+        if sorted(alpha) != every:
+            raise ActionError("action perm is not a bijection of N")
+        for g in Nmat.gens:
+            cg, cag = Nmat.column(g), Nmat.column(alpha[g])
+            if any(alpha[cg[x]] != cag[alpha[x]] for x in every):
+                raise ActionError("action perm is not an automorphism")
+    dh = h_handle.degree
+    idpart = list(range(n, n + dh))
+    ngens = [tuple(list(Nmat.column(g)) + idpart) for g in Nmat.gens]
+    hgens = [tuple(list(alpha) + [n + i for i in hperm])
+             for alpha, hperm in zip(action_perms, h_handle.group.generators)]
+    pg = PermGroup(ngens + hgens, n + dh)
+    if pg.order() != n * h_handle.order:
+        raise ActionError("action is not a homomorphism H -> Aut(N)")
     return GroupHandle(pg, name=name, parts={
         "normal_gens": tuple(ngens),
         "complement_gens": tuple(hgens),
@@ -592,7 +581,7 @@ def _by_automorphisms(action_perms):
     action_perms(N, H, act, N materialized, the handle of H)."""
     def build_semi(n_expr, h_expr, act):
         n, h = build(n_expr), build(h_expr)
-        perms = action_perms(n_expr, h_expr, act, n.materialized(), h)
+        perms = action_perms(n_expr, h_expr, act, _regular_n(n), h)
         built = semidirect_by_automorphisms(n, h, perms)
         return built.group, built.parts
 
@@ -716,6 +705,7 @@ def _build_hsl23():
 # --------------------------------------------------------------------------
 # the grammar: one table for parse_expr, to_src and build
 
+MAX_DEGREE = 64  # most points an atom, or a semi's regular N, acts on
 MAX_NESTING = 32  # prod/swapsq/semi levels around an atom; deeper is refused
 MAX_DIGITS = 20  # longest integer literal; a longer one is refused
 MAX_ECHO = 60  # longest piece of the source an error message repeats
@@ -733,7 +723,7 @@ def _between(lo, hi):
 
 
 def _elem_ab_limits(p, m):
-    if m < 1 or p * m > 64:
+    if m < 1 or p * m > MAX_DEGREE:
         return "rank out of range"
     return None if is_prime(p) else f"{p} is not prime"
 
@@ -747,7 +737,7 @@ def _field_limits(hi, why):
 def _pgroup_limits(n, cycles):
     """Degree 1..64, then each cycle string a permutation of that degree;
     the range comes first, so that a huge degree is never parsed."""
-    why = _between(1, 64)(n)
+    why = _between(1, MAX_DEGREE)(n)
     if why:
         return why
     for c in cycles:
@@ -781,7 +771,7 @@ class _Node:
 
 
 GRAMMAR = (
-    _Node(Cyc, "C", "n", _build_cyclic, _between(1, 64)),
+    _Node(Cyc, "C", "n", _build_cyclic, _between(1, MAX_DEGREE)),
     _Node(Dih, "D", "n", _build_dihedral, _between(2, 32)),
     _Node(Sym, "S", "n", _build_sym, _between(1, 8)),
     _Node(Alt, "A", "n", _build_alt, _between(1, 9)),

@@ -381,10 +381,6 @@ class MaterializedGroup:
         return list(map(c.__getitem__, map(inv.__getitem__,
                                            map(c.__getitem__, inv))))
 
-    def right_map(self, g: int) -> list:
-        """[i g for every element i]."""
-        return list(self.column(g))
-
     def element_order(self, i: int) -> int:
         """A class function: one cycle decomposition per conjugacy class."""
         if self._orders is None:

@@ -9,6 +9,7 @@ from grpverify.construct import (
     Cyc,
     Dih,
     ElemAb,
+    GroupHandle,
     H3,
     Hess,
     Hsl23,
@@ -28,8 +29,10 @@ from grpverify.construct import (
     matrix_to_projective_perm,
     parse_expr,
     projective_line,
+    semidirect_by_automorphisms,
     to_src,
 )
+from grpverify.perm import PermGroup
 from grpverify.smallgroup import CapExceeded, Caps, caps_scope
 
 
@@ -131,7 +134,7 @@ def aut_h3_reference():
     assert autmat.n == 432
     chosen = next(s for s in subgroup_classes(autmat) if s.order == 24
                   and is_isomorphic(sub_materialized(autmat, s), sl23))
-    gens = [tuple(m3.right_map(g)) for g in m3.gens]
+    gens = [tuple(m3.column(g)) for g in m3.gens]
     gens += [autmat.perms[i] for i in chosen.gens]
     return PermGroup(gens, 27)
 
@@ -226,6 +229,76 @@ def test_action_not_homomorphism_rejected():
     # inversion of C(5) has order 2, not dividing |C(3)|
     with pytest.raises(ActionError):
         build(Semi(Cyc(5), Cyc(3), Action("inv")))
+
+
+# C(5) materialized indexes its elements by exponent, so an action perm of
+# C(5) is the map of exponents
+C5_IDENTITY, C5_INVERSION = (0, 1, 2, 3, 4), (0, 4, 3, 2, 1)
+
+
+def c5_by(h, *images):
+    return semidirect_by_automorphisms(build(Cyc(5)), h, images)
+
+
+def c5_by_c2_twice():
+    """C(5) by a group whose two generators are one involution, sent to
+    inversion and to the identity."""
+    g = (1, 0, 2, 3)
+    h = GroupHandle(PermGroup([g, g], 4), {})
+    return c5_by(h, C5_INVERSION, C5_IDENTITY)
+
+
+REFUSED_ACTIONS = [
+    ("translation", lambda: c5_by(build(Cyc(2)), (1, 2, 3, 4, 0)),
+     "does not fix the identity"),
+    ("singular-zero", lambda: build(parse_expr(
+        "semi(EA(2,2),C(2),explicit[0,0,0,0])")), "not a bijection"),
+    ("singular-ones", lambda: build(parse_expr(
+        "semi(EA(2,2),C(2),explicit[1,1,1,1])")), "not a bijection"),
+    ("bijection-not-automorphism",
+     lambda: c5_by(build(Cyc(2)), (0, 2, 1, 3, 4)), "not an automorphism"),
+    ("order-4-by-C2", lambda: c5_by(build(Cyc(2)), (0, 2, 4, 1, 3)),
+     "not a homomorphism"),
+    ("conflicting-images", c5_by_c2_twice, "not a homomorphism"),
+]
+
+
+@pytest.mark.parametrize("make, reason", [r[1:] for r in REFUSED_ACTIONS],
+                         ids=[r[0] for r in REFUSED_ACTIONS])
+def test_semidirect_by_automorphisms_refuses(make, reason):
+    with pytest.raises(ActionError, match=reason):
+        make()
+
+
+def test_inversion_of_c5_by_c2_is_dihedral():
+    h = c5_by(build(Cyc(2)), C5_INVERSION)
+    assert h.order == 10
+    assert not h.materialized().is_abelian()
+
+
+def test_semidirect_build_leaves_h_unmaterialized(monkeypatch):
+    from grpverify import construct
+
+    monkeypatch.setattr(construct, "_CACHE", {})  # build it, not a cached one
+    assert build(Semi(Cyc(7), Cyc(3), Action("explicit", (2,)))).order == 21
+    assert build(Cyc(3))._mat is None
+    assert build(Cyc(7))._mat is not None
+
+
+def test_semidirect_by_automorphisms_refuses_n_above_degree_64(monkeypatch):
+    """EA(2,14) would act on its 16384 elements: refused before it is
+    materialized."""
+    from grpverify import construct
+
+    def refuse(self):
+        raise AssertionError(f"{self.name} materialized")
+
+    monkeypatch.setattr(construct, "_CACHE", {})  # keep EA(2,14) out of it
+    monkeypatch.setattr(GroupHandle, "materialized", refuse)
+    identity = ",".join("1" if i % 15 == 0 else "0" for i in range(14 * 14))
+    expr = parse_expr(f"semi(EA(2,14),C(2),explicit[{identity}])")
+    with pytest.raises(BuildError, match="16384 would act on more than 64"):
+        build(expr)
 
 
 def test_no_nontrivial_action_rejected():

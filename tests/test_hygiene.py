@@ -407,7 +407,6 @@ def test_engine_bindings_read_imports_attributes_and_spans():
 
 
 COMPOSING_CLASS = "_ComposedColumn"
-GROUP_MODULES = ("smallgroup.py", "lattice.py", "autmorph.py")
 
 
 def compose_calls(source):
@@ -433,9 +432,11 @@ def compose_calls(source):
 
 
 def test_only_the_composed_column_composes():
-    found = sorted(f"{name}:{line} in {cls}"
-                   for name in GROUP_MODULES
-                   for line, cls in compose_calls((PACKAGE / name).read_text())
+    """Outside perm.py, whose PermGroup sifts by composing, only
+    _ComposedColumn composes two permutations."""
+    found = sorted(f"{path.name}:{line} in {cls}"
+                   for path in PACKAGE.glob("*.py") if path.name != "perm.py"
+                   for line, cls in compose_calls(path.read_text())
                    if cls != COMPOSING_CLASS)
     assert found == [], "compose outside " + COMPOSING_CLASS + ": " \
         + ", ".join(found)

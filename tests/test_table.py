@@ -129,7 +129,6 @@ def test_table_matches_compose_path(expr):
             col = G.column(j)
             assert [col[i] for i in every] == \
                 [compose_mul(M, i, j) for i in every]
-            assert G.right_map(j) == [compose_mul(M, i, j) for i in every]
             assert G.conj_map(j) == [compose_conj(M, i, j) for i in every]
         assert [G.close(s) for s in gen_sets] == closes
         assert [G.centralizer(s) for s in gen_sets] == cents
