@@ -169,6 +169,14 @@ def cmd_verify(args) -> int:
     return 1 if summary(results)["fail"] else 0
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one (taskset narrows it), else the logical cores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="grpverify",
@@ -183,8 +191,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     v.add_argument("--claim", action="append", default=[],
                    help="claim id (repeatable)")
     v.add_argument("--filter", default=None, help="glob over claim ids")
-    v.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel claim processes (default: logical cores)")
+    v.add_argument("--jobs", type=int, default=usable_cores(),
+                   help="parallel claim processes (default: the cores this "
+                   "process may run on)")
     v.add_argument("--timeout", type=float, default=0.0,
                    help="per-claim timeout in seconds (0 = none)")
     v.add_argument("--json", default=None, help="write the JSON report here")

@@ -4,14 +4,19 @@ A claim couples hard-coded expected values (exact rationals and integers,
 stored as strings) with a runner that recomputes them from scratch.  The
 engine compares expected against actual key by key; claims fail with a
 concrete witness, are skipped with a reason on cap or timeout, and are
-otherwise independent of each other: `run` gives every claim a forked
-process of its own, and kills one that outlives its timeout.
+otherwise independent of each other: `run` gives every claim a process of
+its own, forked with `os.fork`, which sends its result back as a pickle
+over a pipe; the parent kills one that outlives its timeout.  While claims
+run, the parent's heap is frozen (`gc.freeze`), so that a child's garbage
+collections do not walk, and so copy, the parent's objects.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from fnmatch import fnmatch
@@ -120,10 +125,22 @@ def run_claim(record: ClaimRecord) -> ClaimResult:
     return _result(record, "fail", actual, full, t0)
 
 
-def _claim_process(record, conn):
-    """Run one claim in its own forked process and send back its result."""
-    conn.send(run_claim(record))
-    conn.close()
+def _claim_process(record, r, w):
+    """Run one claim in this forked process, write its pickled result to
+    the pipe w and exit; never returns."""
+    import pickle  # run imported it before the fork
+
+    code = 1  # any exception, KeyboardInterrupt included, exits 1
+    try:
+        os.close(r)
+        result = pickle.dumps(run_claim(record))
+        with open(w, "wb") as out:
+            out.write(result)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def select_claims(records, ids=None, pattern: str | None = None):
@@ -137,65 +154,82 @@ def run(records, jobs: int = 1, timeout: float | None = None) -> list[ClaimResul
     """Run each claim in a forked process of its own, at most jobs at a
     time; results in claim-id order.
 
-    A claim's process inherits the active caps and runs it with run_claim.
-    With a timeout, a process still running timeout seconds after it
-    started is killed and its claim skipped with that reason.  A process
-    that dies before it reports (killed by a signal, say) makes its claim a
-    fail; the other claims still run.
+    A claim's process inherits the active caps, runs it with run_claim and
+    writes its pickled result to a pipe.  With a timeout, a process still
+    running timeout seconds after it started is killed and its claim
+    skipped with that reason.  A process that ends without a result
+    (killed by a signal, say) makes its claim a fail; the other claims
+    still run.
     """
     check_timeout(timeout)
     # imported here: the CLI's start-up does without them
-    from multiprocessing import get_context
-    from multiprocessing.connection import wait
+    import gc
+    import pickle
+    import selectors
 
-    # fork: a child starts from the parent's imports and needs no pickling
-    # of the record, whose runner may be any function
-    ctx = get_context("fork")
     pending = sorted(records, key=lambda r: r.id, reverse=True)
-    running = {}  # result pipe -> (process, record, start time)
+    running = {}  # result pipe -> (pid, record, start time, chunks read)
     results = []
+    ready = selectors.DefaultSelector()
+    # a child starts from the parent's buffers and heap: empty the one,
+    # and freeze the other, so that no collection in a child walks (and
+    # so copies) the parent's objects
+    sys.stdout.flush()
+    sys.stderr.flush()
+    gc.freeze()
     try:
         while pending or running:
             while pending and len(running) < max(jobs, 1):
                 record = pending.pop()
-                reader, writer = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_claim_process, args=(record, writer))
-                proc.start()
-                writer.close()
-                running[reader] = (proc, record, time.monotonic())
+                r, w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _claim_process(record, r, w)
+                os.close(w)
+                ready.register(r, selectors.EVENT_READ)
+                running[r] = (pid, record, time.monotonic(), [])
             left = None
             if timeout:
-                first = min(t0 for _, _, t0 in running.values())
-                # poll() waits at most 2**31 - 1 ms: a longer wait is cut
+                first = min(t0 for _, _, t0, _ in running.values())
+                # epoll waits at most 2**31 - 1 ms: a longer wait is cut
                 # short and taken up again on the next pass
                 left = min(max(first + timeout - time.monotonic(), 0), 1e6)
-            for reader in wait(list(running), left):
-                proc, record, t0 = running.pop(reader)
-                try:
-                    results.append(reader.recv())
-                except EOFError:  # the process ended without a result
-                    proc.join()
-                    results.append(_died(record, proc.exitcode, t0))
-                reader.close()
-                proc.join()
-            for reader, (proc, record, t0) in list(running.items()):
+            for key, _ in ready.select(left):
+                pid, record, t0, chunks = running[key.fd]
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                del running[key.fd]  # end of file: the process exits
+                ready.unregister(key.fd)
+                os.close(key.fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code == 0 and chunks:
+                    results.append(pickle.loads(b"".join(chunks)))
+                else:
+                    results.append(_died(record, code, t0))
+            for r, (pid, record, t0, _) in list(running.items()):
                 if timeout and time.monotonic() - t0 >= timeout:
                     results.append(_result(
                         record, "skip", {},
                         f"skipped (timeout after {timeout}s)", t0))
-                    del running[reader]
-                    _stop(proc, reader)
+                    del running[r]
+                    _stop(pid, r, ready)
     finally:  # interrupted: leave no claim process behind
-        for reader, (proc, _, _) in running.items():
-            _stop(proc, reader)
+        for r, (pid, _, _, _) in running.items():
+            _stop(pid, r, ready)
+        ready.close()
+        gc.unfreeze()
     return sorted(results, key=lambda r: r.id)
 
 
-def _stop(proc, reader):
-    """Kill proc if it still runs, reap it and close its result pipe."""
-    proc.kill()
-    proc.join()
-    reader.close()
+def _stop(pid, r, ready):
+    """Kill process pid if it still runs, reap it and close its result
+    pipe r."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    ready.unregister(r)
+    os.close(r)
 
 
 def _died(record, exitcode, t0) -> ClaimResult:

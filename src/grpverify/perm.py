@@ -187,18 +187,20 @@ class PermGroup:
                 ux = self._rep(lvl, x)
                 for s in (g,) if qi <= old else lvl.gens:
                     y = s[x]
+                    sux = compose(s, ux)
                     if y not in lvl.transversal:
-                        lvl.transversal[y] = compose(s, ux)
+                        lvl.transversal[y] = sux
                         orbit.append(y)
                     else:
+                        # the Schreier generator uy^-1 s ux is trivial
+                        # exactly when s ux = uy
                         uy = self._rep(lvl, y)
-                        schreier = compose(inverse(uy), compose(s, ux))
-                        if not is_identity(schreier):
-                            stack.append((i + 1, schreier))
+                        if sux != uy:
+                            stack.append((i + 1, compose(inverse(uy), sux)))
 
     def _sift_from(self, i, g):
         """Reduce g through levels >= i; return the residue or None."""
-        while not is_identity(g):
+        while g != self._id:
             if i >= len(self._levels):
                 return g
             lvl = self._levels[i]

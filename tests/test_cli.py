@@ -402,6 +402,20 @@ def test_cap_flag_defaults_are_the_engine_caps(argv):
     assert parsed == Caps()
 
 
+def test_jobs_default_to_the_cores_this_process_may_run_on(monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert build_arg_parser().parse_args(["verify", "--all"]).jobs == 3
+    # where the platform has no affinity, the logical cores
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert build_arg_parser().parse_args(["verify", "--all"]).jobs == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_arg_parser().parse_args(["verify", "--all"]).jobs == 1
+
+
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
     from grpverify import claims as claims_mod
 

@@ -22,6 +22,9 @@ inside functions included.
 No module installs a signal handler or sets a signal timer: the parent
 process enforces each claim's deadline by killing the claim's process.
 
+No module imports multiprocessing: `ledger.run` forks each claim's process
+and reads its result from a pipe itself.
+
 In the group modules (smallgroup, lattice, autmorph) a permutation
 `compose` is called only inside `_ComposedColumn`: every product is read
 from a column.  No module but smallgroup touches a group's stored columns
@@ -29,6 +32,7 @@ or its breadth-first tree: the rest read products through `column`.
 """
 
 import ast
+import os
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -333,6 +337,50 @@ def test_signal_setters_read_module_and_imported_calls():
                "os.kill(pid, signal.SIGKILL)\n")
     assert list(signal_setters(snippet)) == [
         "signal.signal", "signal.setitimer", "later"]
+
+
+def imported_modules(source):
+    """The dotted name of every module the source imports, those imported
+    inside functions included; a relative import gives its dots."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def test_no_module_imports_multiprocessing():
+    found = sorted(f"{path.relative_to(ROOT)}: {mod}"
+                   for path in (ROOT / "src").rglob("*.py")
+                   for mod in imported_modules(path.read_text())
+                   if mod.split(".")[0] == "multiprocessing")
+    assert found == []
+
+
+def test_imported_modules_read_plain_from_and_lazy_imports():
+    snippet = ("import os, multiprocessing.connection as mc\n"
+               "from multiprocessing import get_context\n"
+               "from . import ledger\n"
+               "def run():\n"
+               "    import multiprocessing\n"
+               "    from .smallgroup import Caps\n")
+    assert list(imported_modules(snippet)) == [
+        "os", "multiprocessing.connection", "multiprocessing", ".",
+        "multiprocessing", ".smallgroup"]
+
+
+def test_verify_runs_without_multiprocessing():
+    import subprocess
+    import sys
+
+    probe = ("import sys\n"
+             "from grpverify.cli import main\n"
+             "code = main(['verify', '--claim', 'SHARP-D10'])\n"
+             "print(code, 'multiprocessing' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.splitlines()[-1] == "0 False", out.stderr
 
 
 BENCH_SOURCES = sorted((ROOT / "perfbench").glob("*.py")) \

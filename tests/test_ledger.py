@@ -204,7 +204,7 @@ def test_timeout_off_the_main_thread_works():
 
 
 def test_the_longest_timeout_is_kept():
-    # a wait longer than poll() takes is cut into slices
+    # a wait longer than epoll takes is cut into slices
     fast = ClaimRecord("FAST", "", "test", {"x": "1"}, lambda: ({"x": 1}, ""))
     assert [r.status for r in run([fast], timeout=1e9)] == ["pass"]
 
@@ -278,7 +278,8 @@ def test_dead_worker_fails_its_claim_and_the_run_finishes(jobs):
         os.kill(os.getpid(), signal.SIGKILL)
 
     killed = ClaimRecord("KILLED", "", "test", {"x": "1"}, die)
-    records = [get_claim("EX-2.8"), killed, get_claim("SHARP-CHAR2")]
+    quits = ClaimRecord("QUITS", "", "test", {"x": "1"}, lambda: os._exit(3))
+    records = [get_claim("EX-2.8"), killed, quits, get_claim("SHARP-CHAR2")]
 
     def hung(signum, frame):
         raise TimeoutError("run() did not return after a worker died")
@@ -293,7 +294,56 @@ def test_dead_worker_fails_its_claim_and_the_run_finishes(jobs):
     by_id = {r.id: r for r in results}
     assert by_id["KILLED"].status == "fail"
     assert by_id["KILLED"].witness == f"worker died: signal {int(signal.SIGKILL)}"
+    assert by_id["QUITS"].status == "fail"
+    assert by_id["QUITS"].witness == "worker died: exit code 3"
     assert by_id["EX-2.8"].status == by_id["SHARP-CHAR2"].status == "pass"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_large_witness_comes_back_intact(jobs):
+    # 3 MB: many times what a pipe holds, so the child writes while the
+    # parent reads
+    witness = "".join(f"{i:07d}" for i in range(3 * 10**6 // 7))
+    big = ClaimRecord("BIG", "", "test", {"x": "1"}, lambda: ({"x": 1}, witness))
+    results = run([big, replace(get_claim("EX-2.8"), id="TAIL")], jobs=jobs)
+    assert [(r.id, r.status) for r in results] == [("BIG", "pass"),
+                                                   ("TAIL", "pass")]
+    assert results[0].witness == witness
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_claim_process_outlives_its_run():
+    killed = ClaimRecord("KILLED", "", "test", {"x": "1"},
+                         lambda: os.kill(os.getpid(), signal.SIGKILL))
+    results = run([killed, STUCK, get_claim("SHARP-D10")], jobs=2, timeout=1)
+    assert [r.status for r in results] == ["fail", "pass", "skip"]
+    assert_no_child_left()
+
+
+def test_an_interrupted_run_leaves_no_claim_process(monkeypatch):
+    import gc
+    import selectors
+
+    def interrupt(selector, timeout=None):
+        raise KeyboardInterrupt
+
+    # raised at the first wait, when STUCK has been forked and runs
+    monkeypatch.setattr(selectors.DefaultSelector, "select", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run([STUCK], timeout=60)
+    assert_no_child_left()
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_heap_is_thawed_after_a_run():
+    import gc
+
+    run([get_claim("SHARP-D10")])
+    assert gc.get_freeze_count() == 0
 
 
 def test_skip_has_reason():

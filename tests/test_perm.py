@@ -3,10 +3,12 @@ import pytest
 from grpverify.perm import (
     DegreeError,
     PermGroup,
+    _Level,
     compose,
     cycles,
     identity,
     inverse,
+    is_identity,
     parse_cycles,
     perm_order,
 )
@@ -136,3 +138,75 @@ def test_random_generator_products_are_members():
 def test_empty_domain_rejected():
     with pytest.raises(DegreeError):
         PermGroup([], 0)
+
+
+class ReferenceChain(PermGroup):
+    """PermGroup with its chain built by the plain Schreier-Sims formula:
+    every Schreier generator uy^-1 s ux of a known point is composed in
+    full and sifted unless it is the identity."""
+
+    def _extend(self, i, g):
+        stack = [(i, g)]
+        while stack:
+            i, g = stack.pop()
+            g = self._sift_from(i, g)
+            if g is None:
+                continue
+            if i == len(self._levels):
+                moved = min(x for x in range(self.degree) if g[x] != x)
+                self._levels.append(_Level(moved))
+            lvl = self._levels[i]
+            lvl.gens.append(g)
+            orbit = list(lvl.transversal)
+            old = len(orbit)
+            qi = 0
+            while qi < len(orbit):
+                x = orbit[qi]
+                qi += 1
+                ux = self._rep(lvl, x)
+                for s in (g,) if qi <= old else lvl.gens:
+                    y = s[x]
+                    if y not in lvl.transversal:
+                        lvl.transversal[y] = compose(s, ux)
+                        orbit.append(y)
+                    else:
+                        uy = self._rep(lvl, y)
+                        schreier = compose(inverse(uy), compose(s, ux))
+                        if not is_identity(schreier):
+                            stack.append((i + 1, schreier))
+
+    def _sift_from(self, i, g):
+        while not is_identity(g):
+            if i >= len(self._levels):
+                return g
+            lvl = self._levels[i]
+            x = g[lvl.point]
+            if x not in lvl.transversal:
+                return g
+            g = compose(inverse(self._rep(lvl, x)), g)
+            i += 1
+        return None
+
+
+def chain(group):
+    """Each level's base point, transversal (keys in order, with values)
+    and strong generators."""
+    return [(lvl.point, list(lvl.transversal.items()), lvl.gens)
+            for lvl in group._levels]
+
+
+CHAIN_GROUPS = ["PGL(2,23)", "A(8)", "WD(7)", "semi(EA(2,6),SL(2,8),linear)"]
+
+
+def test_chains_match_the_plain_schreier_sims_formula():
+    from grpverify.construct import build, parse_expr
+    from grpverify.smallgroup import Caps, caps_scope
+    from test_construct import CATALOG
+
+    exprs = [parse_expr(src) for src in CHAIN_GROUPS] + [e for e, _ in CATALOG]
+    with caps_scope(Caps(max_order=10**6)):  # WD(7) has order 322560
+        groups = [build(e).group for e in exprs]
+    groups += [PermGroup(gens, n) for seed in (1, 2)
+               for gens, n in random_generator_sets(seed)]
+    for g in groups:
+        assert chain(g) == chain(ReferenceChain(g.generators, g.degree)), g
