@@ -22,7 +22,8 @@ The search runs modulo inner automorphisms: the first generator's image is one
 representative r per conjugacy class, and every automorphism is c_x . a
 for exactly one map a found with a(g1) = r and one x per conjugate of r.
 So Aut(G) is kept as generators, the conjugations by G's generators and
-the maps found, and its order is counted from the search, not listed.  A
+the maps found, and its order is counted from the search, not listed; the
+search stops, refused, once the count passes the active max_order.  A
 subgroup is invariant under Aut(G) iff it is invariant under each
 generator, and its stabilizer is read off its orbit by smallgroup's
 `set_orbit` and `schreier_steps`, the walk that gives N(H) there.  Only
@@ -113,25 +114,30 @@ def _extend_map(M1, M2, gen_pairs, subgroup_size):
 
 
 def _search_isomorphisms(M1, M2, find_all):
-    """The isomorphisms found, as {r: maps a with a(g1) = r}.
+    """The isomorphisms found, as {r: maps a with a(g1) = r}, and their
+    count.
 
     c_x . a moves the image of the first generator g1 anywhere in its
     class, so the search fixes it to a class representative r of M2; every
     isomorphism is then c_x . a for exactly one map a found and one x per
-    conjugate of r.  Unless find_all, the search stops at the first map.
+    conjugate of r, and each map counts |class(r)|.  Unless find_all, the
+    search stops at the first map.  With find_all it raises CapExceeded as
+    soon as the count passes the active max_order: on M1 = M2 the count is
+    |Aut(G)|, a group that `as_materialized` builds, and nothing else
+    bounds the search's time and memory.
     """
     if M1.n != M2.n:
-        return {}
+        return {}, 0
     inv1 = _invariant_table(M1)
     inv2 = _invariant_table(M2)
     if sorted(inv1) != sorted(inv2):
-        return {}
+        return {}, 0
     by_key = {}
     for i, key in enumerate(inv2):
         by_key.setdefault(key, []).append(i)
     gens, spans = generating_sequence(M1)
     if not gens:  # trivial group
-        return {0: [[0]]}
+        return {0: [[0]]}, 1
     found = []
     # one key for every element but 1: G is elementary abelian, and the
     # screen could only reject c = a_i^+-1, which the span test skips
@@ -162,6 +168,9 @@ def _search_isomorphisms(M1, M2, find_all):
                 found.append(img)
                 if not find_all:
                     return True
+                if len(found) > room:
+                    raise CapExceeded(
+                        f"|Aut| exceeds materialization cap {cap}")
             elif dfs(level + 1, attempt, by_key[inv1[gens[level + 1]]], used):
                 return True
         return False
@@ -169,22 +178,26 @@ def _search_isomorphisms(M1, M2, find_all):
     results = {}
     trivial = bytes(M2.n)  # the image of <> is {1}, and r is not 1
     key = inv1[gens[0]]
+    cap = current_caps().max_order
+    count = 0
     for cls in M2.conjugacy_classes():
         r = cls[0]
         if inv2[r] != key:
             continue
+        room = (cap - count) // len(cls)  # the maps dfs may find for r
         done = dfs(0, [], [r], trivial)
         if found:
+            count += len(cls) * len(found)
             results[r] = found[:]
             found.clear()
         if done:
             break
-    return results
+    return results, count
 
 
 def find_isomorphism(M1: MaterializedGroup, M2: MaterializedGroup):
     """An isomorphism M1 -> M2 as an image list, or None."""
-    found = _search_isomorphisms(M1, M2, find_all=False)
+    found, _ = _search_isomorphisms(M1, M2, find_all=False)
     return next(iter(found.values()))[0] if found else None
 
 
@@ -304,12 +317,22 @@ class AutGroup:
         return out
 
 
-@cached_query("automorphism", "max_aut_order")
 def automorphism_group(M: MaterializedGroup) -> AutGroup:
-    found = {r: [tuple(a) for a in maps]
-             for r, maps in _search_isomorphisms(M, M, find_all=True).items()}
-    sizes = {cls[0]: len(cls) for cls in M.conjugacy_classes()}
-    order = sum(sizes[r] * len(maps) for r, maps in found.items())
+    """Aut(G), searched once per group.  Refused above the automorphism
+    cap, which bounds |G|, and, memo hits included, when |Aut(G)| passes
+    the active max_order, which the search itself stops at."""
+    aut = _automorphisms(M)
+    cap = current_caps().max_order
+    if aut.order > cap:
+        raise CapExceeded(
+            f"|Aut| {aut.order} exceeds materialization cap {cap}")
+    return aut
+
+
+@cached_query("automorphism", "max_aut_order")
+def _automorphisms(M: MaterializedGroup) -> AutGroup:
+    found, order = _search_isomorphisms(M, M, find_all=True)
+    found = {r: [tuple(a) for a in maps] for r, maps in found.items()}
     gens = dict.fromkeys(tuple(M.conj_map(g)) for g in M.gens)
     gens.update(dict.fromkeys(a for maps in found.values() for a in maps))
     gens.pop(tuple(range(M.n)), None)

@@ -1071,11 +1071,7 @@ def _ext_6_1():
 def _alpha_sq_commutes_with(m, fprime_mask):
     """Check: every alpha in the group has alpha^2 centralizing F'."""
     idx = list(bits(fprime_mask))
-    for a in range(m.n):
-        a2 = m.mul(a, a)
-        if any(m.mul(a2, x) != m.mul(x, a2) for x in idx):
-            return False
-    return True
+    return all(m.commute(idx, (m.mul(a, a),)) for a in range(m.n))
 
 
 @claim(
@@ -1193,8 +1189,7 @@ def _hypothesis_6_6(m, fsub, p):
         for alpha in range(m.n):
             if not cyc >> m.conj(lam, alpha) & 1:
                 continue
-            a2 = m.mul(alpha, alpha)
-            if m.mul(a2, lam) != m.mul(lam, a2):
+            if not m.commute((lam,), (m.mul(alpha, alpha),)):
                 return False
     return True
 

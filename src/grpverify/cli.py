@@ -43,9 +43,15 @@ MAX_P = 2**31  # -p is refused at or above this, before any primality test
 
 
 def _caps_from_args(args) -> Caps:
-    return Caps(max_order=args.max_order,
-                max_subgroup_order=args.max_subgroup_order,
-                max_aut_order=args.max_aut_order)
+    """The caps of the cap flags.  A cap below 1 refuses every group, and
+    would turn a whole run into skips, so it is a usage error."""
+    caps = {name: getattr(args, name) for name in
+            ("max_order", "max_subgroup_order", "max_aut_order")}
+    for name, value in caps.items():
+        if value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} {value}: must be at least 1")
+    return Caps(**caps)
 
 
 def _add_cap_flags(sub):

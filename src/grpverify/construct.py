@@ -1,19 +1,21 @@
 """Group expressions: their grammar, and a builder for every named group.
 
-Group expressions are small ASTs (cyclic, dihedral, symmetric, alternating,
-elementary abelian, Heisenberg, matrix and projective linear groups, Weyl
-group of type D, products, swap squares, semidirect products).  One table,
-GRAMMAR, gives each node its source name, the shape of its arguments, the
-limits on their values and its builder; parse_expr, to_src and build all
-read it, so the parser and build refuse the same values.  build() turns an
-expression into a GroupHandle: a permutation group plus cached
-materialization and bookkeeping about distinguished generator sets.
+A group expression (cyclic, dihedral, symmetric, alternating, elementary
+abelian, Heisenberg, matrix and projective linear groups, Weyl group of
+type D, products, swap squares, semidirect products) is an Expr: a row of
+the one table GRAMMAR and the row's arguments.  Each row gives its node's
+source name, the shape of its arguments, the limits on their values and
+its builder, and is the constructor of its expressions: Cyc(5) is the
+expression C(5).  parse_expr, to_src and build all read the table, so the
+parser and build refuse the same values.  build() turns an expression into
+a GroupHandle: a permutation group plus cached materialization and
+bookkeeping about distinguished generator sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 
 from . import perm as pm
 from .gf import Field, field_of_order, is_prime, is_prime_power
@@ -34,111 +36,6 @@ class ParseError(ValueError):
     def __init__(self, message, pos):
         super().__init__(f"syntax error at byte {pos}: {message}")
         self.pos = pos
-
-
-# --------------------------------------------------------------------------
-# expression AST
-
-
-@dataclass(frozen=True)
-class Cyc:
-    n: int
-
-
-@dataclass(frozen=True)
-class Dih:
-    n: int  # order 2n
-
-
-@dataclass(frozen=True)
-class Sym:
-    n: int
-
-
-@dataclass(frozen=True)
-class Alt:
-    n: int
-
-
-@dataclass(frozen=True)
-class ElemAb:
-    p: int
-    m: int
-
-
-@dataclass(frozen=True)
-class H3:
-    pass
-
-
-@dataclass(frozen=True)
-class Hess:
-    pass
-
-
-@dataclass(frozen=True)
-class Hsl23:
-    pass
-
-
-@dataclass(frozen=True)
-class MatGL:
-    q: int
-
-
-@dataclass(frozen=True)
-class MatSL:
-    q: int
-
-
-@dataclass(frozen=True)
-class ProjGL:
-    q: int
-
-
-@dataclass(frozen=True)
-class ProjSL:
-    q: int
-
-
-@dataclass(frozen=True)
-class PSL32:
-    pass
-
-
-@dataclass(frozen=True)
-class WeylD:
-    n: int
-
-
-@dataclass(frozen=True)
-class Prod:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class SwapSq:
-    e: object
-
-
-@dataclass(frozen=True)
-class Action:
-    kind: str  # swap|natperm|evenperm|quotperm|linear|inv|explicit
-    params: tuple = ()
-
-
-@dataclass(frozen=True)
-class Semi:
-    n: object
-    h: object
-    action: Action
-
-
-@dataclass(frozen=True)
-class PGroup:
-    n: int
-    cycles: tuple
 
 
 # --------------------------------------------------------------------------
@@ -404,9 +301,7 @@ def _even_sign_changes(m, perms):
 
 def _build_weyl_d(n):
     pg, parts = _even_sign_changes(n, _sym_gens(n))
-    import math
-
-    if pg.order() != 2 ** (n - 1) * math.factorial(n):
+    if pg.order() != 2 ** (n - 1) * factorial(n):
         raise AssertionError("WD(n) order wrong")
     return pg, parts
 
@@ -540,17 +435,17 @@ def _default_power_action(n, r):
 
 
 def _semi_swap(n_expr, h_expr, act):
-    if not (isinstance(n_expr, Prod) and n_expr.a == n_expr.b
+    if not (n_expr.node is Prod and n_expr.args[0] == n_expr.args[1]
             and h_expr == Cyc(2)):
         raise BuildError("swap action requires semi(prod(e,e),C(2),swap)")
-    return _build_swapsq(n_expr.a)
+    return _build_swapsq(n_expr.args[0])
 
 
 def _semi_natperm(n_expr, h_expr, act):
-    if not isinstance(n_expr, ElemAb):
+    if n_expr.node is not ElemAb:
         raise BuildError("natperm requires N = EA(p,m)")
     h = build(h_expr)
-    p, m = n_expr.p, n_expr.m
+    p, m = n_expr.args
     if h.degree != m:
         raise BuildError(f"natperm: H must act on {m} points")
     d = p * m
@@ -589,9 +484,9 @@ def _by_automorphisms(action_perms):
 
 
 def _quotperm_perms(n_expr, h_expr, act, Nmat, h):
-    if not isinstance(n_expr, ElemAb):
+    if n_expr.node is not ElemAb:
         raise BuildError("quotperm requires N = EA(p,m)")
-    p, m1 = n_expr.p, n_expr.m
+    p, m1 = n_expr.args
     m = h.degree
     if m1 != m - 1:
         raise BuildError(f"quotperm over {m} points requires N = EA({p},{m-1})")
@@ -611,13 +506,13 @@ def _quotperm_perms(n_expr, h_expr, act, Nmat, h):
 
 
 def _linear_perms(n_expr, h_expr, act, Nmat, h):
-    if not isinstance(n_expr, ElemAb):
+    if n_expr.node is not ElemAb:
         raise BuildError("linear action requires elementary abelian N")
     F = h.parts.get("field")
     mats = h.parts.get("matrices")
     if F is None or mats is None:
         raise BuildError("linear action requires a matrix group for H")
-    p, m = n_expr.p, n_expr.m
+    p, m = n_expr.args
     if F.p != p:
         raise BuildError("matrix group characteristic differs from N")
     nn = len(mats[0])
@@ -645,11 +540,11 @@ def _inv_perms(n_expr, h_expr, act, Nmat, h):
 
 
 def _explicit_perms(n_expr, h_expr, act, Nmat, h):
-    if not isinstance(h_expr, Cyc):
+    if h_expr.node is not Cyc:
         raise BuildError("explicit action requires cyclic H")
-    r, params = h_expr.n, act.params
-    if isinstance(n_expr, Cyc):
-        n = n_expr.n
+    (r,), params = h_expr.args, act.params
+    if n_expr.node is Cyc:
+        (n,) = n_expr.args
         if len(params) > 1:
             raise BuildError("explicit[k] takes one exponent for cyclic N")
         k = params[0] if params else _default_power_action(n, r)
@@ -657,8 +552,8 @@ def _explicit_perms(n_expr, h_expr, act, Nmat, h):
             raise BuildError(f"x -> x^{k} is not an order-dividing-{r} action on C({n})")
         # materialized C(n) indexes elements by exponent
         alpha = tuple(k * x % n for x in range(n))
-    elif isinstance(n_expr, ElemAb):
-        p, m = n_expr.p, n_expr.m
+    elif n_expr.node is ElemAb:
+        p, m = n_expr.args
         if len(params) != m * m:
             raise BuildError(f"explicit matrix for EA({p},{m}) needs {m*m} entries")
         F = field_of_order(p)
@@ -748,66 +643,111 @@ def _pgroup_limits(n, cycles):
     return None
 
 
+class Expr:
+    """A group expression: a row of GRAMMAR and the arguments it was called
+    with, as in Cyc(5) or Semi(Cyc(7), Cyc(3), Action("explicit")).  Two are
+    equal when node and arguments are; str() is the source text, repr() the
+    call with its arguments named, as in Cyc(n=5)."""
+
+    __slots__ = ("node", "args")
+
+    def __init__(self, node, args: tuple):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "args", args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("group expressions are immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return self.node is other.node and self.args == other.args
+
+    def __hash__(self):  # by the arguments alone; __eq__ tells C(2) from S(2)
+        return hash(self.args)
+
+    def __str__(self):
+        return to_src(self)
+
+    def __repr__(self):
+        named = (f"{f}={a!r}" for f, a in zip(self.node.fields, self.args))
+        return f"{self.node.call}({', '.join(named)})"
+
+
+@dataclass(frozen=True)
+class Action:
+    kind: str  # swap|natperm|evenperm|quotperm|linear|inv|explicit
+    params: tuple = ()
+
+
 class _Node:
-    """One production: the AST class, its source name, its argument shape
-    (one letter each: n an integer, e an expression, a an action, s any
-    number of cycle strings; a leading 2 is the dimension of a linear
-    group), the limits on the arguments (a function giving the reason to
-    refuse them, or None) and the builder, from the arguments to
-    (PermGroup, parts)."""
+    """One production of the grammar, and the constructor of its
+    expressions: Cyc(5) is Expr(Cyc, (5,)).  A row gives the call that
+    repr() writes (its name and argument names), the source name, the
+    argument shape (one letter each: n an integer, e an expression, a an
+    action, s any number of cycle strings; a leading 2 is the dimension of
+    a linear group), the builder, from the arguments to (PermGroup, parts),
+    and the limits on the arguments (a function giving the reason to refuse
+    them, or None)."""
 
-    __slots__ = ("cls", "name", "shape", "build", "limits")
+    __slots__ = ("call", "fields", "name", "shape", "build", "limits")
 
-    def __init__(self, cls, name, shape, build, limits=None):
-        self.cls, self.name, self.shape = cls, name, shape
+    def __init__(self, signature, name, shape, build, limits=None):
+        self.call, _, fields = signature.rstrip(")").partition("(")
+        self.fields = tuple(f.strip() for f in fields.split(",") if f.strip())
+        self.name, self.shape = name, shape
         self.build, self.limits = build, limits
 
-    def refusal(self, expr, args):
-        """The reason the grammar refuses expr, with arguments args, or None.
-        Range limits come before any primality test, so that a huge
-        parameter is refused at once."""
-        why = self.limits and self.limits(*args)
+    def __call__(self, *args) -> Expr:
+        if len(args) != len(self.fields):
+            raise TypeError(f"{self.call}() takes {len(self.fields)} "
+                            f"arguments ({len(args)} given)")
+        return Expr(self, args)
+
+    def __repr__(self):
+        return self.call
+
+    def refusal(self, expr: Expr):
+        """The reason the grammar refuses expr, or None.  Range limits come
+        before any primality test, so that a huge parameter is refused at
+        once."""
+        why = self.limits and self.limits(*expr.args)
         return why and f"{_excerpt(to_src(expr))}: {_excerpt(why)}"
 
 
-GRAMMAR = (
-    _Node(Cyc, "C", "n", _build_cyclic, _between(1, MAX_DEGREE)),
-    _Node(Dih, "D", "n", _build_dihedral, _between(2, 32)),
-    _Node(Sym, "S", "n", _build_sym, _between(1, 8)),
-    _Node(Alt, "A", "n", _build_alt, _between(1, 9)),
-    _Node(ElemAb, "EA", "nn", _build_elem_ab, _elem_ab_limits),
-    _Node(H3, "H3", "", _build_h3),
-    _Node(Hess, "HESS", "",
-          lambda: _build_semi(ElemAb(3, 2), MatSL(3), Action("linear"))),
-    _Node(Hsl23, "HSL23", "", _build_hsl23),
-    _Node(MatGL, "GL", "2n", lambda q: _build_matrix_group(q, special=False),
-          _field_limits(8, "vector action degree exceeds 63")),
-    _Node(MatSL, "SL", "2n", lambda q: _build_matrix_group(q, special=True),
-          _field_limits(8, "vector action degree exceeds 63")),
-    _Node(ProjGL, "PGL", "2n", lambda q: _build_projective(q, special=False),
-          _field_limits(61, "projective degree exceeds 64")),
-    _Node(ProjSL, "PSL", "2n", lambda q: _build_projective(q, special=True),
-          _field_limits(61, "projective degree exceeds 64")),
-    _Node(PSL32, "PSL(3,2)", "", _build_psl32),  # parsed as a PSL special case
-    _Node(WeylD, "WD", "n", _build_weyl_d, _between(2, 8)),
-    _Node(Prod, "prod", "ee", _build_prod),
-    _Node(SwapSq, "swapsq", "e", _build_swapsq),
-    _Node(Semi, "semi", "eea", _build_semi),
-    _Node(PGroup, "pgroup", "ns", _build_pgroup, _pgroup_limits),
-)
-_BY_CLASS = {node.cls: node for node in GRAMMAR}
+Cyc = _Node("Cyc(n)", "C", "n", _build_cyclic, _between(1, MAX_DEGREE))
+Dih = _Node("Dih(n)", "D", "n", _build_dihedral, _between(2, 32))  # order 2n
+Sym = _Node("Sym(n)", "S", "n", _build_sym, _between(1, 8))
+Alt = _Node("Alt(n)", "A", "n", _build_alt, _between(1, 9))
+ElemAb = _Node("ElemAb(p, m)", "EA", "nn", _build_elem_ab, _elem_ab_limits)
+H3 = _Node("H3()", "H3", "", _build_h3)
+Hess = _Node("Hess()", "HESS", "",
+             lambda: _build_semi(ElemAb(3, 2), MatSL(3), Action("linear")))
+Hsl23 = _Node("Hsl23()", "HSL23", "", _build_hsl23)
+MatGL = _Node("MatGL(q)", "GL", "2n",
+              lambda q: _build_matrix_group(q, special=False),
+              _field_limits(8, "vector action degree exceeds 63"))
+MatSL = _Node("MatSL(q)", "SL", "2n",
+              lambda q: _build_matrix_group(q, special=True),
+              _field_limits(8, "vector action degree exceeds 63"))
+ProjGL = _Node("ProjGL(q)", "PGL", "2n",
+               lambda q: _build_projective(q, special=False),
+               _field_limits(61, "projective degree exceeds 64"))
+ProjSL = _Node("ProjSL(q)", "PSL", "2n",
+               lambda q: _build_projective(q, special=True),
+               _field_limits(61, "projective degree exceeds 64"))
+# parsed as a PSL special case
+PSL32 = _Node("PSL32()", "PSL(3,2)", "", _build_psl32)
+WeylD = _Node("WeylD(n)", "WD", "n", _build_weyl_d, _between(2, 8))
+Prod = _Node("Prod(a, b)", "prod", "ee", _build_prod)
+SwapSq = _Node("SwapSq(e)", "swapsq", "e", _build_swapsq)
+Semi = _Node("Semi(n, h, action)", "semi", "eea", _build_semi)
+PGroup = _Node("PGroup(n, cycles)", "pgroup", "ns", _build_pgroup,
+               _pgroup_limits)
+
+GRAMMAR = (Cyc, Dih, Sym, Alt, ElemAb, H3, Hess, Hsl23, MatGL, MatSL, ProjGL,
+           ProjSL, PSL32, WeylD, Prod, SwapSq, Semi, PGroup)
 _BY_NAME = {node.name: node for node in GRAMMAR}
-
-
-def _node(expr) -> _Node:
-    node = _BY_CLASS.get(type(expr))
-    if node is None:
-        raise BuildError(f"unknown expression {expr!r}")
-    return node
-
-
-def _args(expr) -> list:
-    return [getattr(expr, field) for field in expr.__match_args__]
 
 
 def action_src(act: Action) -> str:
@@ -816,13 +756,13 @@ def action_src(act: Action) -> str:
     return act.kind
 
 
-def to_src(expr) -> str:
-    """Canonical textual form; reparses to an equal AST."""
-    node = _node(expr)
+def to_src(expr: Expr) -> str:
+    """Canonical textual form; reparses to an equal expression."""
+    node = expr.node
     if not node.shape:
         return node.name
     parts = ["2"] if node.shape[0] == "2" else []
-    for kind, arg in zip(node.shape.lstrip("2"), _args(expr)):
+    for kind, arg in zip(node.shape.lstrip("2"), expr.args):
         if kind == "s":
             parts += [f'"{c}"' for c in arg]
         else:
@@ -932,8 +872,8 @@ class _Parser:
                 return PSL32()
             if dim != 2:
                 self.error(f"{name} supports dimension 2 only", at)
-        expr = node.cls(*args)
-        why = node.refusal(expr, args)
+        expr = node(*args)
+        why = node.refusal(expr)
         if why:
             self.error(why, at)
         return expr
@@ -963,7 +903,7 @@ def parse_expr(src: str):
 _CACHE: dict = {}
 
 
-def build(expr) -> GroupHandle:
+def build(expr: Expr) -> GroupHandle:
     """The group of expr, cached by expr; refused above the active max_order.
 
     An expression not yet cached is first checked against the grammar's
@@ -971,11 +911,10 @@ def build(expr) -> GroupHandle:
     key = to_src(expr)
     handle = _CACHE.get(key)
     if handle is None:
-        node, args = _node(expr), _args(expr)
-        why = node.refusal(expr, args)
+        why = expr.node.refusal(expr)
         if why:
             raise BuildError(why)
-        pg, parts = node.build(*args)
+        pg, parts = expr.node.build(*expr.args)
         handle = _CACHE[key] = GroupHandle(pg, expr=expr, parts=parts)
     max_order = current_caps().max_order
     if handle.order > max_order:

@@ -135,13 +135,9 @@ def normal_abelian_subgroups(M: MaterializedGroup) -> list[Sub]:
     classes whose representative commutes with its whole class, a join
     closed only when its generators commute.  Each is the Sub that
     `normal_subgroups` gives for its mask, generators included."""
-
-    def commute(ga, gb):
-        return all(M.conj(x, y) == x for y in gb for x in ga)
-
-    # conj(x, r) reads r's column only; r*x == x*r would build x's too
-    seeds = [c for c in M.conjugacy_classes() if commute(c, c[:1])]
-    return _sorted_subs(normal_joins(M, seeds, commute))
+    # commute reads r's column only; r*x == x*r would build x's too
+    seeds = [c for c in M.conjugacy_classes() if M.commute(c, c[:1])]
+    return _sorted_subs(normal_joins(M, seeds, M.commute))
 
 
 @cached_query("subgroup-sweep", "max_subgroup_order")

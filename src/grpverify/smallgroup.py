@@ -369,6 +369,11 @@ class MaterializedGroup:
         inv = self._inv
         return c[inv[c[inv[i]]]]
 
+    def commute(self, xs, ys) -> bool:
+        """True iff every x in xs commutes with every y in ys, tested as
+        conj(x, y) == x: only the columns of ys are read."""
+        return all(self.conj(x, y) == x for y in ys for x in xs)
+
     def commutator(self, i: int, j: int) -> int:
         """i^-1 j^-1 i j = ((j i)^-1 i) j."""
         ci = self.column(i)
@@ -550,11 +555,7 @@ class MaterializedGroup:
 
     def is_abelian_set(self, gen_indices) -> bool:
         gl = list(gen_indices)
-        for i, a in enumerate(gl):
-            for b in gl[i + 1 :]:
-                if self.mul(a, b) != self.mul(b, a):
-                    return False
-        return True
+        return all(self.commute(gl[:i], (y,)) for i, y in enumerate(gl))
 
     def is_abelian(self) -> bool:
         return self.is_abelian_set(self.gens)

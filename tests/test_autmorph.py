@@ -361,6 +361,26 @@ def test_aut_generators_have_the_counted_order(src):
     assert len(set(aut.gens)) == len(aut.gens)
 
 
+def test_aut_order_is_refused_above_max_order_whatever_ran_before():
+    """|Aut(EA(2,4))| = 20160: searched at max_order 20160, refused one
+    below it, by the search and by a memo hit alike."""
+    h = build(ElemAb(2, 4))
+
+    def fresh():  # nothing memoized
+        return MaterializedGroup(h.group.generators, h.degree)
+
+    with caps_scope(Caps(max_order=20160)):
+        assert automorphism_group(fresh()).order == 20160
+    m = fresh()
+    with caps_scope(Caps(max_order=20159)):
+        with pytest.raises(CapExceeded, match="^[|]Aut[|] exceeds"):
+            automorphism_group(m)
+    assert automorphism_group(m).order == 20160
+    with caps_scope(Caps(max_order=20159)):
+        with pytest.raises(CapExceeded, match="20160 exceeds materialization"):
+            automorphism_group(m)
+
+
 def test_every_extended_candidate_passes_the_product_screen(monkeypatch):
     """An isomorphism keeps the order and class size of g_i g and of
     g_i^-1 g for earlier generators g_i, so a candidate image c of g is

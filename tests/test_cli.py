@@ -257,6 +257,44 @@ def test_cap_flags_bound_every_claim(capsys):
     assert "exceeds automorphism cap 10" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "SHARP-D10", "--jobs", "1"],
+    ["analyze", "C(5)", "-p", "5"],
+    ["subgroups", "C(5)"],
+    ["aut", "C(5)"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flag", ["--max-order", "--max-subgroup-order",
+                                  "--max-aut-order"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cap_flags_below_one_are_refused_before_anything_runs(
+        argv, flag, value, capsys):
+    rc = main([*argv, flag, value])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert f"{flag} {value}: must be at least 1" in err
+    assert out == ""  # no claim ran, no group was built
+
+
+def test_aut_search_stops_at_the_order_cap():
+    """|Aut(EA(2,5))| = |GL(5,2)| is about 10^7; the search counts the
+    automorphisms it finds and stops once they pass --max-order, instead
+    of listing them all."""
+    import os
+    import subprocess
+    import sys
+
+    import grpverify
+
+    src = os.path.dirname(os.path.dirname(grpverify.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grpverify.cli", "aut", "EA(2,5)",
+         "--max-order", "1000"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"|Aut| exceeds materialization cap 1000" in proc.stderr
+
+
 def test_build_error_exit_code(capsys):
     assert main(["aut", "semi(EA(3,3),S(4),natperm)"]) == 2
     assert "act on 3 points" in capsys.readouterr().err

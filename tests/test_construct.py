@@ -9,6 +9,8 @@ from grpverify.construct import (
     Cyc,
     Dih,
     ElemAb,
+    Expr,
+    GRAMMAR,
     GroupHandle,
     H3,
     Hess,
@@ -183,7 +185,7 @@ def test_semi_contains_normal_part_with_right_quotient():
     for expr, n_expr, h_expr in cases:
         h = build(expr)
         n_want = build(n_expr)
-        assert h.order == n_want.order * build(expr.h).order
+        assert h.order == n_want.order * build(expr.args[1]).order
         m = h.materialized()
         nsub = h.sub("normal_gens")
         assert nsub.order == n_want.order
@@ -427,12 +429,47 @@ def test_gf2_pgl_is_s3():
 
 
 def test_to_src_round_trip_via_equality():
+    """One expression of every grammar node, at least: each is an Expr, its
+    source reparses to an equal expression that hashes alike, str() is that
+    source, and unequal expressions have different sources."""
     exprs = [e for e, _ in CATALOG] + [
+        Hess(), Hsl23(), PGroup(4, ("(1 2 3 4)", "(1 3)")),
         Semi(ElemAb(2, 4), PGroup(5, ("(1 2 3 4 5)", "(2 5)(3 4)")), Action("evenperm")),
         Semi(Cyc(7), Cyc(3), Action("explicit")),
         Semi(ElemAb(3, 2), Cyc(8), Action("explicit", (0, 1, 1, 1))),
     ]
+    assert {e.node for e in exprs} == set(GRAMMAR)
+    assert {type(e) for e in exprs} == {Expr}
     seen = {}
     for e in exprs:
         src = to_src(e)
         assert seen.setdefault(src, e) == e
+        assert str(e) == src
+        again = parse_expr(src)
+        assert again == e and hash(again) == hash(e)
+
+
+def test_expressions_are_equal_by_node_and_arguments():
+    assert Cyc(2) == Cyc(2) and Cyc(2) != Sym(2) and Cyc(2) != Cyc(3)
+    assert len({Cyc(2), Sym(2), Cyc(2)}) == 2
+    assert ProjGL(23) != "PGL(2,23)"
+    with pytest.raises(AttributeError):
+        Cyc(2).args = (3,)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Cyc(), lambda: Cyc(2, 3), lambda: ElemAb(2), lambda: H3(1),
+    lambda: PSL32(2), lambda: Semi(Cyc(7), Cyc(3)), lambda: PGroup(3),
+], ids=["C()", "C(2,3)", "EA(2)", "H3(1)", "PSL32(2)", "semi-without-action",
+        "pgroup-without-cycles"])
+def test_a_wrong_argument_list_is_a_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_repr_names_the_arguments():
+    """repr() is the call with its arguments named: the ids of the tests
+    parametrized by expressions (ids=repr)."""
+    assert repr(ProjGL(23)) == "ProjGL(q=23)"
+    assert repr(Semi(Cyc(7), H3(), Action("inv"))) == (
+        "Semi(n=Cyc(n=7), h=H3(), action=Action(kind='inv', params=()))")

@@ -71,7 +71,7 @@ def sample_subgroups(M, rng, count=6):
     return out
 
 
-@pytest.mark.parametrize("expr", GROUPS + [Sym(7)], ids=str)
+@pytest.mark.parametrize("expr", GROUPS + [Sym(7)], ids=repr)
 def test_enumerations_match_compose_path(expr):
     h = build(expr)
     M = MaterializedGroup(h.group.generators, h.degree)
@@ -90,7 +90,7 @@ def test_generators_of_another_degree_are_refused():
         MaterializedGroup([(1, 0), (0, 2, 1)], 2)
 
 
-@pytest.mark.parametrize("expr", [ProjGL(23), Alt(8)], ids=str)
+@pytest.mark.parametrize("expr", [ProjGL(23), Alt(8)], ids=repr)
 def test_enumeration_above_threshold_matches_compose_path(expr):
     h = build(expr)
     M = MaterializedGroup(h.group.generators, h.degree)
@@ -110,7 +110,7 @@ PERMS_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("expr", PERMS_DIGESTS, ids=str)
+@pytest.mark.parametrize("expr", PERMS_DIGESTS, ids=repr)
 def test_element_order_is_pinned(expr):
     M = fresh(expr)
     digest = hashlib.sha256(repr(M.perms).encode()).hexdigest()
@@ -118,7 +118,7 @@ def test_element_order_is_pinned(expr):
 
 
 @pytest.mark.parametrize("expr", [ElemAb(2, 4), Prod(Alt(5), Alt(5)),
-                                  ProjGL(23)], ids=str)
+                                  ProjGL(23)], ids=repr)
 def test_inverses_found_in_pairs_are_inverses(expr):
     """Every element times its inverse, either way round, is the identity,
     by composing permutations; EA(2,4) is all involutions, and PGL(2,23)
@@ -150,7 +150,7 @@ def greedy_generators(every):
 
 
 @pytest.mark.parametrize("expr", [Sym(4), Alt(5), ProjSL(7), ProjSL(9),
-                                  MatGL(3)], ids=str)
+                                  MatGL(3)], ids=repr)
 def test_aut_as_materialized_matches_compose_path(expr):
     aut = automorphism_group(fresh(expr))
     A = aut.as_materialized()
@@ -170,7 +170,7 @@ AUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("expr", AUT_DIGESTS, ids=str)
+@pytest.mark.parametrize("expr", AUT_DIGESTS, ids=repr)
 def test_aut_as_materialized_is_pinned(expr):
     A = automorphism_group(fresh(expr)).as_materialized()
     assert A.index == {p: i for i, p in enumerate(A.perms)}

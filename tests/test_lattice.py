@@ -128,7 +128,7 @@ LATTICES = [  # group, its subgroups, its classes of subgroups
 
 
 @pytest.mark.parametrize("expr, count, n_classes", [
-    pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in LATTICES])
+    pytest.param(*row, id=f"{row[0]!r}-{row[1]}") for row in LATTICES])
 def test_sweeps_match_extension_lattice(expr, count, n_classes):
     m = mat(expr)
     oracle = extension_lattice(m, cayley_table(m))
@@ -208,7 +208,7 @@ def test_psl32_known_subgroup_counts():
     assert len(all_subgroups(m)) == 179
 
 
-@pytest.mark.parametrize("expr", [Sym(4), Sym(5), PSL32(), Hsl23()], ids=str)
+@pytest.mark.parametrize("expr", [Sym(4), Sym(5), PSL32(), Hsl23()], ids=repr)
 def test_every_subgroup_is_a_subgroup(expr):
     """Each mask is closed under products, and each conjugate's generators
     h^u close to its mask."""
@@ -219,7 +219,7 @@ def test_every_subgroup_is_a_subgroup(expr):
 
 
 @pytest.mark.parametrize("expr", [e for e, order in CATALOG if order <= 720],
-                         ids=str)
+                         ids=repr)
 def test_all_subgroups_carries_the_conjugated_generators(expr):
     """Each conjugate H^u is generated by the elements h^u, for the element
     u that H's orbit walk records, as conj reads them one by one."""
@@ -301,14 +301,14 @@ JOIN_GROUPS = [Sym(4), Sym(5), MatSL(3), Hsl23(), MU24A5,
                Dih(6), Cyc(12), ElemAb(2, 4)]
 
 
-@pytest.mark.parametrize("expr", JOIN_GROUPS, ids=str)
+@pytest.mark.parametrize("expr", JOIN_GROUPS, ids=repr)
 def test_normal_joins_by_lookup_match_rejoining(expr):
     M = fresh(expr)
     want = rejoining_normal_subgroups(M)
     assert normal_subgroups(M) == want
 
 
-@pytest.mark.parametrize("expr", JOIN_GROUPS, ids=str)
+@pytest.mark.parametrize("expr", JOIN_GROUPS, ids=repr)
 def test_normal_subgroups_close_only_new_joins(expr):
     """Every join `normal_subgroups` closes is a normal subgroup not found
     before: the closures inside `normal_closure` and `gens_for_mask` are
@@ -345,7 +345,7 @@ def test_normal_subgroups_close_only_new_joins(expr):
 # -- normalizers --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("expr", [Sym(5), MatSL(3), Alt(5), Sym(6)], ids=str)
+@pytest.mark.parametrize("expr", [Sym(5), MatSL(3), Alt(5), Sym(6)], ids=repr)
 def test_normalizer_matches_brute_force(expr):
     """N(H) = {x : H^x = H} for every class representative H, from a walk
     of H's orbit started at H and at another conjugate of H."""
@@ -400,7 +400,7 @@ WALK_GROUPS = [Sym(5), MatSL(3), MatGL(3), H3(), Dih(4), Cyc(12),
                ElemAb(2, 4), Hsl23()]
 
 
-@pytest.mark.parametrize("expr", WALK_GROUPS, ids=str)
+@pytest.mark.parametrize("expr", WALK_GROUPS, ids=repr)
 def test_coset_walk_extends_by_the_element_walks_elements(expr):
     """`subgroup_classes` extends each representative H by exactly the
     elements that the element-level walk leaves uncovered."""

@@ -109,7 +109,7 @@ def sample_sets(M, rng, count, size):
             for _ in range(count)]
 
 
-@pytest.mark.parametrize("expr", GROUPS, ids=str)
+@pytest.mark.parametrize("expr", GROUPS, ids=repr)
 def test_table_matches_compose_path(expr):
     M = build(expr).materialized()
     rng = random.Random(M.n)
@@ -141,7 +141,7 @@ def test_table_matches_compose_path(expr):
 EXTENDED = [Sym(4), MatSL(3), Alt(5), ProjGL(7)]
 
 
-@pytest.mark.parametrize("expr", EXTENDED, ids=str)
+@pytest.mark.parametrize("expr", EXTENDED, ids=repr)
 def test_extender_matches_compose_closure(expr, monkeypatch):
     """extender(H)(g) == <H, g> for every class representative H, every g;
     no coset walk holds more than n/2 elements, and one that stops would
@@ -200,7 +200,7 @@ def test_extender_comparison_reaches_index_two_and_three():
     assert {2, 3} <= index
 
 
-@pytest.mark.parametrize("expr", [Sym(4), MatSL(3), Alt(5)], ids=str)
+@pytest.mark.parametrize("expr", [Sym(4), MatSL(3), Alt(5)], ids=repr)
 def test_extender_reads_only_generator_columns(expr, monkeypatch):
     """extender(H, gens)(g) asks for no column but those of gens and g:
     each coset is gathered over a generator's column."""
@@ -298,7 +298,7 @@ def test_groups_above_threshold_never_open_a_table():
     assert sorted(s.order for s in subs) == [1, M.n // 2, M.n]
 
 
-@pytest.mark.parametrize("expr", [Alt(5), ProjGL(23)], ids=str)
+@pytest.mark.parametrize("expr", [Alt(5), ProjGL(23)], ids=repr)
 def test_arithmetic_is_never_an_instance_attribute(expr):
     M = fresh(expr)
     methods = {"mul", "conj", "commutator"}
@@ -353,7 +353,7 @@ def stored(M):
     return {j for j, c in enumerate(M._cols) if c is not None}
 
 
-@pytest.mark.parametrize("expr", [Sym(6), MU24A5], ids=str)
+@pytest.mark.parametrize("expr", [Sym(6), MU24A5], ids=repr)
 def test_all_subgroups_builds_no_column(expr):
     """Each conjugate's generators are carried along the orbit walk by the
     generators' conjugation maps: no transversal element's column."""
@@ -389,6 +389,6 @@ def test_sharpness_witness_queries_match_compose_path():
 
 
 @pytest.mark.parametrize("query", sorted(QUERIES))
-@pytest.mark.parametrize("expr", [SwapSq(Sym(3)), Sym(4), ProjGL(5)], ids=str)
+@pytest.mark.parametrize("expr", [SwapSq(Sym(3)), Sym(4), ProjGL(5)], ids=repr)
 def test_heavy_queries_match_compose_path(expr, query):
     assert QUERIES[query](fresh(expr)) == QUERIES[query](composing(expr))
