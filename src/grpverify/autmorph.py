@@ -266,7 +266,7 @@ class AutGroup:
         greedy generating subset of the sorted list.
         """
         M = self.base
-        conj = M.conj_maps()[::2]  # g, then g^-1, per generator
+        conj = M.conj_maps()
 
         def step(inner, t):  # inner of x -> inner of x g
             return gather(inner)(conj[t])

@@ -209,7 +209,7 @@ def all_subgroups(M: MaterializedGroup) -> list[Sub]:
     """Every subgroup: each class of `subgroup_classes` expanded by its
     conjugation orbit (`set_orbit`), each conjugate H^u generated by the
     elements h^u, carried along the walk's tree."""
-    maps = M.conj_maps()[::2]  # g, then g^-1, per generator
+    maps = M.conj_maps()
 
     def step(hs, t):  # the elements h^(ug) = (h^u)^g
         return gather(hs)(maps[t])

@@ -10,24 +10,25 @@ over one step function x -> x*s per generator s.  A group given by
 permutations steps by a gather per generator, x*s = gather(s)(x); a
 subgroup steps by its parent's columns and Aut(G) by a gather over the
 images of G's generators (`MaterializedGroup.enumerated`), so none of them
-composes a permutation.  Inverses are found in pairs.  For a group of
-order at most TABLE_MAX_ORDER the products x*s by each generator s are
-kept as that generator's column.
+composes a permutation.  Inverses are found in pairs.  The products x*s
+by each generator s are kept as that generator's column, and the
+breadth-first tree with the generator of each edge (a Schreier vector:
+Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+section 4.1), so every element j is a word in the generators.
 
-Every product is read from the column of j, `column(j)[i] = i*j`: `mul(i,
-j)` is one such read, and each reader is written once over columns.  A
-group of order at most TABLE_MAX_ORDER holds its columns for as long as
-it lives: each its own 16-bit array, the identity's and the generators'
-from the enumeration, any other built on first use of j from the column
-of j's parent in the breadth-first tree and a generator column.  A group
-that reads k columns holds about 2kn bytes of them; `ledger.run_claim`
-clears the group cache before each claim, so no claim inherits another's.
-Above the threshold a column is a `_ComposedColumn`, which composes two
-permutation tuples and looks the result up by hash on each read; it is
-the one place that composes group elements, and there `close` keeps the
-elements it finds in an int mask.  The conjugation maps that
-`conjugacy_classes` walks are kept as arrays too: a map read from a
-16-bit column holds a fresh int object per entry.
+Every product is read through columns, `column(j)[i] = i*j`, and each
+reader is written once over them.  A column is an array of 16-bit
+indices, or 32-bit ones past 65536 elements.  The identity's and the
+generators' columns are held for the group's lifetime; any other is
+gathered along j's tree word from the generator columns, one C-level
+gather per edge, and kept, with those on its way, up to COLUMN_BUDGET
+bytes, past which the oldest kept goes.  `mul(i, j)` reads j's column if
+it is held and otherwise walks j's word, one generator-column read per
+edge, building none.  `ledger.run_claim` clears the group cache before
+each claim, so no claim inherits another's columns.  No module but perm
+composes permutations.  The conjugation maps of the generators, which
+`conjugacy_classes` and the orbit walks read, are kept as arrays too: a
+map read from a 16-bit column holds a fresh int object per entry.
 
 Each walk is written once, and moves a set of elements by `gather`, one
 C-level pass.  `orbits` partitions points: the conjugacy classes are the
@@ -52,12 +53,14 @@ import functools
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from operator import eq, itemgetter
 
 from . import perm as pm
 
-TABLE_MAX_ORDER = 8192  # largest order multiplied by table lookup
+# bytes of columns a group keeps beyond its identity's and generators'
+COLUMN_BUDGET = 3 << 19  # 1.5 MiB
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -247,25 +250,6 @@ def cached_query(label: str, field: str):
     return decorate
 
 
-class _ComposedColumn:
-    """col[i] = i*j, composed on each read: a column of a group above
-    TABLE_MAX_ORDER, and the one place the engine composes two group
-    elements."""
-
-    __slots__ = ("index", "perms", "p")
-
-    def __init__(self, M, j):
-        self.index = M.index
-        self.perms = M.perms
-        self.p = M.perms[j]
-
-    def __getitem__(self, i):
-        return self.index[pm.compose(self.perms[i], self.p)]
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.perms)))
-
-
 class MaterializedGroup:
     def __init__(self, generators, degree, cap: int = Caps.max_order,
                  name: str = ""):
@@ -295,7 +279,7 @@ class MaterializedGroup:
         self.degree = degree
         self.name = name
         gens = list(dict.fromkeys(g for g in gens if g != one))
-        elems, where, parent, prods = breadth_first(
+        elems, where, tree, prods = breadth_first(
             one, [step_of(g) for g in gens], cap, name)
         n = self.n = len(elems)
         if perm_of is None:
@@ -312,17 +296,15 @@ class MaterializedGroup:
                 j = where[inverse(x)]
                 inv[i] = j
                 inv[j] = i
-        # decided once, by breadth_first: only small groups hold columns
-        if prods is not None:
-            k = len(gens)
-            self._parent = parent
-            cols = self._cols = [None] * n
-            cols[0] = range(n)  # the identity column, never built
-            for t, g in enumerate(self.gens):
-                # i * gens[t], read off the enumeration
-                cols[g] = array("H", prods[t::k])
-        else:
-            self._parent = self._cols = None
+        k = len(gens)
+        code = self._code = "H" if n <= 1 << 16 else "I"
+        self._tree = tree
+        # i * gens[t], read off the enumeration
+        steps = self._steps = [array(code, prods[t::k]) for t in range(k)]
+        cols = self._cols = {0: range(n)}  # the identity column, never built
+        cols.update(zip(self.gens, steps))
+        # the most columns held: these, and any others up to the budget
+        self._most = len(cols) + COLUMN_BUDGET // (n * array(code).itemsize)
         self._orders = None
         self._classes = None
         self._conj_maps = None
@@ -330,35 +312,49 @@ class MaterializedGroup:
 
     # -- basic arithmetic ----------------------------------------------------
 
+    def _descent(self, j: int):
+        """The column of j's nearest held ancestor x in the tree, and the
+        way down from x to j: (y, the column of s) for each tree edge
+        y = parent*s, top first."""
+        cols, tree, steps = self._cols, self._tree, self._steps
+        k = len(steps)
+        path = []
+        while j not in cols:
+            x, t = divmod(tree[j], k)
+            path.append((j, steps[t]))
+            j = x
+        path.reverse()
+        return cols[j], path
+
     def column(self, j: int):
         """col[i] = i*j for every element i.
 
-        Up to TABLE_MAX_ORDER, the stored column, built on first use;
-        above it, a view that composes on each read and stores nothing.
+        The held column, or one gathered along j's tree word, each column
+        on the way kept: i*y = (i*x)*s for the tree edge y = x*s, one
+        C-level gather per edge.  Past COLUMN_BUDGET the oldest column
+        kept goes; the identity's and the generators' stay.
         """
         cols = self._cols
-        if cols is None:
-            return _ComposedColumn(self, j)
-        c = cols[j]
-        if c is not None:
-            return c
-        parent = self._parent
-        path = []
-        y = j
-        while cols[y] is None:
-            path.append(y)
-            y = parent[y]
-        for y in reversed(path):
-            x = parent[y]
-            # i*y = (i*x)*s for the tree edge y = x*s; one itemgetter
-            # gathers the whole column in C (n >= 2 here)
-            step = next(c for c in map(cols.__getitem__, self.gens)
-                        if c[x] == y)
-            cols[y] = array("H", itemgetter(*cols[x])(step))
-        return cols[j]
+        c = cols.get(j)
+        if c is None:
+            c, path = self._descent(j)
+            for y, s in path:
+                c = cols[y] = array(self._code, itemgetter(*c)(s))
+                if len(cols) > self._most:  # the oldest after those held
+                    del cols[next(islice(cols, len(self.gens) + 1, None))]
+        return c
 
     def mul(self, i: int, j: int) -> int:
-        return self.column(j)[i]
+        """i*j: a read of j's column if it is held, else one generator-column
+        read per edge of j's tree word; it builds no column."""
+        c = self._cols.get(j)
+        if c is not None:
+            return c[i]
+        c, path = self._descent(j)
+        i = c[i]
+        for _, s in path:
+            i = s[i]
+        return i
 
     def inv(self, i: int) -> int:
         return self._inv[i]
@@ -405,12 +401,12 @@ class MaterializedGroup:
     # -- conjugacy machinery ---------------------------------------------------
 
     def conj_maps(self):
-        """Per-generator conjugation tables i -> g^-1 i g (and inverses),
-        each an array of the least item size that holds an index."""
+        """The conjugation map i -> g^-1 i g of each generator g, each an
+        array of the group's column type.  An orbit of a finite group is
+        closed under its generators alone, so no inverse's map is kept."""
         if self._conj_maps is None:
-            code = "H" if self.n <= 1 << 16 else "I"
-            self._conj_maps = [array(code, self.conj_map(h))
-                               for g in self.gens for h in (g, self._inv[g])]
+            self._conj_maps = [array(self._code, self.conj_map(g))
+                               for g in self.gens]
         return self._conj_maps
 
     def conjugacy_classes(self):
@@ -423,31 +419,19 @@ class MaterializedGroup:
     # -- subgroup helpers ------------------------------------------------------
 
     def close(self, gen_indices) -> int:
-        """Bitmask of the subgroup generated by the given element indices."""
+        """Bitmask of the subgroup generated by the given element indices:
+        the identity's closure under their columns, one flag per element."""
         steps = [self.column(g) for g in gen_indices if g != 0]
-        if self._cols is not None:
-            seen = bytearray(self.n)
-            seen[0] = 1
-            elems = [0]
-            for x in elems:  # elems grows while it is walked
-                for c in steps:
-                    y = c[x]
-                    if not seen[y]:
-                        seen[y] = 1
-                        elems.append(y)
-            return mask_of(seen)
-        mask = 1
+        seen = bytearray(self.n)
+        seen[0] = 1
         elems = [0]
-        qi = 0
-        while qi < len(elems):
-            x = elems[qi]
-            qi += 1
+        for x in elems:  # elems grows while it is walked
             for c in steps:
                 y = c[x]
-                if not mask >> y & 1:
-                    mask |= 1 << y
+                if not seen[y]:
+                    seen[y] = 1
                     elems.append(y)
-        return mask
+        return mask_of(seen)
 
     def extender(self, mask: int, gens):
         """g -> mask of <H, g>, for the subgroup H = <gens> with this mask.
@@ -509,8 +493,8 @@ class MaterializedGroup:
         on the tree step points[x]^g = points[y], read off g's column.
         """
         cols = [self.column(g) for g in self.gens]
-        maps = self.conj_maps()[::2]  # g, then g^-1, per generator
-        return set_orbit(bits(mask), maps, 0, lambda u, t: cols[t][u])
+        return set_orbit(bits(mask), self.conj_maps(), 0,
+                         lambda u, t: cols[t][u])
 
     def normalizer(self, mask: int, gens, orbit=None) -> tuple[int, list[int]]:
         """N(H) for the subgroup H = <gens> with this mask: (mask, generators).
@@ -637,16 +621,18 @@ def breadth_first(one, steps, cap: int, name: str):
     each generator s.
 
     Returns the elements in discovery order, a dict from element to
-    position, the breadth-first parent of each element (y = step(parent[y])
-    for some step) and the positions of the products, len(steps) per
-    element in discovery order; for a group above TABLE_MAX_ORDER, None in
-    their place.  This is the one place that threshold is read.
+    position, the tree and the positions of the products, len(steps) per
+    element in discovery order: prods[x*k + t] is the position of
+    steps[t](elems[x]), for the k steps.  tree[y] is the index in prods
+    where y was first found, so y = steps[t](elems[x]) for (x, t) =
+    divmod(tree[y], k): the breadth-first tree, with the step of each edge
+    (a Schreier vector).
     """
     elems = [one]
     where = {one: 0}
-    parent = array("i", [0])
+    tree = array("q", [0])
 
-    def add(y, qi):
+    def add(y, at):
         if len(elems) >= cap:
             raise CapExceeded(
                 f"materialization cap {cap} exceeded"
@@ -654,19 +640,17 @@ def breadth_first(one, steps, cap: int, name: str):
             )
         j = where[y] = len(elems)
         elems.append(y)
-        parent.append(qi)
+        tree.append(at)
         return j
 
-    prods = array("i")
+    prods = []
     get = where.get
-    for qi, x in enumerate(elems):  # elems grows while it is walked
+    for x in elems:  # elems grows while it is walked
         for step in steps:
             y = step(x)
             j = get(y)
-            prods.append(add(y, qi) if j is None else j)
-    if len(elems) > TABLE_MAX_ORDER:
-        prods = None
-    return elems, where, parent, prods
+            prods.append(add(y, len(prods)) if j is None else j)
+    return elems, where, tree, prods
 
 
 def materialize(group: pm.PermGroup, name: str = "") -> MaterializedGroup:

@@ -4,6 +4,12 @@ Each test prints one ACCEPTANCE line (visible with pytest -s / -rA), checks
 the criterion's values at exact equality, and checks the claim runtimes
 against the stated budgets.  A single full ledger run is shared by all
 criteria.
+
+The budgets of criteria 3-6, 9 and 10, and criterion 4's per-claim
+budgets, are ten times the slowest of three runs on a 2-core host (Python
+3.11), rounded up to a whole second: a margin above the 1.5x swings seen
+between runs on one host, close enough that a regression of that order
+fails.  A budget may be tightened, never loosened.
 """
 
 import json
@@ -84,7 +90,7 @@ def test_criterion_3_automorphism_orders(results):
     p44 = actual(results, "PROP-4.4")
     out = actual(results, "THM-4.2-OUT")
     ok = ok and p44["aut_psl_q9"] == "1440" and out["out_q9"] == "4"
-    report("3 (automorphism orders)", ok, ms, 300)
+    report("3 (automorphism orders)", ok, ms, 2)
 
 
 def test_criterion_4_lemma_3_8_sweeps(results):
@@ -112,12 +118,12 @@ def test_criterion_4_lemma_3_8_sweeps(results):
     ok = ok and vi["quot_bound_viol"] == "-" and vi["sumzero_bound_viol"] == "-"
     vii = actual(results, "LEM-3.8-VII")
     ok = ok and vii["p5_exceptions"] == "192,288,576"
-    budgets = {"LEM-3.8-I": 60, "LEM-3.8-II": 60, "LEM-3.8-III": 30,
-               "LEM-3.8-IV": 30, "LEM-3.8-V": 30, "LEM-3.8-VI": 30,
-               "LEM-3.8-VII": 5}
+    budgets = {"LEM-3.8-I": 1, "LEM-3.8-II": 10, "LEM-3.8-III": 2,
+               "LEM-3.8-IV": 1, "LEM-3.8-V": 1, "LEM-3.8-VI": 2,
+               "LEM-3.8-VII": 1}
     for cid, budget in budgets.items():
         assert results[cid].runtime_ms <= budget * 1000, (cid, budget)
-    report("4 (Lemma 3.8 sweeps, exact exception sets)", ok, ms, 3600)
+    report("4 (Lemma 3.8 sweeps, exact exception sets)", ok, ms, 14)
 
 
 def test_criterion_5_sharpness_witnesses(results):
@@ -128,7 +134,7 @@ def test_criterion_5_sharpness_witnesses(results):
     ok = ok and actual(results, "SHARP-PSL27")["min_index_p5"] == "168"
     ok = ok and actual(results, "SHARP-D10")["min_index_p3"] == "10"
     ok = ok and actual(results, "SHARP-CHAR2")["min_index_p2"] == "3"
-    report("5 (sharpness witnesses)", ok, ms, 120)
+    report("5 (sharpness witnesses)", ok, ms, 1)
 
 
 def test_criterion_6_chermak_delgado(results):
@@ -136,7 +142,7 @@ def test_criterion_6_chermak_delgado(results):
     corpus_small = [e for e in CD_CORPUS if build(e).order <= 100]
     ok = ok and len(corpus_small) >= 25
     ok = ok and actual(results, "THM-3.2")["all_pass"] == "yes"
-    report("6 (Chermak-Delgado over the corpus)", ok, ms, 600)
+    report("6 (Chermak-Delgado over the corpus)", ok, ms, 15)
 
 
 def test_criterion_7_semidirect_lemmas(results):
@@ -211,7 +217,7 @@ def test_criterion_9_oracle_equivalence():
             checked += 1
     assert checked >= 90
     ms = (time.monotonic() - t0) * 1000
-    report("9 (oracle equivalence)", True, ms, 60)
+    report("9 (oracle equivalence)", True, ms, 35)
 
 
 def test_criterion_10_negative_control(results):
@@ -244,4 +250,4 @@ def test_criterion_10_negative_control(results):
     neighbours = run([get_claim(c) for c in ("EX-2.9", "COR-10.8")])
     ok = ok and all(r.status == "pass" for r in neighbours)
     ms = (time.monotonic() - t0) * 1000
-    report("10 (negative control)", ok, ms, 300)
+    report("10 (negative control)", ok, ms, 1)

@@ -1,11 +1,12 @@
 """Enumerations that read known products, against the compose-built one.
 
 A group is enumerated breadth-first from its generators.  The generator
-columns of every table-sized group, subgroups (`sub_materialized`) and
-Aut(G) (`AutGroup.as_materialized`) are read from products the engine
-already has; element orders come from one permutation per conjugacy class.
-Each is compared here with `reference`, the enumeration that composes
-permutations, and a guard counts `perm.compose` calls on those paths.
+columns of every group, subgroups (`sub_materialized`) and Aut(G)
+(`AutGroup.as_materialized`) are read from products the engine already
+has; element orders come from one permutation per conjugacy class.  Each
+is compared here with `reference`, the enumeration that composes
+permutations, and a guard counts `perm.compose` calls on those paths and
+on every reader of products, at every order.
 """
 
 import hashlib
@@ -18,8 +19,10 @@ from grpverify.autmorph import automorphism_group
 from grpverify.construct import (
     Alt, ElemAb, MatGL, Prod, ProjGL, ProjSL, SwapSq, Sym, WeylD, build,
 )
-from grpverify.lattice import Sub, quotient, sub_materialized
-from grpverify.smallgroup import TABLE_MAX_ORDER, MaterializedGroup
+from grpverify.lattice import (
+    Sub, j_analysis, normal_subgroups, quotient, sub_materialized,
+)
+from grpverify.smallgroup import MaterializedGroup
 from test_autmorph import generated
 from test_table import (
     GROUPS, compose_centralizer, compose_close, compose_commutator,
@@ -55,7 +58,12 @@ def assert_enumerated_as(M, generators, degree):
     assert M.index == index
     assert M._inv == inv
     assert M.gens == gens
-    assert list(M._parent) == parent
+    # y = parent[y] * gens[t] for (parent[y], t) = divmod(tree[y], k)
+    k = len(gens)
+    tree = [divmod(e, k or 1) for e in M._tree]
+    assert [x for x, _ in tree] == parent
+    assert all(index[pm.compose(perms[x], perms[gens[t]])] == y
+               for y, (x, t) in enumerate(tree) if y)
     for g in gens:
         assert list(M._cols[g]) == \
             [index[pm.compose(p, perms[g])] for p in perms]
@@ -92,12 +100,12 @@ def test_generators_of_another_degree_are_refused():
 
 @pytest.mark.parametrize("expr", [ProjGL(23), Alt(8)], ids=repr)
 def test_enumeration_above_threshold_matches_compose_path(expr):
+    """Groups of order above 8192 keep their tree and generator columns
+    like any other."""
     h = build(expr)
     M = MaterializedGroup(h.group.generators, h.degree)
-    assert M.n > TABLE_MAX_ORDER
-    perms, index, inv, gens, _ = reference(h.group.generators, h.degree)
-    assert (M.perms, M.index, M._inv, M.gens) == (perms, index, inv, gens)
-    assert M._parent is None and M._cols is None
+    assert M.n > 8192
+    assert_enumerated_as(M, h.group.generators, h.degree)
 
 
 # sha256 of repr(perms) of the breadth-first enumeration from the built
@@ -122,7 +130,7 @@ def test_element_order_is_pinned(expr):
 def test_inverses_found_in_pairs_are_inverses(expr):
     """Every element times its inverse, either way round, is the identity,
     by composing permutations; EA(2,4) is all involutions, and PGL(2,23)
-    is above TABLE_MAX_ORDER."""
+    has 12144 elements, each product a walk down a tree word."""
     M = fresh(expr)
     assert all(M.mul(i, M.inv(i)) == 0 == M.mul(M.inv(i), i)
                for i in range(M.n))
@@ -196,15 +204,16 @@ def test_known_products_compose_nothing(compose_calls):
     aut = automorphism_group(M)
     sub = Sub(M.close([5, 9]), (5, 9))
     L = fresh(ProjGL(23))
-    assert L.n > TABLE_MAX_ORDER
     compose_calls.clear()
     sub_materialized(M, sub)
     aut.as_materialized()
     assert compose_calls == []
     assert MaterializedGroup(M.perms[1:3], M.degree).n > 1
     assert compose_calls == []  # a permutation group steps by gathers
-    L.mul(1, 2)  # above the threshold
-    assert compose_calls  # the guard does count the compose path
+    L.mul(1, 2)
+    assert compose_calls == []
+    pm.compose(L.perms[1], L.perms[2])
+    assert compose_calls  # the guard does count a composition
 
 
 def readers(M, x, y):
@@ -221,26 +230,44 @@ def readers(M, x, y):
 
 
 def test_readers_compose_nothing(compose_calls):
-    """On a group of order at most TABLE_MAX_ORDER every reader reads
-    stored columns: it composes nothing, and returns what the compose path
-    returns."""
+    """Every reader reads columns: it composes nothing, and returns what the
+    compose oracle returns."""
     M = fresh(ProjGL(13))
-    assert M.n <= TABLE_MAX_ORDER
     N = composing(ProjGL(13))
     compose_calls.clear()
     got = readers(M, 5, 9)
     assert compose_calls == []
     assert readers(N, 5, 9) == got
-    assert compose_calls  # the guard does count the compose path
+    assert compose_calls  # the guard does count the oracle's compositions
+
+
+@pytest.mark.parametrize("expr", [ProjGL(23), Alt(8)], ids=repr)
+def test_readers_compose_nothing_at_any_order(expr, compose_calls):
+    """Groups of 12144 and 20160 elements read their products from
+    columns as every group does: no reader composes."""
+    M = fresh(expr)
+    rng = random.Random(M.n)
+    xs = [rng.randrange(M.n) for _ in range(6)]
+    compose_calls.clear()
+    M.mul(xs[0], xs[1])
+    M.conj(xs[2], xs[3])
+    M.close(xs[:2])
+    M.conjugacy_classes()
+    normal_subgroups(M)
+    M.centralizer(xs[4:])
+    j_analysis(M, 2)
+    assert compose_calls == []
+    pm.compose(M.perms[1], M.perms[2])
+    assert compose_calls  # the guard does count a composition
 
 
 def test_scoped_readers_above_threshold_match_compose_path():
-    """Above TABLE_MAX_ORDER centralizer, derived_subgroup and quotient
-    compose, and agree with definitions written over compose_mul;
+    """On PGL2(F23), of order above 8192, centralizer, derived_subgroup and
+    quotient agree with definitions written over compose_mul;
     derived_subgroup is the normal closure of the generators'
     commutators."""
     M = fresh(ProjGL(23))
-    assert M.n > TABLE_MAX_ORDER
+    assert M.n > 8192
     assert M.centralizer([5]) == compose_centralizer(M, [5])
     derived, gens = M.derived_subgroup()
     assert derived.bit_count() == M.n // 2  # PSL2(F23) in PGL2(F23)
@@ -266,4 +293,3 @@ def test_scoped_readers_above_threshold_match_compose_path():
               for g in M.gens]
     Q = quotient(M, Sub(derived, tuple(gens)))
     assert Q.perms == MaterializedGroup(action, 2).perms
-    assert M._cols is None

@@ -25,10 +25,10 @@ process enforces each claim's deadline by killing the claim's process.
 No module imports multiprocessing: `ledger.run` forks each claim's process
 and reads its result from a pipe itself.
 
-In the group modules (smallgroup, lattice, autmorph) a permutation
-`compose` is called only inside `_ComposedColumn`: every product is read
-from a column.  No module but smallgroup touches a group's stored columns
-or its breadth-first tree: the rest read products through `column`.
+Outside perm.py no module calls a permutation `compose`: every product
+is read from a column.  No module but smallgroup touches a group's stored
+columns or its breadth-first tree: the rest read products through
+`column`.
 """
 
 import ast
@@ -454,9 +454,6 @@ def test_engine_bindings_read_imports_attributes_and_spans():
     assert not resolves("cli.no_such_name")
 
 
-COMPOSING_CLASS = "_ComposedColumn"
-
-
 def compose_calls(source):
     """(line, enclosing class or None) of each call in the source of a
     function named compose: compose(...), pm.compose(...), or a name that
@@ -479,21 +476,19 @@ def compose_calls(source):
                 yield node.lineno, owner.get(node)
 
 
-def test_only_the_composed_column_composes():
-    """Outside perm.py, whose PermGroup sifts by composing, only
-    _ComposedColumn composes two permutations."""
+def test_only_perm_composes():
+    """Outside perm.py, whose PermGroup sifts by composing, nothing
+    composes two permutations."""
     found = sorted(f"{path.name}:{line} in {cls}"
                    for path in PACKAGE.glob("*.py") if path.name != "perm.py"
-                   for line, cls in compose_calls(path.read_text())
-                   if cls != COMPOSING_CLASS)
-    assert found == [], "compose outside " + COMPOSING_CLASS + ": " \
-        + ", ".join(found)
+                   for line, cls in compose_calls(path.read_text()))
+    assert found == [], "compose outside perm.py: " + ", ".join(found)
 
 
 def test_compose_calls_read_methods_aliases_and_the_column():
     snippet = ("from . import perm as pm\n"
                "from .perm import compose as cmp, inverse\n"
-               "class _ComposedColumn:\n"
+               "class ComposedColumn:\n"
                "    def __getitem__(self, i):\n"
                "        return self.index[pm.compose(self.perms[i], self.p)]\n"
                "class MaterializedGroup:\n"
@@ -502,10 +497,10 @@ def test_compose_calls_read_methods_aliases_and_the_column():
                "def f(a, b):\n"
                "    return cmp(a, inverse(b)), pm.composed(a)\n")
     assert dict(compose_calls(snippet)) == {
-        5: "_ComposedColumn", 8: "MaterializedGroup", 10: None}
+        5: "ComposedColumn", 8: "MaterializedGroup", 10: None}
 
 
-TABLE_ATTRS = {"_cols", "_parent"}  # a group's columns and tree
+TABLE_ATTRS = {"_cols", "_tree", "_steps"}  # a group's columns and tree
 
 
 def table_touches(source):
@@ -529,7 +524,7 @@ def test_table_touches_find_reads_writes_and_deletes():
     snippet = ("def f(M, N):\n"
                "    c = M._cols[3]\n"
                "    N._cols = None\n"
-               "    del M._parent\n"
-               "    return M.column(3), M.parent, M.cols, c\n")
+               "    del M._tree\n"
+               "    return M.column(3), M.tree, M.cols, c, N._steps[0]\n")
     assert sorted(table_touches(snippet)) == [
-        (2, "_cols"), (3, "_cols"), (4, "_parent")]
+        (2, "_cols"), (3, "_cols"), (4, "_tree"), (5, "_steps")]

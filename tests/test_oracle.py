@@ -40,7 +40,7 @@ def three_permutations(n):
 
 @functools.cache
 def symmetric(n):
-    """S_n with its columns, and S_n on the compose path."""
+    """S_n with its columns, and S_n on the compose oracle."""
     return build(Sym(n)).materialized(), composing(Sym(n))
 
 

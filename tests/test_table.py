@@ -1,9 +1,10 @@
 """Every reader of the products against definitions built on `compose_mul`.
 
-A product i*j is read from `mul` or from the column of j.  Groups of order
-<= TABLE_MAX_ORDER read stored right-multiplication columns; above it, a
-column composes permutations on each read, and a group with its columns
-taken away (`composing`) takes that path too.  Both are compared here with
+A product i*j is read from `mul` or from the column of j, which every
+group gathers from its generators' columns along j's breadth-first tree
+word and keeps up to `COLUMN_BUDGET`.  The tests keep an independent slow
+path: `composing` makes a group whose `column` and `mul` compose the two
+permutation tuples on each read.  Both are compared here with
 `compose_mul`, which composes the two permutation tuples itself, and with
 closures, centralizers, normalizers and maps written from their
 definitions over it, on seeded samples of elements and generating sets.
@@ -38,15 +39,17 @@ from grpverify.lattice import (
     subgroup_classes,
 )
 from grpverify.smallgroup import (
-    TABLE_MAX_ORDER,
+    COLUMN_BUDGET,
     CapExceeded,
     Caps,
     MaterializedGroup,
     caps_scope,
+    materialize,
 )
 from test_construct import CATALOG
 
-GROUPS = [e for e, order in CATALOG if order <= TABLE_MAX_ORDER]
+# the catalog groups whose comparisons with the compose oracle stay short
+GROUPS = [e for e, order in CATALOG if order <= 8192]
 GROUPS += [e for e in CD_CORPUS if e not in GROUPS]
 GROUPS += [Hess(), Hsl23(), ProjGL(13), SwapSq(Alt(5))]
 
@@ -96,11 +99,37 @@ def fresh(expr):
     return MaterializedGroup(h.group.generators, h.degree)
 
 
+class ComposedColumn:
+    """col[i] = i*j, composed on each read and stored nowhere."""
+
+    def __init__(self, M, j):
+        self.index = M.index
+        self.perms = M.perms
+        self.p = M.perms[j]
+
+    def __getitem__(self, i):
+        return self.index[pm.compose(self.perms[i], self.p)]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.perms)))
+
+
+class Composing(MaterializedGroup):
+    """The compose oracle: every column and product composes permutations,
+    so every reader written over `column` and `mul` reads no stored
+    column."""
+
+    def column(self, j):
+        return ComposedColumn(self, j)
+
+    def mul(self, i, j):
+        return compose_mul(self, i, j)
+
+
 def composing(expr):
-    """A fresh group of expr on the compose path, as if above the
-    threshold: it holds no columns."""
+    """A fresh group of expr on the compose oracle."""
     N = fresh(expr)
-    N._cols = None
+    N.__class__ = Composing
     return N
 
 
@@ -119,7 +148,6 @@ def test_table_matches_compose_path(expr):
     closes = [compose_close(M, s) for s in gen_sets]
     cents = [compose_centralizer(M, s) for s in gen_sets]
     norms = [compose_normalizer(M, s) for s in gen_sets]
-    assert M._cols is not None
     for G in (M, composing(expr)):
         for i, j in pairs:
             assert G.mul(i, j) == compose_mul(M, i, j)
@@ -273,29 +301,68 @@ def test_cached_query_checks_its_cap_on_every_call(query, field, message):
         assert query(M) is first
 
 
-def test_groups_above_threshold_never_open_a_table():
-    """Above TABLE_MAX_ORDER a group holds no columns: every column
-    composes, and `mul` and `close` read those columns."""
+def test_columns_past_the_budget_go_oldest_first():
+    """A group keeps the columns it builds up to COLUMN_BUDGET bytes besides
+    its identity's and generators'; past it the oldest kept goes.  Every
+    column served equals compose_mul, before and after an eviction, `mul`
+    builds no column, and `close` and the normal lattice read them."""
     M = fresh(ProjGL(23))
-    assert M.n > TABLE_MAX_ORDER
-    every = range(M.n)
-    rng = random.Random(M.n)
-    pairs = [(rng.randrange(M.n), rng.randrange(M.n)) for _ in range(200)]
-    gen_sets = [[rng.randrange(M.n)] for _ in range(4)] \
+    n = M.n
+    pinned = {0, *M.gens}
+    width = M.column(M.gens[0]).itemsize * n  # bytes per column
+    room = COLUMN_BUDGET // width
+    rng = random.Random(n)
+    rows = rng.sample(range(n), 32)
+    evicted = []
+    for j in rng.sample(range(1, n), 2 * room):
+        before = [y for y in M._cols if y not in pinned]
+        col = M.column(j)
+        assert [col[i] for i in rows] == [compose_mul(M, i, j) for i in rows]
+        held = [y for y in M._cols if y not in pinned]
+        assert len(held) * width <= COLUMN_BUDGET
+        assert pinned <= M._cols.keys()
+        gone = [y for y in before if y not in held]
+        assert gone == before[:len(gone)]  # the oldest go first
+        evicted += gone
+    assert len(evicted) > room
+    for j in evicted[:3]:  # served again after its eviction
+        col = M.column(j)
+        assert list(col) == [compose_mul(M, i, j) for i in range(n)]
+    kept = list(M._cols)
+    pairs = [(rng.randrange(n), j) for j in evicted[-100:]]
+    assert [M.mul(i, j) for i, j in pairs] == \
+        [compose_mul(M, i, j) for i, j in pairs]
+    assert list(M._cols) == kept
+    gen_sets = [[rng.randrange(n)] for _ in range(4)] \
         + sample_sets(M, rng, 2, 3)
     closes = [compose_close(M, s) for s in gen_sets]
     assert any(c != M.full_mask for c in closes)
-    assert M._cols is None
-    for j in rng.sample(every, 3):
+    assert [M.close(s) for s in gen_sets] == closes
+    subs = normal_subgroups(M)
+    assert sorted(s.order for s in subs) == [1, n // 2, n]
+
+
+def test_a_group_above_65536_elements_takes_32_bit_columns():
+    """Past 65536 elements an index no longer fits 16 bits: the generators'
+    columns, gathered columns and conjugation maps take 32 bits, and read
+    the products perm.compose gives."""
+    with caps_scope(Caps(max_order=200000)):
+        M = materialize(build(Alt(9)).group)
+    n = M.n
+    assert n == 181440
+    rng = random.Random(n)
+    deep = list(range(n - 20, n))  # the last found, past 65535
+    for j in [*M.gens, *deep[:2]]:
         col = M.column(j)
-        assert [col[i] for i in every] == \
-            [compose_mul(M, i, j) for i in every]
+        assert col.typecode == "I"
+        rows = rng.sample(range(n), 64) + [n - 1]
+        assert [col[i] for i in rows] == [compose_mul(M, i, j) for i in rows]
+    pairs = [(rng.randrange(n), j) for j in deep] + [(n - 1, n - 2)]
     assert [M.mul(i, j) for i, j in pairs] == \
         [compose_mul(M, i, j) for i, j in pairs]
-    assert [M.close(s) for s in gen_sets] == closes
-    assert M._cols is None
-    subs = normal_subgroups(M)
-    assert sorted(s.order for s in subs) == [1, M.n // 2, M.n]
+    assert [M.conj(i, g) for i, g in pairs[:4]] == \
+        [compose_conj(M, i, g) for i, g in pairs[:4]]
+    assert {m.typecode for m in M.conj_maps()} == {"I"}
 
 
 @pytest.mark.parametrize("expr", [Alt(5), ProjGL(23)], ids=repr)
@@ -322,27 +389,33 @@ QUERIES = {
 }
 
 
-def test_only_the_columns_used_are_built():
+def test_only_the_columns_used_are_built(monkeypatch):
+    # with room for every column built, none is evicted
+    monkeypatch.setattr(smallgroup, "COLUMN_BUDGET", 1 << 30)
     M = fresh(SwapSq(Alt(5)))
     n = M.n
+    k = len(M.gens)
     rng = random.Random(n)
 
     def built():
-        return {j for j in range(1, n) if M._cols[j] is not None}
+        return set(M._cols) - {0}
 
     # the generators' columns come with the enumeration
     assert built() == set(M.gens)
     used = set()
     for _ in range(40):
         j = rng.randrange(n)
-        M.mul(rng.randrange(n), j)
+        held = built()
+        M.mul(rng.randrange(n), j)  # a walk down j's tree word builds none
+        assert built() == held
+        M.column(j)
         used.add(j)
     # a column is built from its parent's in the breadth-first tree
     want = set(M.gens)
     for j in used:
         while j and j not in want:
             want.add(j)
-            j = M._parent[j]
+            j = M._tree[j] // k
     assert built() == want
     for j in sorted(want):
         assert list(M._cols[j]) == [compose_mul(M, i, j) for i in range(n)]
@@ -350,7 +423,7 @@ def test_only_the_columns_used_are_built():
 
 def stored(M):
     """The elements whose column the group holds."""
-    return {j for j, c in enumerate(M._cols) if c is not None}
+    return set(M._cols)
 
 
 @pytest.mark.parametrize("expr", [Sym(6), MU24A5], ids=repr)
