@@ -1,5 +1,6 @@
 """Micro-benchmarks of the subgroup sweeps and of j-analysis on the groups
-of Lemma 3.8, and of `all_subgroups` on abelian groups.
+of Lemma 3.8, of `all_subgroups` on abelian groups, and of the normal
+lattices of WD(6) and (PGL2(F5) x PGL2(F5)):2.
 
     PYTHONPATH=src python -m pytest benches/bench_sweep.py
 
@@ -8,10 +9,14 @@ suite's `testpaths`.  Every round works on a freshly enumerated group, so
 no memo or table column carries over from the round before.
 """
 
+import functools
+
 import pytest
 
 from grpverify.claims import MU24A5, MU33S4, WD5SEMI
-from grpverify.construct import Cyc, ElemAb, Hsl23, Prod, Sym, build
+from grpverify.construct import (
+    Cyc, ElemAb, Hsl23, Prod, ProjGL, SwapSq, Sym, WeylD, build,
+)
 from grpverify.lattice import (
     all_subgroups,
     j_analysis,
@@ -24,6 +29,8 @@ from grpverify.smallgroup import MaterializedGroup
 # Lemma 3.8 (ii)-(vi)
 GROUPS = {"mu2^4:S5": WD5SEMI, "mu2^4:A5": MU24A5, "S6": Sym(6),
           "H3:SL2(F3)": Hsl23(), "mu3^3:S4": MU33S4}
+# orders 23040 and 28800: their normal lattices, each a group of its own
+LARGE = {"WD(6)": WeylD(6), "swapsq(PGL(2,5))": SwapSq(ProjGL(5))}
 # abelian: every subgroup is its own class, and every N(H) is G, central
 ABELIAN = {"EA(2,5)": ElemAb(2, 5), "C4xC6": Prod(Cyc(4), Cyc(6))}
 EXTENSIONS = 64  # elements g each class representative is extended by
@@ -34,11 +41,15 @@ def fresh(expr):
     return MaterializedGroup(h.group.generators, h.degree)
 
 
+@functools.cache
+def classes_of(name):
+    return subgroup_classes(fresh(GROUPS[name]))
+
+
 @pytest.fixture(scope="module", params=GROUPS)
 def swept(request):
     """The group and its subgroup-class representatives."""
-    expr = GROUPS[request.param]
-    return expr, subgroup_classes(fresh(expr))
+    return GROUPS[request.param], classes_of(request.param)
 
 
 def test_subgroup_classes(benchmark, swept):
@@ -94,16 +105,22 @@ def representatives(expr, classes):
     return ([sub_materialized(M, s) for s in classes],), {}
 
 
-def test_normal_subgroups(benchmark, swept):
-    """The normal lattice of every representative."""
-    expr, classes = swept
+@pytest.mark.parametrize("name", [*GROUPS, *LARGE])
+def test_normal_subgroups(benchmark, name):
+    """The normal lattice of every representative of a Lemma 3.8 group, or
+    of a whole group of LARGE, enumerated afresh."""
+    if name in LARGE:
+        def setup():
+            return ([fresh(LARGE[name])],), {}
+    else:
+        def setup():
+            return representatives(GROUPS[name], classes_of(name))
 
     def lattices(subs):
         for S in subs:
             normal_subgroups(S)
 
-    benchmark.pedantic(lattices, setup=lambda: representatives(expr, classes),
-                       rounds=3)
+    benchmark.pedantic(lattices, setup=setup, rounds=3)
 
 
 def test_j_analysis(benchmark, swept):

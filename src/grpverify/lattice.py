@@ -10,7 +10,8 @@ smallgroup's `set_orbit`, which carries each conjugate's generators.
 
 The normal lattice is built from the normal closures of single classes by
 joins (`normal_joins`).  A join AB of normal subgroups is closed only when
-no known normal subgroup of its order |A||B|/|A & B| holds A | B.
+no known normal subgroup of its order |A||B|/|A & B| holds A | B.  Every
+member, closure or join, gets its generators from `gens_for_mask`.
 
 The normal abelian subgroups (`normal_abelian_subgroups`) are joined the
 same way from the classes that can lie in one: a class C whose
@@ -85,17 +86,16 @@ def normal_joins(M: MaterializedGroup, classes, joinable) -> dict:
 
     The join of normal A and B is AB, of order |A||B|/|A & B|, and it is the
     only subgroup of that order holding A | B; so a join is closed only
-    when no known normal subgroup of that order holds A | B.  A closure
-    keeps the generators `normal_closure` found it by, a join gets
-    `gens_for_mask`.
+    when no known normal subgroup of that order holds A | B.  Every member
+    gets `gens_for_mask`, once, when its mask is first found.
     """
     found = {1: ()}
     by_order = {1: [1]}  # order -> the masks of that order in found
     queue = []
     for cls in classes:
-        mask, gens = M.normal_closure([cls[0]])
+        mask = M.normal_closure(cls[:1])
         if mask not in found:
-            found[mask] = tuple(gens)
+            found[mask] = tuple(M.gens_for_mask(mask))
             by_order.setdefault(mask.bit_count(), []).append(mask)
             queue.append(mask)
     while queue:

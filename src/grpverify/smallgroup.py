@@ -38,7 +38,8 @@ orbit of one set, carrying a value along its tree, and `schreier_steps`
 reads its Schreier elements (orbit-stabilizer): N(H) (`normalizer`) and
 stabilizers in Aut(G).  `walk_cosets` walks right cosets of a subgroup,
 for `extender`, which grows <H, g> from H, and for lattice's subgroup
-sweep; `close` closes a subgroup from the identity.
+sweep; `close` closes a subgroup from the identity, or with the
+generators' conjugation maps a normal closure (`normal_closure`).
 
 The heavy queries of the lattice and autmorph modules are `cached_query`
 functions: their results are kept per group in one memo, owned here.
@@ -418,10 +419,13 @@ class MaterializedGroup:
 
     # -- subgroup helpers ------------------------------------------------------
 
-    def close(self, gen_indices) -> int:
+    def close(self, gen_indices, maps=()) -> int:
         """Bitmask of the subgroup generated by the given element indices:
-        the identity's closure under their columns, one flag per element."""
+        the identity's closure under their columns and the index maps, one
+        flag per element, or G once it passes n/2 elements (Lagrange)."""
         steps = [self.column(g) for g in gen_indices if g != 0]
+        steps += maps
+        half = self.n // 2
         seen = bytearray(self.n)
         seen[0] = 1
         elems = [0]
@@ -431,6 +435,8 @@ class MaterializedGroup:
                 if not seen[y]:
                     seen[y] = 1
                     elems.append(y)
+            if len(elems) > half:
+                return self.full_mask
         return mask_of(seen)
 
     def extender(self, mask: int, gens):
@@ -456,23 +462,16 @@ class MaterializedGroup:
 
         return extend
 
-    def normal_closure(self, seed) -> tuple[int, list[int]]:
-        """Smallest normal subgroup containing the seed elements.
+    def normal_closure(self, seed) -> int:
+        """Mask of the smallest normal subgroup N holding the seed elements.
 
-        Returns (mask, generating indices).
+        One `close` walk from the identity over the seed's columns and the
+        generators' conjugation maps.  The set S it closes is invariant
+        under conjugation, so for x in S, a seed s and any h,
+        x*s^h = (x^(h^-1)*s)^h is in S: S is closed under right products by
+        every conjugate of a seed, and is N.
         """
-        gens = [g for g in seed if g != 0]
-        mask = self.close(gens)
-        pending = list(gens)
-        while pending:
-            h = pending.pop()
-            for g in self.gens:
-                c = self.conj(h, g)
-                if not mask >> c & 1:
-                    gens.append(c)
-                    pending.append(c)
-                    mask = self.close(gens)
-        return mask, gens
+        return self.close(seed, self.conj_maps())
 
     def centralizer(self, gen_indices) -> int:
         """Mask of elements commuting with every listed element."""
@@ -530,12 +529,9 @@ class MaterializedGroup:
         return mask, gens
 
     def derived_subgroup(self) -> tuple[int, list[int]]:
-        comms = set()
-        for a in self.gens:
-            for b in self.gens:
-                comms.add(self.commutator(a, b))
-        comms.discard(0)
-        return self.normal_closure(sorted(comms))
+        mask = self.normal_closure({self.commutator(a, b)
+                                    for a in self.gens for b in self.gens})
+        return mask, self.gens_for_mask(mask)
 
     def is_abelian_set(self, gen_indices) -> bool:
         gl = list(gen_indices)

@@ -272,7 +272,7 @@ def test_scoped_readers_above_threshold_match_compose_path():
     derived, gens = M.derived_subgroup()
     assert derived.bit_count() == M.n // 2  # PSL2(F23) in PGL2(F23)
     # the least normal subgroup holding the commutators: normal, generated
-    # by gens, and gens are conjugates of commutators
+    # by gens, and generated by every conjugate of the commutators
     assert compose_close(M, gens) == derived
     assert all(derived >> compose_conj(M, h, g) & 1
                for h in gens for g in M.gens)
@@ -285,7 +285,21 @@ def test_scoped_readers_above_threshold_match_compose_path():
             if z not in seen:
                 seen.add(z)
                 conjugates.append(z)
-    assert all(derived >> c & 1 for c in comms) and set(gens) <= seen
+    assert all(derived >> z & 1 for z in seen)
+    # <seen> lies in derived, and by Lagrange is derived once the identity's
+    # closure under seen passes half of derived's order
+    half = derived.bit_count() // 2
+    elems = [0]
+    closure = {0}
+    for x in elems:  # elems grows while it is walked
+        for z in seen:
+            y = compose_mul(M, x, z)
+            if y not in closure:
+                closure.add(y)
+                elems.append(y)
+        if len(closure) > half:
+            break
+    assert len(closure) > half
     # the two cosets, each numbered by its least element
     reps = [0, next(x for x in range(M.n) if not derived >> x & 1)]
     coset = [0 if derived >> x & 1 else 1 for x in range(M.n)]

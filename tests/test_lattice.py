@@ -276,9 +276,9 @@ def rejoining_normal_subgroups(M):
     for cls in M.conjugacy_classes():
         if cls[0] == 0:
             continue
-        mask, gens = M.normal_closure([cls[0]])
+        mask = M.normal_closure([cls[0]])
         if mask not in found:
-            found[mask] = tuple(gens)
+            found[mask] = tuple(M.gens_for_mask(mask))
             seeds.append(mask)
     queue = list(seeds)
     while queue:
@@ -337,9 +337,50 @@ def test_normal_subgroups_close_only_new_joins(expr):
         known.add(mask)
 
     spy("close", on_join)
-    spy("normal_closure", lambda out: known.add(out[0]))
+    spy("normal_closure", known.add)
     spy("gens_for_mask", None)
     assert known == {s.mask for s in normal_subgroups(M)}
+
+
+def test_normal_closures_gather_at_most_their_seeds_words():
+    """An exact gate on PGL2(F23)'s normal lattice: the tree edges gathered
+    through `_descent` are counted.  The normal closure of a class
+    representative gathers at most that representative's tree word, since
+    it reads only the seed's column and the generators' conjugation maps;
+    the whole lattice gathers 38 edges, a count that may rise only for a
+    recorded reason."""
+    M = fresh(ProjGL(23))
+    k = len(M.gens)
+    edges = [0]
+    descent = M._descent
+
+    def counted(j):
+        c, path = descent(j)
+        edges[0] += len(path)
+        return c, path
+
+    def word(j):
+        d = 0
+        while j:
+            j = M._tree[j] // k
+            d += 1
+        return d
+
+    closure = M.normal_closure
+    per_seed = []
+
+    def spied(seed):
+        before = edges[0]
+        out = closure(seed)
+        per_seed.append((seed[0], edges[0] - before))
+        return out
+
+    M._descent = counted
+    M.normal_closure = spied
+    normal_subgroups(M)
+    assert len(per_seed) == len(M.conjugacy_classes())
+    assert all(e <= word(r) for r, e in per_seed), per_seed
+    assert edges[0] <= 38
 
 
 # -- normalizers --------------------------------------------------------------

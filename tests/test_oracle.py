@@ -3,9 +3,10 @@
 sympy and hypothesis are used by tests only; the engine is stdlib-only.
 Hypothesis draws permutations of S6 and S7 from a fixed seed, with a
 bounded number of examples, so the module runs in a few seconds.  The
-conjugacy classes and element orders of seven catalog groups, and the
-orders of seeded random permutation groups of degree at most 8, are
-checked against sympy's too.
+conjugacy classes and element orders of seven catalog groups, the
+orders of seeded random permutation groups of degree at most 8, and the
+normal closures of PGL2(F23)'s class representatives are checked against
+sympy's too.
 """
 
 import functools
@@ -22,7 +23,7 @@ from grpverify.construct import (  # noqa: E402
 from grpverify.perm import PermGroup  # noqa: E402
 from grpverify.smallgroup import materialize  # noqa: E402
 from test_perm import random_generator_sets  # noqa: E402
-from test_table import composing  # noqa: E402
+from test_table import compose_close, compose_conj, composing  # noqa: E402
 
 
 def moving(n):
@@ -44,9 +45,36 @@ def symmetric(n):
     return build(Sym(n)).materialized(), composing(Sym(n))
 
 
-def sympy_order(perms):
+def sympy_group(perms):
     return combinatorics.PermutationGroup(
-        [combinatorics.Permutation(list(p)) for p in perms]).order()
+        [combinatorics.Permutation(list(p)) for p in perms])
+
+
+def sympy_order(perms):
+    return sympy_group(perms).order()
+
+
+def sympy_normal_closure_order(M, seed):
+    """The order of sympy's normal closure of the seed elements in M."""
+    if not seed:
+        return 1
+    G = sympy_group(M.perms[g] for g in M.gens)
+    return G.normal_closure(sympy_group(M.perms[x] for x in seed)).order()
+
+
+def compose_normal_closure(M, seed):
+    """The compose oracle's mask of the subgroup generated by every
+    conjugate of the seed elements, the conjugates walked by M's
+    generators."""
+    conjugates = sorted(set(seed) - {0})
+    seen = set(conjugates)
+    for y in conjugates:  # conjugates grows while it is walked
+        for g in M.gens:
+            z = compose_conj(M, y, g)
+            if z not in seen:
+                seen.add(z)
+                conjugates.append(z)
+    return compose_close(M, conjugates)
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
@@ -67,6 +95,37 @@ def test_extender_order_matches_sympy(case):
             assert H & ~ext == 0 and ext >> x & 1
             got.append(ext.bit_count())
         assert got == want
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(st.sampled_from([6, 7]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(moving(n), max_size=2))))
+def test_normal_closure_matches_sympy(case):
+    """The normal closure of up to two drawn elements has sympy's order, on
+    the columns and on the compose oracle alike; in S6 its mask is the
+    compose oracle's closure of every conjugate of the seed."""
+    n, perms = case
+    M, N = symmetric(n)
+    seed = [M.index[tuple(p)] for p in perms]
+    mask = M.normal_closure(seed)
+    assert mask.bit_count() == sympy_normal_closure_order(M, seed)
+    assert N.normal_closure(seed) == mask
+    if n == 6:  # S7's larger classes make the oracle's closure too slow
+        assert mask == compose_normal_closure(M, seed)
+
+
+def test_normal_closures_of_classes_match_sympy():
+    """On every class representative of PGL2(F23) and of S6, the normal
+    closure has sympy's order; on S6 its mask is the compose oracle's."""
+    for expr in (ProjGL(23), Sym(6)):
+        M = materialize(build(expr).group)
+        for cls in M.conjugacy_classes():
+            mask = M.normal_closure(cls[:1])
+            assert mask.bit_count() == sympy_normal_closure_order(
+                M, cls[:1]), (expr, cls[0])
+            if M.n <= 720:
+                assert mask == compose_normal_closure(M, cls[:1])
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -1,6 +1,8 @@
 import pytest
 
-from grpverify.construct import Alt, Cyc, Dih, ElemAb, H3, Hsl23, Prod, SwapSq, Sym, build
+from grpverify.construct import (
+    Alt, Cyc, Dih, ElemAb, H3, Hsl23, Prod, ProjGL, SwapSq, Sym, build,
+)
 from grpverify.smallgroup import (
     CapExceeded,
     Caps,
@@ -198,5 +200,22 @@ def test_centralizer_and_normal_closure():
     t = next(i for i in range(m.n) if m.element_order(i) == 2
              and any(i in c and len(c) == 6 for c in m.conjugacy_classes()))
     assert m.centralizer([t]).bit_count() == 4
-    mask, gens = m.normal_closure([t])
+    mask = m.normal_closure([t])
     assert mask.bit_count() == 24  # transpositions generate S4
+    assert m.normal_closure([]) == m.normal_closure([0]) == 1
+    assert m.close([]) == m.close([0]) == 1
+
+
+@pytest.mark.parametrize("expr", [Sym(5), ProjGL(23)], ids=repr)
+def test_index_two_subgroups_are_not_taken_for_g(expr):
+    """A5 in S5 and PSL2(F23) in PGL2(F23) hold exactly n/2 elements: the
+    Lagrange stop of `close` answers G only past n/2, so neither `close`
+    nor `normal_closure` mistakes them for G.  Both are simple, so every
+    nontrivial element of one has it as its normal closure."""
+    m = materialize(build(expr).group)
+    half = m.derived_subgroup()[0]
+    assert half.bit_count() == m.n // 2
+    assert m.close(m.gens_for_mask(half)) == half
+    for cls in m.conjugacy_classes():
+        if cls[0] and half >> cls[0] & 1:
+            assert m.normal_closure(cls[:1]) == half
