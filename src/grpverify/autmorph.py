@@ -1,8 +1,9 @@
 """Automorphism groups, characteristic tests, and the Chermak-Delgado subgroup.
 
 Automorphisms are found by backtracking over images of a fixed generating
-sequence, pruning by element order and conjugacy-class size; every map
-the search finds has been verified multiplicative on the whole group.
+sequence, grown by smallgroup's `grow`, pruning by element order and
+conjugacy-class size; every map the search finds has been verified
+multiplicative on the whole group.
 Before a candidate image c of g_l is grown into a map, a product screen
 checks that a_i c and a_i^-1 c have the order and class size of g_i g_l
 and g_i^-1 g_l for every earlier pair g_i -> a_i, one lookup each in the
@@ -25,8 +26,9 @@ So Aut(G) is kept as generators, the conjugations by G's generators and
 the maps found, and its order is counted from the search, not listed; the
 search stops, refused, once the count passes the active max_order.  A
 subgroup is invariant under Aut(G) iff it is invariant under each
-generator, and its stabilizer is read off its orbit by smallgroup's
-`set_orbit` and `schreier_steps`, the walk that gives N(H) there.  Only
+generator (smallgroup's `invariant`, which tests normality too), and its
+stabilizer is read off its orbit by smallgroup's `set_orbit` and
+`schreier_steps`, the walk that gives N(H) there.  Only
 `AutGroup.as_materialized` lists every automorphism.
 
 The same search, stopped at its first map, finds an isomorphism between
@@ -47,6 +49,7 @@ from .smallgroup import (
     coprime,
     current_caps,
     gather,
+    invariant,
     schreier_steps,
     set_orbit,
 )
@@ -55,20 +58,8 @@ from .smallgroup import (
 def generating_sequence(M: MaterializedGroup) -> tuple[list[int], list[int]]:
     """Greedy small generating sequence, elements of large order first:
     (gens, spans), spans[i] the order of the subgroup gens[:i+1] generate."""
-    order = [1] + [M.element_order(i) for i in range(1, M.n)]
-    cands = sorted(range(1, M.n), key=lambda i: (-order[i], i))
-    gens = []
-    spans = []
-    mask = 1
-    for c in cands:
-        if mask >> c & 1:
-            continue
-        mask = M.extender(mask, gens)(c)
-        gens.append(c)
-        spans.append(mask.bit_count())
-        if mask == M.full_mask:
-            break
-    return gens, spans
+    cands = sorted(range(1, M.n), key=lambda i: (-M.element_order(i), i))
+    return M.grow(cands, M.n)[1:]
 
 
 def _invariant_table(M: MaterializedGroup):
@@ -340,16 +331,6 @@ def _automorphisms(M: MaterializedGroup) -> AutGroup:
     if aut.order % aut.inner_count:
         raise AssertionError("inner automorphisms do not divide Aut order")
     return aut
-
-
-def invariant(mask: int, gens, maps) -> bool:
-    """True iff every map sends the subgroup mask = <gens> onto itself.
-
-    An automorphism a is a bijection of a finite group, so a(H) = H as soon
-    as a(h) lies in H for each generator h of H; and H is invariant under a
-    group of automorphisms iff it is invariant under each generator.
-    """
-    return all(mask >> a[h] & 1 for a in maps for h in gens)
 
 
 def is_characteristic(M: MaterializedGroup, mask: int) -> bool:

@@ -23,7 +23,6 @@ from .autmorph import (
     automorphism_group,
     chermak_delgado,
     coprime_part,
-    invariant,
     is_characteristic,
     is_isomorphic,
 )
@@ -65,7 +64,8 @@ from .lattice import (
     sweep_bound,
 )
 from .ledger import ClaimRecord, SkipClaim
-from .smallgroup import bits, coprime, current_caps, materialize, p_part
+from .smallgroup import (bits, coprime, current_caps, invariant, materialize,
+                         p_part)
 
 _REGISTRY: dict[str, ClaimRecord] = {}
 
@@ -866,9 +866,11 @@ def _prop_4_4_struct():
                                 for x in psl_in_pgam)]
 
     idx_pgl = list(map(conj_by, pgl.group.generators))
+    pgl_mask = autm.close(idx_pgl)
     actual = {
-        "pgl_conjugations": autm.close(idx_pgl).bit_count(),
-        "with_frobenius": autm.close(idx_pgl + [conj_by(frob_pts)]).bit_count(),
+        "pgl_conjugations": pgl_mask.bit_count(),
+        "with_frobenius": autm.extender(pgl_mask, idx_pgl)(
+            conj_by(frob_pts)).bit_count(),
     }
     index2 = [s for s in normal_subgroups(autm) if s.order == 720]
     actual["index2_normal_subgroups"] = len(index2)
@@ -1122,7 +1124,7 @@ def _ext_6_3():
     for alpha in range(m.n):
         if m.element_order(alpha) % p == 0:
             continue
-        bmask = m.close(list(fsub.gens) + [alpha])
+        bmask = m.extender(fsub.mask, fsub.gens)(alpha)
         for gamma in bits(bmask & cent_f):
             checks += 1
             if m.element_order(gamma) % p == 0:

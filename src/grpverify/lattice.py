@@ -9,14 +9,15 @@ elements g whose <H, g> is conjugate to one already known.
 smallgroup's `set_orbit`, which carries each conjugate's generators.
 
 The normal lattice is built from the normal closures of single classes by
-joins (`normal_joins`).  A join AB of normal subgroups is closed only when
-no known normal subgroup of its order |A||B|/|A & B| holds A | B.  Every
-member, closure or join, gets its generators from `gens_for_mask`.
+joins (`normal_joins`).  A join AB of normal subgroups is grown from A by
+B's generators (`MaterializedGroup.grow`), only when no known normal
+subgroup of its order |A||B|/|A & B| holds A | B.  Every member, closure
+or join, gets its generators from `gens_for_mask`.
 
 The normal abelian subgroups (`normal_abelian_subgroups`) are joined the
 same way from the classes that can lie in one: a class C whose
 representative commutes with every element of C, so that <C> is normal
-and abelian.  A join AB of two of them is closed only when A's generators
+and abelian.  A join AB of two of them is grown only when A's generators
 commute with B's, that is, when AB is abelian.  Every partial join of the
 classes inside a normal abelian subgroup lies in it and so is abelian
 too, so none is missed.  They lie in the Fitting subgroup F(G) (Huppert,
@@ -76,18 +77,18 @@ class JAnalysis:
 
 
 def is_normal(M: MaterializedGroup, sub: Sub) -> bool:
-    return M.is_normal_mask(sub.mask, sub.gens or None)
+    return M.is_normal_mask(sub.mask, sub.gens)
 
 
 def normal_joins(M: MaterializedGroup, classes, joinable) -> dict:
     """mask -> generators of the normal closures of the given classes and
-    of their joins, a join AB closed only where joinable(A's generators,
+    of their joins, a join AB grown only where joinable(A's generators,
     B's generators) holds.
 
     The join of normal A and B is AB, of order |A||B|/|A & B|, and it is the
-    only subgroup of that order holding A | B; so a join is closed only
-    when no known normal subgroup of that order holds A | B.  Every member
-    gets `gens_for_mask`, once, when its mask is first found.
+    only subgroup of that order holding A | B; so a join is grown, from A,
+    only when no known normal subgroup of that order holds A | B.  Every
+    member gets `gens_for_mask`, once, when its mask is first found.
     """
     found = {1: ()}
     by_order = {1: [1]}  # order -> the masks of that order in found
@@ -109,7 +110,7 @@ def normal_joins(M: MaterializedGroup, classes, joinable) -> dict:
             known = by_order.setdefault(order, [])
             if any(m & ab == ab for m in known) or not joinable(ga, found[b]):
                 continue
-            j = M.close(list(ga) + list(found[b]))
+            j = M.grow(found[b], order, a, ga)[0]
             found[j] = tuple(M.gens_for_mask(j))
             known.append(j)
             queue.append(j)
@@ -133,7 +134,7 @@ def normal_subgroups(M: MaterializedGroup) -> list[Sub]:
 def normal_abelian_subgroups(M: MaterializedGroup) -> list[Sub]:
     """All normal abelian subgroups, by (order, mask): the joins of the
     classes whose representative commutes with its whole class, a join
-    closed only when its generators commute.  Each is the Sub that
+    grown only when its generators commute.  Each is the Sub that
     `normal_subgroups` gives for its mask, generators included."""
     # commute reads r's column only; r*x == x*r would build x's too
     seeds = [c for c in M.conjugacy_classes() if M.commute(c, c[:1])]

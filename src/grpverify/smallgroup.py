@@ -38,7 +38,9 @@ orbit of one set, carrying a value along its tree, and `schreier_steps`
 reads its Schreier elements (orbit-stabilizer): N(H) (`normalizer`) and
 stabilizers in Aut(G).  `walk_cosets` walks right cosets of a subgroup,
 for `extender`, which grows <H, g> from H, and for lattice's subgroup
-sweep; `close` closes a subgroup from the identity, or with the
+sweep; through it `grow` gives a known subgroup more generators, for
+`gens_for_mask`, N(H), autmorph's generating sequence and normal joins.
+`close` closes only from the identity: a subgroup, or with the
 generators' conjugation maps a normal closure (`normal_closure`).
 
 The heavy queries of the lattice and autmorph modules are `cached_query`
@@ -101,11 +103,13 @@ def caps_scope(caps: Caps):
 
 
 def bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of mask, ascending: a `str.find` walk over
+    its binary digits, lowest first, linear in the mask's length."""
+    digits = format(mask, "b")[::-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def flags_of(mask: int, n: int) -> bytes:
@@ -226,6 +230,17 @@ def walk_cosets(cosets, steps, seen, most: int) -> bool:
                 for y in new:
                     seen[y] = 1
     return True
+
+
+def invariant(mask: int, gens, maps) -> bool:
+    """True iff every map sends the subgroup mask = <gens> onto itself.
+
+    An automorphism a is a bijection of a finite group, so a(H) = H as soon
+    as a(h) lies in H for each generator h of H; and H is invariant under a
+    group of automorphisms iff it is invariant under each generator.  gens
+    is read once.
+    """
+    return all(mask >> a[h] & 1 for h in gens for a in maps)
 
 
 def cached_query(label: str, field: str):
@@ -462,6 +477,25 @@ class MaterializedGroup:
 
         return extend
 
+    def grow(self, cands, order: int, mask: int = 1, gens=()):
+        """Grow H = <gens> with this mask to this order: (mask, gens, spans).
+
+        Each candidate c in turn that lies outside H makes H <H, c>, through
+        `extender`, and is appended to gens; spans[i] is |H| after the i-th
+        element taken.  None is read once H has the order, so cands may be
+        lazy."""
+        gens, spans = list(gens), []
+        size = mask.bit_count()
+        for c in cands if size < order else ():
+            if not mask >> c & 1:
+                mask = self.extender(mask, gens)(c)
+                gens.append(c)
+                size = mask.bit_count()
+                spans.append(size)
+                if size == order:
+                    break
+        return mask, gens, spans
+
     def normal_closure(self, seed) -> int:
         """Mask of the smallest normal subgroup N holding the seed elements.
 
@@ -499,12 +533,12 @@ class MaterializedGroup:
         """N(H) for the subgroup H = <gens> with this mask: (mask, generators).
 
         By orbit-stabilizer |N(H)| = n/|orbit| for H's conjugation orbit.
-        N(H) grows from H by the orbit walk's Schreier elements
-        (`schreier_steps`), conjugated by u_H^-1 when the walk started at
-        another conjugate, one at a time through `extender`, and stops once
-        it has that order; a normal H (an orbit of one point) gets G's
-        generators after its own.  orbit is H's orbit as returned by
-        `conjugation_orbit`, walked from H or from any conjugate of H.
+        N(H) is grown (`grow`) from H to that order by the orbit walk's
+        Schreier elements (`schreier_steps`), conjugated by u_H^-1 when the
+        walk started at another conjugate, each made only when read; a
+        normal H (an orbit of one point) gets G's generators after its own.
+        orbit is H's orbit as returned by `conjugation_orbit`, walked from
+        H or from any conjugate of H.
         """
         if orbit is None:
             orbit = self.conjugation_orbit(mask)
@@ -518,15 +552,10 @@ class MaterializedGroup:
         u = trans[points.index(tuple(sorted(bits(mask), reverse=True)))]
         cols = [self.column(g) for g in self.gens]
         inv = self._inv
-        for a, y in schreier_steps(to, trans, len(cols),
-                                   lambda v, t: cols[t][v]):  # u_x g
-            s = self.conj(self.mul(a, inv[trans[y]]), u)
-            if not mask >> s & 1:
-                mask = self.extender(mask, gens)(s)
-                gens.append(s)
-                if mask.bit_count() == target:
-                    break
-        return mask, gens
+        steps = schreier_steps(to, trans, len(cols),
+                               lambda v, t: cols[t][v])  # u_x g
+        return self.grow((self.conj(self.mul(a, inv[trans[y]]), u)
+                          for a, y in steps), target, mask, gens)[:2]
 
     def derived_subgroup(self) -> tuple[int, list[int]]:
         mask = self.normal_closure({self.commutator(a, b)
@@ -540,53 +569,37 @@ class MaterializedGroup:
     def is_abelian(self) -> bool:
         return self.is_abelian_set(self.gens)
 
-    def is_normal_mask(self, mask: int, sub_gens=None) -> bool:
-        gl = list(sub_gens) if sub_gens is not None else list(bits(mask))
-        return all(mask >> self.conj(h, g) & 1 for h in gl for g in self.gens)
+    def is_normal_mask(self, mask: int, gens=None) -> bool:
+        """True iff the subgroup mask = <gens>, by default all of it, is
+        invariant under the conjugation maps of G's generators."""
+        return invariant(mask, gens or bits(mask), self.conj_maps())
 
     def gens_for_mask(self, mask: int) -> list[int]:
-        """Small deterministic generating set for a subgroup mask."""
-        gens = []
-        have = 1
-        for i in bits(mask):
-            if not have >> i & 1:
-                gens.append(i)
-                have = self.close(gens)
-                if have == mask:
-                    break
-        return gens
+        """Small deterministic generating set for a subgroup mask: `grow`
+        by its elements ascending."""
+        return self.grow(bits(mask), mask.bit_count())[1]
 
     # -- Sylow -------------------------------------------------------------------
 
     def sylow_subgroup(self, p: int) -> tuple[int, list[int]]:
-        """Deterministic Sylow p-subgroup: grow from a maximal p-element
-        by p-elements of the normalizer.  Returns (mask, generators)."""
+        """Deterministic Sylow p-subgroup: grow from the first p-element of
+        greatest order by the first p-element of the normalizer outside it,
+        each step through `extender`.  Returns (mask, generators)."""
         target = p_part(self.n, p)
         if target == 1:
             return 1, []
-        best = 0
-        best_order = 1
-        for i in range(1, self.n):
-            o = self.element_order(i)
-            if o > best_order and p_part(o, p) == o:
-                best, best_order = i, o
-        gens = [best]
+        # the p-elements: their orders divide the p-part
+        ps = mask_of(bytes(target % self.element_order(i) == 0
+                           for i in range(self.n)))
+        gens = [max(bits(ps), key=self.element_order)]
         mask = self.close(gens)
         while mask.bit_count() < target:
             nrm, _ = self.normalizer(mask, gens)
-            grown = False
-            for y in bits(nrm):
-                if mask >> y & 1:
-                    continue
-                o = self.element_order(y)
-                if p_part(o, p) != o:
-                    continue
-                gens.append(y)
-                mask = self.close(gens)
-                grown = True
-                break
-            if not grown:  # cannot happen below the p-part
+            y = next(bits(nrm & ps & ~mask), None)
+            if y is None:  # cannot happen below the p-part
                 raise AssertionError("Sylow growth stalled")
+            mask = self.extender(mask, gens)(y)
+            gens.append(y)
         return mask, gens
 
     def __len__(self):

@@ -298,6 +298,36 @@ def test_an_import_inside_a_function_closes_a_cycle():
     assert import_cycles(import_graph(sources)) == []
 
 
+def grown_closes(source):
+    """The line of each call to a `close` in the source that is handed a
+    `+` concatenation: a generating set grown by hand and closed again
+    from the identity."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                == "close"
+                and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Add)
+                        for a in node.args)):
+            yield node.lineno
+
+
+def test_close_is_never_handed_a_grown_generating_set():
+    """A known subgroup gains generators through `grow` or `extender`, from
+    its own elements; `close` closes only from the identity."""
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in grown_closes(path.read_text())]
+    assert found == []
+
+
+def test_grown_closes_read_method_and_plain_calls():
+    snippet = ("m.close(gens + [y])\n"
+               "close(list(a) + list(b), maps)\n"
+               "m.close(gens)\n"
+               "m.close(seed, maps)\n"
+               "m.extender(mask, gens)(a + b)\n")
+    assert list(grown_closes(snippet)) == [1, 2]
+
+
 SIGNAL_SETTERS = {"signal", "setitimer", "alarm"}
 
 

@@ -8,7 +8,7 @@ from grpverify.autmorph import is_isomorphic
 from grpverify.claims import MU24A5, WD5SEMI
 from grpverify.construct import (
     H3, PSL32, Action, Alt, Cyc, Dih, ElemAb, Hsl23, MatGL, MatSL, PGroup,
-    Prod, ProjGL, ProjSL, Semi, SwapSq, Sym, build,
+    Prod, ProjGL, ProjSL, Semi, SwapSq, Sym, WeylD, build,
 )
 from grpverify.lattice import (
     JAnalysis,
@@ -310,9 +310,9 @@ def test_normal_joins_by_lookup_match_rejoining(expr):
 
 @pytest.mark.parametrize("expr", JOIN_GROUPS, ids=repr)
 def test_normal_subgroups_close_only_new_joins(expr):
-    """Every join `normal_subgroups` closes is a normal subgroup not found
-    before: the closures inside `normal_closure` and `gens_for_mask` are
-    not joins and are not counted."""
+    """Every join `normal_subgroups` grows is a normal subgroup not found
+    before: the closures inside `normal_closure` and the growth inside
+    `gens_for_mask` are not joins and are not counted."""
     M = fresh(expr)
     known = {1}
     depth = [0]
@@ -336,11 +336,42 @@ def test_normal_subgroups_close_only_new_joins(expr):
         assert mask not in known, "a known join was closed again"
         known.add(mask)
 
-    spy("close", on_join)
+    spy("grow", lambda out: on_join(out[0]))
     spy("normal_closure", known.add)
     spy("gens_for_mask", None)
     assert known == {s.mask for s in normal_subgroups(M)}
 
+
+
+@pytest.mark.parametrize("expr, n_classes", [
+    (ProjGL(23), 25), (Sym(5), 7), (WeylD(6), 37)], ids=repr)
+def test_normal_lattices_close_once_per_class(expr, n_classes):
+    """An exact gate: the normal lattice calls `close` once per conjugacy
+    class, for that class's normal closure, and the normal abelian
+    subgroups once per seed class.  Joins grow from a known member and
+    `gens_for_mask` grows from the identity (`grow`), neither through
+    `close`."""
+    M = fresh(expr)
+    calls = []
+    close = M.close
+
+    def counted(*args):
+        calls.append(args)
+        return close(*args)
+
+    M.close = counted
+    classes = M.conjugacy_classes()
+    assert len(classes) == n_classes
+    lattice = normal_subgroups(M)
+    assert len(calls) == n_classes
+    calls.clear()
+    seeds = [c for c in classes if M.commute(c, c[:1])]
+    normal_abelian_subgroups(M)
+    assert len(calls) == len(seeds)
+    calls.clear()
+    for s in lattice:
+        assert M.gens_for_mask(s.mask) == list(s.gens)
+    assert calls == []
 
 def test_normal_closures_gather_at_most_their_seeds_words():
     """An exact gate on PGL2(F23)'s normal lattice: the tree edges gathered
@@ -446,16 +477,20 @@ def test_coset_walk_extends_by_the_element_walks_elements(expr):
     """`subgroup_classes` extends each representative H by exactly the
     elements that the element-level walk leaves uncovered."""
     M = fresh(expr)
-    extender, normalizer = M.extender, M.normalizer
+    extender, normalizer, grow = M.extender, M.normalizer, M.grow
     depth = [0]
-    walks = []  # (mask, elements extended by), per extender made outside N(H)
+    walks = []  # (mask, elements extended by), per extender made outside
+    # N(H) and `grow`
 
-    def spy_normalizer(*args):
-        depth[0] += 1
-        try:
-            return normalizer(*args)
-        finally:
-            depth[0] -= 1
+    def nested(method):
+        def call(*args):
+            depth[0] += 1
+            try:
+                return method(*args)
+            finally:
+                depth[0] -= 1
+
+        return call
 
     def spy_extender(mask, gens):
         extend = extender(mask, gens)
@@ -470,9 +505,10 @@ def test_coset_walk_extends_by_the_element_walks_elements(expr):
 
         return record
 
-    M.extender, M.normalizer = spy_extender, spy_normalizer
+    M.extender, M.normalizer, M.grow = spy_extender, nested(normalizer), \
+        nested(grow)
     classes = subgroup_classes(M)
-    del M.extender, M.normalizer
+    del M.extender, M.normalizer, M.grow
     # the first extender grows the trivial subgroup to the cyclic seeds
     assert walks[0][0] == 1
     walks = dict(walks[1:])

@@ -72,6 +72,21 @@ def test_pgl29_size():
     assert mat(ProjGL(9)).n == 720
 
 
+
+@pytest.mark.parametrize("n, mask", [
+    (0, 0),
+    (1, 1),
+    (64, (1 << 63) | 1),
+    (1320, (1 << 1319) | (1 << 700) | (1 << 5)),
+    (1320, int("10" * 660, 2)),
+    (28800, int("1" * 28800, 2)),
+    (28800, int("0110" * 7200, 2)),
+    (28800, (1 << 28799) | (1 << 14400) | 1),
+], ids=["empty", "one", "64-bit ends", "sparse 1320", "dense 1320",
+        "full 28800", "half 28800", "sparse 28800"])
+def test_bits_lists_the_set_bits_ascending(n, mask):
+    assert list(bits(mask)) == [i for i in range(n) if mask >> i & 1]
+
 def test_mul_inv_identity():
     m = mat(Sym(4))
     for i in range(m.n):

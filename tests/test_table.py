@@ -19,17 +19,25 @@ from grpverify import perm as pm
 from grpverify import smallgroup
 from grpverify.claims import CD_CORPUS, MU24A5
 from grpverify.construct import (
+    H3,
+    PSL32,
     Alt,
     Hess,
     Hsl23,
+    MatGL,
     MatSL,
     ProjGL,
     ProjSL,
     SwapSq,
     Sym,
+    WeylD,
     build,
 )
-from grpverify.autmorph import automorphism_group, chermak_delgado
+from grpverify.autmorph import (
+    automorphism_group,
+    chermak_delgado,
+    generating_sequence,
+)
 from grpverify.lattice import (
     Sub,
     all_subgroups,
@@ -43,6 +51,7 @@ from grpverify.smallgroup import (
     CapExceeded,
     Caps,
     MaterializedGroup,
+    bits,
     caps_scope,
     materialize,
 )
@@ -164,6 +173,43 @@ def test_table_matches_compose_path(expr):
             mask, gens = G.normalizer(G.close(s), s)
             assert mask == want
             assert G.close(gens) == mask
+
+
+def compose_greedy(M, cands, order):
+    """Each candidate in turn outside the `compose_close` of those taken
+    is taken, until that closure has the order: (taken, the closure's
+    order after each)."""
+    gens, spans = [], []
+    mask = 1
+    for c in cands:
+        if mask.bit_count() == order:
+            break
+        if not mask >> c & 1:
+            gens.append(c)
+            mask = compose_close(M, gens)
+            spans.append(mask.bit_count())
+    return gens, spans
+
+
+@pytest.mark.parametrize("expr", [Sym(6), H3(), MatGL(3), PSL32(), WeylD(5),
+                                  ProjGL(23)], ids=repr)
+def test_generating_sets_match_the_compose_greedy(expr):
+    """`gens_for_mask` on seeded subgroups, and `generating_sequence`,
+    give the generators of the greedy over `compose_close`: the elements
+    of the subgroup ascending, and of G by descending order, each taken
+    when it lies outside the span of those before it."""
+    M = fresh(expr)
+    rng = random.Random(M.n)
+    masks = [compose_close(M, s) for s in sample_sets(M, rng, 10, 3)]
+    grown = 0
+    for mask in masks:
+        want, _ = compose_greedy(M, bits(mask), mask.bit_count())
+        assert M.gens_for_mask(mask) == want
+        grown += len(want) > 1
+    assert grown
+    order = [pm.perm_order(p) for p in M.perms]
+    cands = sorted(range(1, M.n), key=lambda i: (-order[i], i))
+    assert generating_sequence(M) == compose_greedy(M, cands, M.n)
 
 
 EXTENDED = [Sym(4), MatSL(3), Alt(5), ProjGL(7)]
