@@ -9,18 +9,21 @@ elements g whose <H, g> is conjugate to one already known.
 smallgroup's `set_orbit`, which carries each conjugate's generators.
 
 The normal lattice is built from the normal closures of single classes by
-joins (`normal_joins`).  A join AB of normal subgroups is grown from A by
-B's generators (`MaterializedGroup.grow`), only when no known normal
-subgroup of its order |A||B|/|A & B| holds A | B.  Every member, closure
-or join, gets its generators from `gens_for_mask`.
+joins (`normal_joins`).  A normal closure is a walk over classes
+(`MaterializedGroup.normal_closure`) and builds no column.  A join AB of
+normal subgroups is grown from A by B's generators
+(`MaterializedGroup.grow`), only when no known normal subgroup of its
+order |A||B|/|A & B| holds A | B.  Every member, closure or join, gets
+its generators from `gens_for_mask`.
 
 The normal abelian subgroups (`normal_abelian_subgroups`) are joined the
 same way from the classes that can lie in one: a class C whose
 representative commutes with every element of C, so that <C> is normal
 and abelian.  A join AB of two of them is grown only when A's generators
-commute with B's, that is, when AB is abelian.  Every partial join of the
-classes inside a normal abelian subgroup lies in it and so is abelian
-too, so none is missed.  They lie in the Fitting subgroup F(G) (Huppert,
+commute with B's, that is, when AB is abelian.  Both tests are
+`MaterializedGroup.commute`, which builds no column.  Every partial join
+of the classes inside a normal abelian subgroup lies in it and so is
+abelian too, so none is missed.  They lie in the Fitting subgroup F(G) (Huppert,
 Endliche Gruppen I, 1967), and they do not depend on a prime.
 
 The central quantity is JAnalysis: for a prime p, the minimal index of a
@@ -136,7 +139,6 @@ def normal_abelian_subgroups(M: MaterializedGroup) -> list[Sub]:
     classes whose representative commutes with its whole class, a join
     grown only when its generators commute.  Each is the Sub that
     `normal_subgroups` gives for its mask, generators included."""
-    # commute reads r's column only; r*x == x*r would build x's too
     seeds = [c for c in M.conjugacy_classes() if M.commute(c, c[:1])]
     return _sorted_subs(normal_joins(M, seeds, M.commute))
 

@@ -24,9 +24,12 @@ gathered along j's tree word from the generator columns, one C-level
 gather per edge, and kept, with those on its way, up to COLUMN_BUDGET
 bytes, past which the oldest kept goes.  `mul(i, j)` reads j's column if
 it is held and otherwise walks j's word, one generator-column read per
-edge, building none.  `ledger.run_claim` clears the group cache before
-each claim, so no claim inherits another's columns.  No module but perm
-composes permutations.  The conjugation maps of the generators, which
+edge, building none.  `right(j)` gives the products x*j of a set of
+elements the same way, down j's tree word but over that set alone, and
+builds none either: `commute` reads x^y by it and `normal_closure` the
+products of classes by a seed.  `ledger.run_claim` clears the group cache
+before each claim, so no claim inherits another's columns.  No module but
+perm composes permutations.  The conjugation maps of the generators, which
 `conjugacy_classes` and the orbit walks read, are kept as arrays too: a
 map read from a 16-bit column holds a fresh int object per entry.
 
@@ -40,8 +43,9 @@ stabilizers in Aut(G).  `walk_cosets` walks right cosets of a subgroup,
 for `extender`, which grows <H, g> from H, and for lattice's subgroup
 sweep; through it `grow` gives a known subgroup more generators, for
 `gens_for_mask`, N(H), autmorph's generating sequence and normal joins.
-`close` closes only from the identity: a subgroup, or with the
-generators' conjugation maps a normal closure (`normal_closure`).
+`close` closes only from the identity.  `normal_closure` walks
+conjugacy classes: `conjugacy_classes` keeps each element's class, and
+`class_masks` each class's mask.
 
 The heavy queries of the lattice and autmorph modules are `cached_query`
 functions: their results are kept per group in one memo, owned here.
@@ -56,9 +60,9 @@ import functools
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
-from operator import eq, itemgetter
+from operator import eq, itemgetter, or_
 
 from . import perm as pm
 
@@ -129,7 +133,10 @@ def mask_at(idx) -> int:
 
 def gather(idx):
     """f(seq) = the tuple of seq[i] for i in idx, in one C-level pass: an
-    itemgetter, which for a single index would return the item itself."""
+    itemgetter, which for a single index would return the item itself and
+    for none would raise."""
+    if not idx:
+        return lambda seq: ()
     if len(idx) == 1:
         (i,) = idx
         return lambda seq: (seq[i],)
@@ -322,7 +329,7 @@ class MaterializedGroup:
         # the most columns held: these, and any others up to the budget
         self._most = len(cols) + COLUMN_BUDGET // (n * array(code).itemsize)
         self._orders = None
-        self._classes = None
+        self._classes = self._class_of = self._class_masks = None
         self._conj_maps = None
         self._memo = {}  # query results, kept by cached_query
 
@@ -360,6 +367,24 @@ class MaterializedGroup:
                     del cols[next(islice(cols, len(self.gens) + 1, None))]
         return c
 
+    def right(self, j: int):
+        """xs -> the tuple of x*j for x in xs; it builds no column.
+
+        A held column of j is read in one gather.  Otherwise j's tree word
+        is found once, by `_descent`, and each xs is gathered from its
+        nearest held ancestor's column down the word, one C-level gather
+        per edge, as `column` would build j's column but over xs alone.
+        """
+        c, path = self._descent(j)
+        steps = [c, *(s for _, s in path)]
+
+        def times(xs):
+            for s in steps:
+                xs = gather(xs)(s)
+            return xs
+
+        return times
+
     def mul(self, i: int, j: int) -> int:
         """i*j: a read of j's column if it is held, else one generator-column
         read per edge of j's tree word; it builds no column."""
@@ -383,8 +408,16 @@ class MaterializedGroup:
 
     def commute(self, xs, ys) -> bool:
         """True iff every x in xs commutes with every y in ys, tested as
-        conj(x, y) == x: only the columns of ys are read."""
-        return all(self.conj(x, y) == x for y in ys for x in xs)
+        x^y = (x^-1 y)^-1 y == x: two reads of y's products by `right`, so
+        only y's tree word is walked and no column is built."""
+        inv = self._inv
+        xs = tuple(xs)
+        xs_inv = gather(xs)(inv)
+        for y in ys:
+            times = self.right(y)
+            if times(gather(times(xs_inv))(inv)) != xs:
+                return False
+        return True
 
     def commutator(self, i: int, j: int) -> int:
         """i^-1 j^-1 i j = ((j i)^-1 i) j."""
@@ -426,20 +459,31 @@ class MaterializedGroup:
         return self._conj_maps
 
     def conjugacy_classes(self):
-        """Partition of indices into conjugacy classes, each sorted."""
+        """Partition of indices into conjugacy classes, each sorted; the
+        class of the identity comes first."""
         if self._classes is None:
-            self._classes = [sorted(o)
-                             for o in orbits(self.n, self.conj_maps())[1]]
+            self._class_of, found = orbits(self.n, self.conj_maps())
+            self._classes = [sorted(o) for o in found]
         return self._classes
+
+    def class_masks(self) -> list[int]:
+        """The mask of each conjugacy class, in `conjugacy_classes` order."""
+        if self._class_masks is None:
+            masks = self._class_masks = []
+            for cls in self.conjugacy_classes():
+                flags = bytearray(self.n)
+                for x in cls:
+                    flags[x] = 1
+                masks.append(mask_of(flags))
+        return self._class_masks
 
     # -- subgroup helpers ------------------------------------------------------
 
-    def close(self, gen_indices, maps=()) -> int:
+    def close(self, gen_indices) -> int:
         """Bitmask of the subgroup generated by the given element indices:
-        the identity's closure under their columns and the index maps, one
-        flag per element, or G once it passes n/2 elements (Lagrange)."""
+        the identity's closure under their columns, one flag per element,
+        or G once it passes n/2 elements (Lagrange)."""
         steps = [self.column(g) for g in gen_indices if g != 0]
-        steps += maps
         half = self.n // 2
         seen = bytearray(self.n)
         seen[0] = 1
@@ -499,13 +543,31 @@ class MaterializedGroup:
     def normal_closure(self, seed) -> int:
         """Mask of the smallest normal subgroup N holding the seed elements.
 
-        One `close` walk from the identity over the seed's columns and the
-        generators' conjugation maps.  The set S it closes is invariant
-        under conjugation, so for x in S, a seed s and any h,
-        x*s^h = (x^(h^-1)*s)^h is in S: S is closed under right products by
-        every conjugate of a seed, and is N.
+        A walk over conjugacy classes: S starts as the classes of the
+        identity and of the seeds, and each round multiplies the classes
+        that joined it last on the right by every seed s (`right`); the
+        classes of the products not yet in S join it.  S is a union of
+        classes, so for x in S, a seed s and any h, x*s^h = (x^(h^-1)*s)^h
+        is in S: S is closed under right products by every conjugate of a
+        seed, and is N.  N is G once S passes n/2 elements (Lagrange).
         """
-        return self.close(seed, self.conj_maps())
+        classes = self.conjugacy_classes()
+        label = self._class_of
+        seed = [s for s in seed if s]
+        times = list(map(self.right, seed))
+        half = self.n // 2
+        held, size = {0}, 1
+        found = set(map(label.__getitem__, seed))
+        while new := found - held:
+            held |= new
+            xs = tuple(chain.from_iterable(map(classes.__getitem__, new)))
+            size += len(xs)
+            if size > half:
+                return self.full_mask
+            found = set()
+            for t in times:
+                found.update(gather(t(xs))(label))
+        return functools.reduce(or_, map(self.class_masks().__getitem__, held))
 
     def centralizer(self, gen_indices) -> int:
         """Mask of elements commuting with every listed element."""

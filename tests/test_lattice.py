@@ -346,41 +346,47 @@ def test_normal_subgroups_close_only_new_joins(expr):
 @pytest.mark.parametrize("expr, n_classes", [
     (ProjGL(23), 25), (Sym(5), 7), (WeylD(6), 37)], ids=repr)
 def test_normal_lattices_close_once_per_class(expr, n_classes):
-    """An exact gate: the normal lattice calls `close` once per conjugacy
-    class, for that class's normal closure, and the normal abelian
-    subgroups once per seed class.  Joins grow from a known member and
-    `gens_for_mask` grows from the identity (`grow`), neither through
-    `close`."""
+    """An exact gate: the normal lattice takes one `normal_closure` per
+    conjugacy class, and the normal abelian subgroups one per seed class.
+    None of them calls `close`: a closure walks classes, joins grow from a
+    known member and `gens_for_mask` grows from the identity (`grow`)."""
     M = fresh(expr)
-    calls = []
-    close = M.close
+    calls = {"close": 0, "normal_closure": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return close(*args)
+    def spy(name):
+        method = getattr(M, name)
 
-    M.close = counted
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        setattr(M, name, counted)
+
+    spy("close")
+    spy("normal_closure")
     classes = M.conjugacy_classes()
     assert len(classes) == n_classes
     lattice = normal_subgroups(M)
-    assert len(calls) == n_classes
-    calls.clear()
+    assert calls == {"close": 0, "normal_closure": n_classes}
     seeds = [c for c in classes if M.commute(c, c[:1])]
+    calls["normal_closure"] = 0
     normal_abelian_subgroups(M)
-    assert len(calls) == len(seeds)
-    calls.clear()
+    assert calls == {"close": 0, "normal_closure": len(seeds)}
     for s in lattice:
         assert M.gens_for_mask(s.mask) == list(s.gens)
-    assert calls == []
+    assert calls["close"] == 0
+
 
 def test_normal_closures_gather_at_most_their_seeds_words():
-    """An exact gate on PGL2(F23)'s normal lattice: the tree edges gathered
-    through `_descent` are counted.  The normal closure of a class
-    representative gathers at most that representative's tree word, since
-    it reads only the seed's column and the generators' conjugation maps;
-    the whole lattice gathers 38 edges, a count that may rise only for a
+    """An exact gate on PGL2(F23)'s normal lattice, whose columns do not all
+    fit `COLUMN_BUDGET`: the tree edges gathered through `_descent` are
+    counted.  The normal closure of a class representative descends at
+    most that representative's tree word, once, since it reads the seed's
+    products by `right`; neither it nor `commute` builds a column.  The
+    whole lattice descends 57 edges, a count that may change only for a
     recorded reason."""
     M = fresh(ProjGL(23))
+    assert M.n > M._most
     k = len(M.gens)
     edges = [0]
     descent = M._descent
@@ -397,21 +403,28 @@ def test_normal_closures_gather_at_most_their_seeds_words():
             d += 1
         return d
 
-    closure = M.normal_closure
     per_seed = []
 
-    def spied(seed):
-        before = edges[0]
-        out = closure(seed)
-        per_seed.append((seed[0], edges[0] - before))
-        return out
+    def spy(name, record):
+        method = getattr(M, name)
+
+        def spied(*args):
+            before, held = edges[0], list(M._cols)
+            out = method(*args)
+            assert list(M._cols) == held, name
+            record(args, edges[0] - before)
+            return out
+
+        setattr(M, name, spied)
 
     M._descent = counted
-    M.normal_closure = spied
+    spy("normal_closure", lambda args, e: per_seed.append((args[0][0], e)))
+    spy("commute", lambda args, e: None)
     normal_subgroups(M)
     assert len(per_seed) == len(M.conjugacy_classes())
     assert all(e <= word(r) for r, e in per_seed), per_seed
-    assert edges[0] <= 38
+    assert edges[0] == 57
+    normal_abelian_subgroups(M)
 
 
 # -- normalizers --------------------------------------------------------------

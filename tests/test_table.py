@@ -125,14 +125,17 @@ class ComposedColumn:
 
 class Composing(MaterializedGroup):
     """The compose oracle: every column and product composes permutations,
-    so every reader written over `column` and `mul` reads no stored
-    column."""
+    so every reader written over `column`, `mul` and `right` reads no
+    stored column."""
 
     def column(self, j):
         return ComposedColumn(self, j)
 
     def mul(self, i, j):
         return compose_mul(self, i, j)
+
+    def right(self, j):
+        return lambda xs: tuple(compose_mul(self, x, j) for x in xs)
 
 
 def composing(expr):
@@ -173,6 +176,46 @@ def test_table_matches_compose_path(expr):
             mask, gens = G.normalizer(G.close(s), s)
             assert mask == want
             assert G.close(gens) == mask
+
+
+@pytest.mark.parametrize("expr", [ProjGL(23), Alt(8)], ids=repr)
+def test_right_and_commute_match_compose_path(expr):
+    """`right(j)` gives x*j for each x of a set, for j whose column is held
+    and j whose column is not, and builds no column; `commute` agrees with
+    compose_mul on every pair, empty sets included.  Neither group's
+    columns all fit `COLUMN_BUDGET`."""
+    M = fresh(expr)
+    n = M.n
+    assert n > M._most
+    rng = random.Random(n)
+    built = rng.randrange(1, n)
+    M.column(built)
+    held = [0, *M.gens, built]
+    unheld = [j for j in rng.sample(range(1, n), 8) if j not in M._cols]
+    assert unheld
+    sets = [(), (rng.randrange(n),), tuple(rng.sample(range(n), 40)),
+            [rng.randrange(n) for _ in range(40)]]  # repeats, as a list
+    before = stored(M)
+    for j in held + unheld:
+        times = M.right(j)
+        for xs in sets:
+            assert times(xs) == tuple(compose_mul(M, x, j) for x in xs)
+    assert stored(M) == before
+
+    def commutes(xs, ys):
+        return all(compose_mul(M, x, y) == compose_mul(M, y, x)
+                   for x in xs for y in ys)
+
+    z = next(bits(M.center() & ~1), 0)  # central, or the identity
+    c = rng.choice(M.conjugacy_classes()[1:])
+    pairs = [((), ()), ((), (1, 2)), ((1, 2), ()), ((0, z), held + unheld),
+             (c, c[:1]), (c[:1], c), (held, unheld), (unheld[:1], unheld),
+             (sets[2][:5], sets[3][:5])]
+    before = stored(M)
+    for xs, ys in pairs:
+        assert M.commute(xs, ys) == commutes(xs, ys), (xs, ys)
+    assert stored(M) == before
+    assert not all(M.commute(xs, ys) for xs, ys in pairs)
 
 
 def compose_greedy(M, cands, order):
