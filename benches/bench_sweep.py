@@ -1,6 +1,7 @@
-"""Micro-benchmarks of the subgroup sweeps and of j-analysis on the groups
-of Lemma 3.8, of `all_subgroups` on abelian groups, and of the normal
-lattices of WD(6) and (PGL2(F5) x PGL2(F5)):2.
+"""Micro-benchmarks of the subgroup sweeps, centralizers and j-analysis on
+the groups of Lemma 3.8, of `all_subgroups` on abelian groups, and of the
+conjugacy classes and normal lattices of those groups and of WD(6) and
+(PGL2(F5) x PGL2(F5)):2.
 
     PYTHONPATH=src python -m pytest benches/bench_sweep.py
 
@@ -96,6 +97,27 @@ def test_normalizer(benchmark, swept):
 
     benchmark.pedantic(normalize_all, setup=lambda: ((fresh(expr),), {}),
                        rounds=3)
+
+
+def test_centralizers(benchmark, swept):
+    """C(H) of every representative, one conjugation map per generator."""
+    expr, classes = swept
+
+    def centralize_all(M):
+        for sub in classes:
+            M.centralizer(sub.gens)
+
+    benchmark.pedantic(centralize_all, setup=lambda: ((fresh(expr),), {}),
+                       rounds=3)
+
+
+@pytest.mark.parametrize("name", [*GROUPS, *LARGE])
+def test_conjugacy_classes(benchmark, name):
+    """The generators' conjugation maps and their orbits, on a group
+    enumerated afresh."""
+    expr = {**GROUPS, **LARGE}[name]
+    benchmark.pedantic(MaterializedGroup.conjugacy_classes,
+                       setup=lambda: ((fresh(expr),), {}), rounds=3)
 
 
 def representatives(expr, classes):

@@ -1187,12 +1187,9 @@ def _hypothesis_6_6(m, fsub, p):
     for lam in bits(fsub.mask):
         if m.element_order(lam) % p == 0:
             continue
-        cyc = m.close([lam])
-        for alpha in range(m.n):
-            if not cyc >> m.conj(lam, alpha) & 1:
-                continue
-            if not m.commute((lam,), (m.mul(alpha, alpha),)):
-                return False
+        norm, _ = m.normalizer(m.close([lam]), [lam])
+        if not m.commute((lam,), {m.mul(a, a) for a in bits(norm)}):
+            return False
     return True
 
 

@@ -33,7 +33,9 @@ the normal abelian subgroups, so their joins run once per group, whatever
 primes are asked for.
 
 `quotient` reads the cosets xN of a normal N from `orbits`, the orbits
-under the columns of N's generators.  Isomorphism testing lives in
+under the columns of N's generators, and each generator's action on
+them from its products with the cosets' representatives, one `right`
+read per generator.  Isomorphism testing lives in
 autmorph, beside the search it runs; this module imports nothing from it.
 """
 
@@ -200,7 +202,7 @@ def subgroup_classes(M: MaterializedGroup) -> list[Sub]:
                 continue
             register(extend(g))
             # skip g's orbit, walked from Hg
-            coset = gather(h_elems)(M.column(g))
+            coset = M.right(g)(h_elems)
             for y in coset:
                 covered[y] = 1
             walk_cosets([coset], steps, covered, M.n)
@@ -304,7 +306,7 @@ def quotient(M: MaterializedGroup, sub: Sub) -> MaterializedGroup:
     coset_id, cosets = orbits(M.n, [M.column(h) for h in sub.gens])
     n_cosets = len(cosets)
     reps = [c[0] for c in cosets]
-    qgens = [tuple(coset_id[M.mul(r, g)] for r in reps) for g in M.gens]
+    qgens = [gather(M.right(g)(reps))(coset_id) for g in M.gens]
     out = MaterializedGroup(qgens, n_cosets, cap=n_cosets + 1)
     if out.n != n_cosets:
         raise AssertionError("coset action not transitive on cosets")

@@ -16,22 +16,24 @@ breadth-first tree with the generator of each edge (a Schreier vector:
 Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
 section 4.1), so every element j is a word in the generators.
 
-Every product is read through columns, `column(j)[i] = i*j`, and each
-reader is written once over them.  A column is an array of 16-bit
+Every product is read by one of two readers.  `column(j)[i] = i*j` is
+the map of j over the whole group.  A column is an array of 16-bit
 indices, or 32-bit ones past 65536 elements.  The identity's and the
 generators' columns are held for the group's lifetime; any other is
 gathered along j's tree word from the generator columns, one C-level
 gather per edge, and kept, with those on its way, up to COLUMN_BUDGET
-bytes, past which the oldest kept goes.  `mul(i, j)` reads j's column if
-it is held and otherwise walks j's word, one generator-column read per
-edge, building none.  `right(j)` gives the products x*j of a set of
-elements the same way, down j's tree word but over that set alone, and
-builds none either: `commute` reads x^y by it and `normal_closure` the
-products of classes by a seed.  `ledger.run_claim` clears the group cache
-before each claim, so no claim inherits another's columns.  No module but
-perm composes permutations.  The conjugation maps of the generators, which
-`conjugacy_classes` and the orbit walks read, are kept as arrays too: a
-map read from a 16-bit column holds a fresh int object per entry.
+bytes, past which the oldest kept goes.  `right(j)` gives the products
+x*j of a set of elements: one gather of j's column if it is held,
+otherwise the same walk down j's tree word but over that set alone,
+building no column.  `mul(i, j)` is `right(j)` on one element; a
+conjugate x^g = (x^-1 g)^-1 g is two reads of `right(g)`, written once
+for `conj`, `commute` and `conj_map`; and `normal_closure` reads the
+products of classes by a seed through `right`.  `ledger.run_claim`
+clears the group cache before each claim, so no claim inherits another's
+columns.  No module but perm composes permutations.  The conjugation maps
+of the generators, which `conjugacy_classes` and the orbit walks read,
+are kept as arrays too: a map read from a 16-bit column holds a fresh int
+object per entry.
 
 Each walk is written once, and moves a set of elements by `gather`, one
 C-level pass.  `orbits` partitions points: the conjugacy classes are the
@@ -42,8 +44,8 @@ reads its Schreier elements (orbit-stabilizer): N(H) (`normalizer`) and
 stabilizers in Aut(G).  `walk_cosets` walks right cosets of a subgroup,
 for `extender`, which grows <H, g> from H, and for lattice's subgroup
 sweep; through it `grow` gives a known subgroup more generators, for
-`gens_for_mask`, N(H), autmorph's generating sequence and normal joins.
-`close` closes only from the identity.  `normal_closure` walks
+`gens_for_mask`, N(H), autmorph's generating sequence and normal joins,
+and `close` grows from the identity.  `normal_closure` walks
 conjugacy classes: `conjugacy_classes` keeps each element's class, and
 `class_masks` each class's mask.
 
@@ -386,50 +388,38 @@ class MaterializedGroup:
         return times
 
     def mul(self, i: int, j: int) -> int:
-        """i*j: a read of j's column if it is held, else one generator-column
-        read per edge of j's tree word; it builds no column."""
-        c = self._cols.get(j)
-        if c is not None:
-            return c[i]
-        c, path = self._descent(j)
-        i = c[i]
-        for _, s in path:
-            i = s[i]
-        return i
+        """i*j, read by `right(j)`; it builds no column."""
+        return self.right(j)((i,))[0]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
 
+    def _conj(self, g: int, xs_inv) -> tuple:
+        """The tuple of x^g = g^-1 x g = (x^-1 g)^-1 g for each x whose
+        inverse is in xs_inv: two reads of `right(g)`, building no column."""
+        times = self.right(g)
+        return times(gather(times(xs_inv))(self._inv))
+
     def conj(self, i: int, g: int) -> int:
-        """g^-1 * i * g = (i^-1 g)^-1 g."""
-        c = self.column(g)
-        inv = self._inv
-        return c[inv[c[inv[i]]]]
+        """g^-1 * i * g."""
+        return self._conj(g, (self._inv[i],))[0]
 
     def commute(self, xs, ys) -> bool:
         """True iff every x in xs commutes with every y in ys, tested as
-        x^y = (x^-1 y)^-1 y == x: two reads of y's products by `right`, so
-        only y's tree word is walked and no column is built."""
-        inv = self._inv
+        x^y == x, so only y's tree word is walked and no column is built."""
         xs = tuple(xs)
-        xs_inv = gather(xs)(inv)
-        for y in ys:
-            times = self.right(y)
-            if times(gather(times(xs_inv))(inv)) != xs:
-                return False
-        return True
+        xs_inv = gather(xs)(self._inv)
+        return all(self._conj(y, xs_inv) == xs for y in ys)
 
     def commutator(self, i: int, j: int) -> int:
-        """i^-1 j^-1 i j = ((j i)^-1 i) j."""
-        ci = self.column(i)
-        return self.column(j)[ci[self._inv[ci[j]]]]
+        """i^-1 j^-1 i j = i^-1 * i^j."""
+        return self.mul(self._inv[i], self.conj(i, j))
 
     def conj_map(self, g: int) -> list:
-        """[g^-1 i g for every element i]."""
-        c = self.column(g)
-        inv = self._inv
-        return list(map(c.__getitem__, map(inv.__getitem__,
-                                           map(c.__getitem__, inv))))
+        """[g^-1 i g for every element i]: g's column is held first, so each
+        read of it is one gather."""
+        self.column(g)
+        return list(self._conj(g, self._inv))
 
     def element_order(self, i: int) -> int:
         """A class function: one cycle decomposition per conjugacy class."""
@@ -480,23 +470,9 @@ class MaterializedGroup:
     # -- subgroup helpers ------------------------------------------------------
 
     def close(self, gen_indices) -> int:
-        """Bitmask of the subgroup generated by the given element indices:
-        the identity's closure under their columns, one flag per element,
-        or G once it passes n/2 elements (Lagrange)."""
-        steps = [self.column(g) for g in gen_indices if g != 0]
-        half = self.n // 2
-        seen = bytearray(self.n)
-        seen[0] = 1
-        elems = [0]
-        for x in elems:  # elems grows while it is walked
-            for c in steps:
-                y = c[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    elems.append(y)
-            if len(elems) > half:
-                return self.full_mask
-        return mask_of(seen)
+        """Bitmask of the subgroup generated by the given element indices,
+        grown from the identity by `grow`."""
+        return self.grow(gen_indices, self.n)[0]
 
     def extender(self, mask: int, gens):
         """g -> mask of <H, g>, for the subgroup H = <gens> with this mask.

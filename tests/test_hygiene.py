@@ -28,7 +28,8 @@ and reads its result from a pipe itself.
 Outside perm.py no module calls a permutation `compose`: every product
 is read from a column.  No module but smallgroup touches a group's stored
 columns or its breadth-first tree: the rest read products through
-`column`.
+`column` or `right`.  Inside smallgroup only `_enumerate`, which builds
+them, and `column` and `_descent`, which read them, do.
 """
 
 import ast
@@ -558,3 +559,43 @@ def test_table_touches_find_reads_writes_and_deletes():
                "    return M.column(3), M.tree, M.cols, c, N._steps[0]\n")
     assert sorted(table_touches(snippet)) == [
         (2, "_cols"), (3, "_cols"), (4, "_tree"), (5, "_steps")]
+
+
+TABLE_READERS = {"_enumerate", "_descent", "column"}
+
+
+def table_touchers(source):
+    """(line, attribute, outermost enclosing function or None) of each of
+    the source's `table_touches`."""
+    spans = [(fn.lineno, fn.end_lineno, fn.name)  # outermost first
+             for fn in ast.walk(ast.parse(source))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for line, attr in table_touches(source):
+        yield line, attr, next((name for first, last, name in spans
+                                if first <= line <= last), None)
+
+
+def test_only_the_table_methods_touch_the_columns():
+    """Inside smallgroup, the columns and the tree are built by
+    `_enumerate` and read by `column` and `_descent`; every other reader
+    of products goes through `column` or `right`."""
+    found = sorted(f"smallgroup.py:{line} {attr} in {fn}"
+                   for line, attr, fn in table_touchers(
+                       (PACKAGE / "smallgroup.py").read_text())
+                   if fn not in TABLE_READERS)
+    assert found == [], "columns touched outside " \
+        + ", ".join(sorted(TABLE_READERS)) + ": " + ", ".join(found)
+
+
+def test_table_touchers_name_the_outermost_function():
+    snippet = ("class G:\n"
+               "    def column(self, j):\n"
+               "        return self._cols[j]\n"
+               "    def mul(self, i, j):\n"
+               "        def step(k):\n"
+               "            return self._steps[k]\n"
+               "        return self._cols.get(j)\n"
+               "top = G()._tree\n")
+    assert sorted(table_touchers(snippet)) == [
+        (3, "_cols", "column"), (6, "_steps", "mul"), (7, "_cols", "mul"),
+        (8, "_tree", None)]

@@ -1,10 +1,11 @@
 """Every reader of the products against definitions built on `compose_mul`.
 
-A product i*j is read from `mul` or from the column of j, which every
-group gathers from its generators' columns along j's breadth-first tree
-word and keeps up to `COLUMN_BUDGET`.  The tests keep an independent slow
-path: `composing` makes a group whose `column` and `mul` compose the two
-permutation tuples on each read.  Both are compared here with
+A product i*j is read from the column of j, which every group gathers
+from its generators' columns along j's breadth-first tree word and keeps
+up to `COLUMN_BUDGET`, or by `right(j)`, which walks that word over a set
+of elements alone.  The tests keep an independent slow path: `composing`
+makes a group whose `column` and `right` compose the two permutation
+tuples on each read.  Both are compared here with
 `compose_mul`, which composes the two permutation tuples itself, and with
 closures, centralizers, normalizers and maps written from their
 definitions over it, on seeded samples of elements and generating sets.
@@ -17,17 +18,25 @@ import pytest
 
 from grpverify import perm as pm
 from grpverify import smallgroup
-from grpverify.claims import CD_CORPUS, MU24A5
+from grpverify.claims import (
+    CD_CORPUS,
+    EXT_6_6_INSTANCES,
+    MU24A5,
+    _hypothesis_6_6,
+    normal_part,
+)
 from grpverify.construct import (
     H3,
     PSL32,
     Alt,
+    Cyc,
     Hess,
     Hsl23,
     MatGL,
     MatSL,
     ProjGL,
     ProjSL,
+    Prod,
     SwapSq,
     Sym,
     WeylD,
@@ -125,14 +134,11 @@ class ComposedColumn:
 
 class Composing(MaterializedGroup):
     """The compose oracle: every column and product composes permutations,
-    so every reader written over `column`, `mul` and `right` reads no
-    stored column."""
+    so every reader written over `column` and `right` reads no stored
+    column."""
 
     def column(self, j):
         return ComposedColumn(self, j)
-
-    def mul(self, i, j):
-        return compose_mul(self, i, j)
 
     def right(self, j):
         return lambda xs: tuple(compose_mul(self, x, j) for x in xs)
@@ -156,6 +162,9 @@ def test_table_matches_compose_path(expr):
     rng = random.Random(M.n)
     pairs = [(rng.randrange(M.n), rng.randrange(M.n)) for _ in range(200)]
     gen_sets = sample_sets(M, rng, 6, 3)
+    a, b = gen_sets[0][0], gen_sets[1][0]
+    # the identity, a repeat, and no element at all
+    gen_sets += [[0], [0, a], [a, a], [a, b, a], []]
     every = range(M.n)
     closes = [compose_close(M, s) for s in gen_sets]
     cents = [compose_centralizer(M, s) for s in gen_sets]
@@ -181,9 +190,11 @@ def test_table_matches_compose_path(expr):
 @pytest.mark.parametrize("expr", [ProjGL(23), Alt(8)], ids=repr)
 def test_right_and_commute_match_compose_path(expr):
     """`right(j)` gives x*j for each x of a set, for j whose column is held
-    and j whose column is not, and builds no column; `commute` agrees with
-    compose_mul on every pair, empty sets included.  Neither group's
-    columns all fit `COLUMN_BUDGET`."""
+    and j whose column is not, and builds no column; `mul`, `conj` and
+    `commutator` agree with their compose definitions on held and unheld
+    arguments and build none either; `commute` agrees with compose_mul on
+    every pair, empty sets included.  Neither group's columns all fit
+    `COLUMN_BUDGET`."""
     M = fresh(expr)
     n = M.n
     assert n > M._most
@@ -200,6 +211,12 @@ def test_right_and_commute_match_compose_path(expr):
         times = M.right(j)
         for xs in sets:
             assert times(xs) == tuple(compose_mul(M, x, j) for x in xs)
+    assert stored(M) == before
+    for i in held + unheld:
+        for j in held + unheld:
+            assert M.mul(i, j) == compose_mul(M, i, j)
+            assert M.conj(i, j) == compose_conj(M, i, j)
+            assert M.commutator(i, j) == compose_commutator(M, i, j)
     assert stored(M) == before
 
     def commutes(xs, ys):
@@ -253,6 +270,35 @@ def test_generating_sets_match_the_compose_greedy(expr):
     order = [pm.perm_order(p) for p in M.perms]
     cands = sorted(range(1, M.n), key=lambda i: (-order[i], i))
     assert generating_sequence(M) == compose_greedy(M, cands, M.n)
+
+
+def compose_hypothesis_6_6(M, fmask, p):
+    """Lemma 6.6's hypothesis from its definition: for every lambda in F of
+    order prime to p and every alpha with lambda^alpha in <lambda>,
+    alpha^2 commutes with lambda."""
+    for lam in bits(fmask):
+        if pm.perm_order(M.perms[lam]) % p == 0:
+            continue
+        cyc = compose_close(M, [lam])
+        for alpha in range(M.n):
+            if cyc >> compose_conj(M, lam, alpha) & 1:
+                sq = compose_mul(M, alpha, alpha)
+                if compose_mul(M, lam, sq) != compose_mul(M, sq, lam):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("f_expr, c_expr, p", [
+    *((f, c, p) for _, f, c, p in EXT_6_6_INSTANCES),
+    (Sym(5), Cyc(1), 2), (Sym(4), Cyc(2), 3)], ids=repr)
+def test_hypothesis_6_6_matches_its_definition(f_expr, c_expr, p):
+    """The claims' check, which reads the alphas as N(<lambda>), against a
+    scan of every alpha; in S5 a 5-cycle's normalizer has elements of order
+    4, whose squares invert it, so there the hypothesis fails."""
+    M, fsub = normal_part(build(Prod(f_expr, c_expr)))
+    want = compose_hypothesis_6_6(M, fsub.mask, p)
+    assert _hypothesis_6_6(M, fsub, p) == want
+    assert want == (f_expr != Sym(5))
 
 
 EXTENDED = [Sym(4), MatSL(3), Alt(5), ProjGL(7)]
